@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeries
-from .errors import ShapeError
-from .forecaster import (DistVector, FilterStep, Forecast, UPropModel, step,
-                         zero_hidden)
+from .forecaster import (DistVector, UPropModel, _consume, _filter,
+                         _self_feed)
 
 # imputed values are presented as certain observations; clamp keeps a
 # pathological sample from destabilizing the recurrence
@@ -43,31 +42,24 @@ def filter_series_imputed(model: UPropModel, series: TimeSeries,
     s ~ N(mu_pending, sigma_pending), seeded. Values are clamped to
     +-IMPUTE_CLAMP normalized units.
     """
-    if series.dims != model.dims:
-        raise ShapeError(f"series dims {series.dims} != model dims {model.dims}")
     rng = np.random.default_rng(policy.seed)
     if prior is None:
         prior = DistVector.standard(model.dims)
-    h = zero_hidden(model.stack)
-    pending = None
-    steps = []
-    for t in range(series.steps):
-        mask = series.mask[t]
+    values, mask = series.values, series.mask
+
+    def impute(t, pending):
         fallback = pending if pending is not None else prior
-        if mask.all():
-            fill = series.values[t]
+        observed, row = mask[t], values[t]
+        if observed.all():
+            fill = row
         elif policy.kind == "mean":
             fill = np.clip(fallback.mu, -IMPUTE_CLAMP, IMPUTE_CLAMP)
         else:
             draw = rng.normal(fallback.mu, fallback.sigma)
             fill = np.clip(draw, -IMPUTE_CLAMP, IMPUTE_CLAMP)
-        inp = DistVector(mu=np.where(mask, series.values[t], fill),
-                         sigma=np.zeros(model.dims))
-        pred, h = step(model, inp, h)
-        steps.append(FilterStep(t=series.t0 + t, input=inp,
-                                forecast=Forecast(origin_t=series.t0 + t, steps=[pred])))
-        pending = pred
-    return steps
+        return DistVector(mu=np.where(observed, row, fill), sigma=np.zeros(model.dims))
+
+    return _filter(model, series, impute)[0]
 
 
 def mc_rollout(model: UPropModel, context: list, k: int, n_samples: int,
@@ -80,19 +72,15 @@ def mc_rollout(model: UPropModel, context: list, k: int, n_samples: int,
     """
     if n_samples < 2:
         raise ValueError(f"mc_rollout needs n_samples >= 2, got {n_samples}")
-    if not context:
-        raise ValueError("mc_rollout requires a non-empty context")
-    h0 = zero_hidden(model.stack)
-    for inp in context:
-        pred0, h0 = step(model, inp, h0)
-    trajectories = np.empty((n_samples, k, model.dims))
-    root = np.random.SeedSequence(seed)
-    for s, child in enumerate(root.spawn(n_samples)):
+    pending, h = _consume(model, context)
+    trajectories = []
+    for child in np.random.SeedSequence(seed).spawn(n_samples):
         rng = np.random.default_rng(child)
-        pred, h = pred0, list(h0)
-        for j in range(k):
-            sample = rng.normal(pred.mu, pred.sigma)
-            trajectories[s, j] = sample
-            if j < k - 1:
-                pred, h = step(model, DistVector.observed(sample), h)
+        inputs, beliefs = _self_feed(
+            model, pending, h, k,
+            lambda j, pred, rng=rng: DistVector.observed(rng.normal(pred.mu, pred.sigma)))
+        last = beliefs[-1]
+        trajectories.append([inp.mu for inp in inputs]
+                            + [rng.normal(last.mu, last.sigma)])
+    trajectories = np.array(trajectories)
     return trajectories.mean(axis=0), trajectories.std(axis=0)

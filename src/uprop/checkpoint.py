@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NormStats
+from .data import NormStats, _fmt
 from .errors import CheckpointNotFoundError, DataError
 from .forecaster import TrainConfig, UPropModel, build_model
 from .tensor import value_of
@@ -24,10 +24,6 @@ _CELL_FIELDS = ("W_r", "W_z", "W_n", "U_r", "U_z", "U_n",
 
 _HYPER_FIELDS = ("n_layers", "hidden_size", "dropout", "lookahead", "epochs",
                  "learning_rate", "batch_size", "window_length", "sigma_floor")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _dump(obj) -> str:
@@ -48,17 +44,21 @@ def _dump(obj) -> str:
     return json.dumps(obj)
 
 
+def _named_weights(model: UPropModel):
+    """(checkpoint key, parameter) for every weight array, in file order."""
+    for i, cell in enumerate(model.stack.layers):
+        for name in _CELL_FIELDS:
+            yield f"gru.{i}.{name}", getattr(cell, name)
+    yield "readout.weight", model.readout.weight
+    yield "readout.bias", model.readout.bias
+
+
 def save_checkpoint(model: UPropModel, path, seed: int,
                     final_loss: float | None = None) -> None:
     config = model.train_config
     if config is None:
         raise ValueError("model has no training configuration to checkpoint")
-    weights = {}
-    for i, cell in enumerate(model.stack.layers):
-        for name in _CELL_FIELDS:
-            weights[f"gru.{i}.{name}"] = value_of(getattr(cell, name)).ravel()
-    weights["readout.weight"] = value_of(model.readout.weight).ravel()
-    weights["readout.bias"] = value_of(model.readout.bias).ravel()
+    weights = {key: value_of(param).ravel() for key, param in _named_weights(model)}
     doc = {
         "format_version": FORMAT_VERSION,
         "dims": model.dims,
@@ -82,33 +82,32 @@ def load_checkpoint(path):
         raise DataError(f"{path}: invalid checkpoint JSON: {exc}") from None
     if doc.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
-    dims = int(doc["dims"])
-    hypers = doc["hyperparameters"]
-    config = TrainConfig(seed=int(doc["seed"]), **{k: hypers[k] for k in _HYPER_FIELDS})
-    norm = NormStats(mean=np.array(doc["normalization"]["mean"]),
-                     std=np.array(doc["normalization"]["std"]))
+
+    def require(obj, key, where=""):
+        if not isinstance(obj, dict) or key not in obj:
+            raise DataError(f"{path}: missing checkpoint key {where}{key}")
+        return obj[key]
+
+    dims = int(require(doc, "dims"))
+    seed = int(require(doc, "seed"))
+    hypers = require(doc, "hyperparameters")
+    config = TrainConfig(seed=seed, **{k: require(hypers, k, "hyperparameters.")
+                                       for k in _HYPER_FIELDS})
+    stats = require(doc, "normalization")
+    norm = NormStats(mean=np.array(require(stats, "mean", "normalization.")),
+                     std=np.array(require(stats, "std", "normalization.")))
+    final_loss = require(doc, "final_loss")
+    weights = require(doc, "weights")
     # shapes come from the config; weight values are overwritten below
     model = build_model(dims, config, norm, np.random.default_rng(0))
-    weights = doc["weights"]
-    for i, cell in enumerate(model.stack.layers):
-        for name in _CELL_FIELDS:
-            key = f"gru.{i}.{name}"
-            if key not in weights:
-                raise DataError(f"{path}: missing weight array {key}")
-            target = getattr(cell, name).value
-            flat = np.asarray(weights[key], dtype=np.float64)
-            if flat.size != target.size:
-                raise DataError(f"{path}: weight {key} has {flat.size} values, "
-                                f"expected {target.size}")
-            target[...] = flat.reshape(target.shape)
-    for key, param in (("readout.weight", model.readout.weight),
-                       ("readout.bias", model.readout.bias)):
-        flat = np.asarray(weights[key], dtype=np.float64)
-        if flat.size != param.value.size:
+    for key, param in _named_weights(model):
+        target = param.value
+        flat = np.asarray(require(weights, key, "weights."), dtype=np.float64)
+        if flat.size != target.size:
             raise DataError(f"{path}: weight {key} has {flat.size} values, "
-                            f"expected {param.value.size}")
-        param.value[...] = flat.reshape(param.value.shape)
+                            f"expected {target.size}")
+        target[...] = flat.reshape(target.shape)
     model.refresh_frozen()
-    info = {"seed": int(doc["seed"]), "final_loss": doc["final_loss"],
+    info = {"seed": seed, "final_loss": final_loss,
             "format_version": FORMAT_VERSION}
     return model, info

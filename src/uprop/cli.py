@@ -15,20 +15,13 @@ from pathlib import Path
 
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (DatasetSplit, load_csv, normalize, save_csv, split,
+from .data import (DatasetSplit, _fmt, load_csv, normalize, save_csv, split,
                    synth_cloud, window)
 from .errors import CheckpointNotFoundError, ConfigError, DataError
 from .evaluate import METHODS, evaluate_grid
 from .forecaster import TrainConfig, train
 from .novelty import calibrate_threshold, forecast_from_origin, score_series
 from .prob import interval95
-
-_FMT = ".17g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FMT)
-
 
 @dataclass
 class RunConfig:
@@ -52,30 +45,13 @@ class RunConfig:
     def __post_init__(self):
         if self.dims < 1:
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
-        if self.layers < 1:
-            raise ConfigError(f"layers must be >= 1, got {self.layers}")
-        if self.hidden < 1:
-            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 1 <= self.lookahead < self.window:
-            raise ConfigError(
-                f"lookahead must satisfy 1 <= k < window, got k={self.lookahead}, "
-                f"window={self.window}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0.0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.sigma_floor <= 0.0:
-            raise ConfigError(f"sigma_floor must be positive, got {self.sigma_floor}")
+        # TrainConfig validates every training field
+        self.train_config()
+        for k in self.lookaheads:
+            self.train_config(k)
         for rate in self.missing_rates:
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"missing rate must be in [0, 1), got {rate}")
-        for k in self.lookaheads:
-            if not 1 <= k < self.window:
-                raise ConfigError(f"lookahead {k} must satisfy 1 <= k < window")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")

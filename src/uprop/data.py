@@ -138,7 +138,8 @@ def load_csv(path) -> TimeSeries:
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".17g")
+    """17 significant digits: every float64 round-trips through text."""
+    return format(float(x), ".17g")
 
 
 def save_csv(series: TimeSeries, path) -> None:

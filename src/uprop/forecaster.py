@@ -4,7 +4,9 @@ The model takes per-dimension (location, scale) pairs as input: observed
 values enter with scale 0, missing values with the (mu, sigma) predicted
 for them at the previous step. Multi-step forecasts feed each predicted
 belief directly into the next step, with no sampling anywhere, so every
-inference path is deterministic.
+inference path is deterministic. Every inference path runs on one scan
+(``_scan``); they differ only in the input policy that turns the previous
+step's belief into the next input.
 
 Training runs on complete data only: a window's prefix is fed as observed
 context (dropout on), then the model rolls out ``lookahead`` steps
@@ -56,6 +58,11 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        for name in ("batch_size", "n_layers", "hidden_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.sigma_floor > 0.0:
+            raise ConfigError(f"sigma_floor must be positive, got {self.sigma_floor}")
 
 
 @dataclass
@@ -168,6 +175,71 @@ def step(model: UPropModel, inp: DistVector, h: list):
     return DistVector(mu=raw[:n], sigma=squash_sigma(raw[n:], model.squash)), h_next
 
 
+def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,
+          snapshots: list | None = None):
+    """The recurrence loop of inference: ``n`` steps from ``(pending, h)``.
+
+    Step t's input is ``policy(t, pending)``, where ``pending`` is the
+    belief the previous step emitted (None before the first step); with
+    no policy that belief is fed back as is. Returns the per-step inputs
+    and emitted beliefs, and the final hidden state. The hidden state
+    after each step is appended to ``snapshots`` when one is given; only
+    callers that resume from every row ask, since keeping them all slows
+    the loop.
+    """
+    if h is None:
+        h = zero_hidden(model.stack)
+    inputs, preds = [], []
+    for t in range(n):
+        inp = pending if policy is None else policy(t, pending)
+        pending, h = step(model, inp, h)
+        inputs.append(inp)
+        preds.append(pending)
+        if snapshots is not None:
+            snapshots.append(h)
+    return inputs, preds, h
+
+
+def _observe(series: TimeSeries, prior: DistVector | None = None):
+    """Uncertainty-propagation input policy: see :func:`encode_input`."""
+    values, mask = series.values, series.mask
+    return lambda t, pending: encode_input(values[t], pending, prior, mask[t])
+
+
+def _filter(model: UPropModel, series: TimeSeries, policy):
+    """FilterStep records of one pass over ``series`` under an input
+    policy, and the final hidden state."""
+    if series.dims != model.dims:
+        raise ShapeError(f"series dims {series.dims} != model dims {model.dims}")
+    inputs, preds, h = _scan(model, series.steps, policy)
+    t0 = series.t0
+    records = [FilterStep(t=t0 + t, input=inp,
+                          forecast=Forecast(origin_t=t0 + t, steps=[pred]))
+               for t, (inp, pred) in enumerate(zip(inputs, preds))]
+    return records, h
+
+
+def _consume(model: UPropModel, context: list):
+    """Feed a non-empty list of input beliefs; returns (belief, hidden)."""
+    if not context:
+        raise ValueError("a non-empty context is required")
+    _, preds, h = _scan(model, len(context), lambda t, _: context[t])
+    return preds[-1], h
+
+
+def _self_feed(model: UPropModel, pending: DistVector, h: list, k: int,
+               feed=None):
+    """The k beliefs of a forecast whose first step is ``pending``.
+
+    Each later step is fed ``feed(j, belief)`` (default: the belief
+    itself). Returns the k - 1 fed inputs and the k beliefs.
+    """
+    if k < 1:
+        raise ConfigError(f"horizon must be >= 1, got {k}")
+    inputs, preds, _ = _scan(model, k - 1, feed, pending, h)
+    return inputs, [pending] + preds
+
+
 def rollout(model: UPropModel, context: list, k: int,
             origin_t: int | None = None) -> Forecast:
     """Consume ``context`` (DistVectors), then self-feed for ``k`` steps.
@@ -175,17 +247,8 @@ def rollout(model: UPropModel, context: list, k: int,
     Each prediction's (mu, sigma) is fed directly as the next input — no
     sampling.
     """
-    if not context:
-        raise ValueError("rollout requires a non-empty context")
-    if k < 1:
-        raise ValueError(f"horizon must be >= 1, got {k}")
-    h = zero_hidden(model.stack)
-    for inp in context:
-        pred, h = step(model, inp, h)
-    preds = [pred]
-    for _ in range(k - 1):
-        pred, h = step(model, pred, h)
-        preds.append(pred)
+    pending, h = _consume(model, context)
+    _, preds = _self_feed(model, pending, h, k)
     return Forecast(origin_t=origin_t if origin_t is not None else len(context) - 1,
                     steps=preds)
 
@@ -200,20 +263,9 @@ def filter_series(model: UPropModel, series: TimeSeries,
     recorded. Returns the list of FilterStep records, plus the final
     hidden state and pending forecast when ``return_state`` is set.
     """
-    if series.dims != model.dims:
-        raise ShapeError(f"series dims {series.dims} != model dims {model.dims}")
-    h = zero_hidden(model.stack)
-    pending = None
-    steps = []
-    for t in range(series.steps):
-        inp = encode_input(series.values[t], pending=pending, prior=prior,
-                           mask=series.mask[t])
-        pred, h = step(model, inp, h)
-        steps.append(FilterStep(t=series.t0 + t, input=inp,
-                                forecast=Forecast(origin_t=series.t0 + t, steps=[pred])))
-        pending = pred
+    steps, h = _filter(model, series, _observe(series, prior))
     if return_state:
-        return steps, h, pending
+        return steps, h, steps[-1].forecast.steps[0] if steps else None
     return steps
 
 

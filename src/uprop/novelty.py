@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeries
-from .errors import DataError
-from .forecaster import (DistVector, Forecast, UPropModel, encode_input,
-                         rollout, step, zero_hidden)
+from .errors import ConfigError, DataError
+from .forecaster import (DistVector, Forecast, UPropModel, _observe, _scan,
+                         _self_feed)
 from .prob import LN_2PI, kl
 
 SCORE_KINDS = ("volatility", "surprise", "kl")
@@ -38,8 +38,18 @@ class Threshold:
     quantile: float = 0.99
 
     def __post_init__(self):
-        if not 0.5 < self.quantile < 1.0:
-            raise ValueError(f"calibration quantile must be in (0.5, 1), got {self.quantile}")
+        _check_quantile(self.quantile)
+
+
+def _check_quantile(quantile: float) -> None:
+    if not 0.5 < quantile < 1.0:
+        raise ConfigError(f"calibration quantile must be in (0.5, 1), got {quantile}")
+
+
+def _check_offsets(near_offset: int, far_offset: int) -> None:
+    if near_offset < 1 or far_offset < near_offset:
+        raise ConfigError("offsets must satisfy far_offset >= near_offset >= 1, "
+                          f"got near={near_offset}, far={far_offset}")
 
 
 def volatility_score(forecast: Forecast) -> float:
@@ -70,16 +80,17 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
     """k-step forecast from row index ``origin`` (rows 0..origin consumed)."""
     if origin < 0 or origin >= series.steps:
         raise ValueError(f"origin {origin} outside series of length {series.steps}")
-    h = zero_hidden(model.stack)
-    pending = None
-    for t in range(origin + 1):
-        inp = encode_input(series.values[t], pending=pending, mask=series.mask[t])
-        pending, h = step(model, inp, h)
-    preds = [pending]
-    for _ in range(k - 1):
-        pending, h = step(model, pending, h)
-        preds.append(pending)
-    return Forecast(origin_t=series.t0 + origin, steps=preds)
+    _, preds, h = _scan(model, origin + 1, _observe(series))
+    _, steps = _self_feed(model, preds[-1], h, k)
+    return Forecast(origin_t=series.t0 + origin, steps=steps)
+
+
+def _kl_pair(model: UPropModel, preds: list, hiddens: list, t: int,
+             near_offset: int, far_offset: int):
+    """Forecasts (p, q) of row t from the near and the far origin, resumed
+    from the per-row (belief, hidden) snapshots of one filter pass."""
+    return [_self_feed(model, preds[t - o], hiddens[t - o], o)[1][-1]
+            for o in (near_offset, far_offset)]
 
 
 def kl_novelty(model: UPropModel, series: TimeSeries, target_t: int,
@@ -91,20 +102,24 @@ def kl_novelty(model: UPropModel, series: TimeSeries, target_t: int,
     ``reverse`` swaps the direction. Offsets count steps back from the
     target; the origin row itself is consumed before forecasting.
     """
-    if near_offset < 1 or far_offset < near_offset:
-        raise ValueError("offsets must satisfy far_offset >= near_offset >= 1")
+    _check_offsets(near_offset, far_offset)
     if target_t - far_offset < 0:
         raise ValueError(
             f"insufficient history: target {target_t} needs {far_offset} prior steps"
         )
-    near = forecast_from_origin(model, series, target_t - near_offset, near_offset)
-    far = forecast_from_origin(model, series, target_t - far_offset, far_offset)
-    p, q = near.steps[-1], far.steps[-1]
+    if target_t - near_offset >= series.steps:
+        raise ValueError(f"origin {target_t - near_offset} outside series of "
+                         f"length {series.steps}")
+    hiddens = []
+    _, preds, _ = _scan(model, target_t - near_offset + 1, _observe(series),
+                        snapshots=hiddens)
+    p, q = _kl_pair(model, preds, hiddens, target_t, near_offset, far_offset)
     return kl(q, p) if reverse else kl(p, q)
 
 
 def calibrate_threshold(scores, quantile: float = 0.99) -> Threshold:
     """Empirical quantile (linear interpolation) of >= 100 validation scores."""
+    _check_quantile(quantile)
     values = np.asarray([s.value if isinstance(s, NoveltyScore) else s for s in scores],
                         dtype=np.float64)
     if values.size < 100:
@@ -119,34 +134,20 @@ def score_series(model: UPropModel, series: TimeSeries, kind: str,
     """Score every eligible step of a series with one novelty signal."""
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
+    if kind == "kl":
+        _check_offsets(near_offset, far_offset)
+    # one filter pass; its per-row snapshots of (pending forecast, hidden
+    # state) let every KL origin be resumed without re-filtering
+    hiddens = [] if kind == "kl" else None
+    _, preds, _ = _scan(model, series.steps, _observe(series), snapshots=hiddens)
     scores = []
     if kind == "kl":
-        # one filter pass; snapshots of (pending forecast, hidden state)
-        # after each row let every origin be resumed without re-filtering
-        h = zero_hidden(model.stack)
-        pending = None
-        states = []
-        for t in range(series.steps):
-            inp = encode_input(series.values[t], pending=pending, mask=series.mask[t])
-            pending, h = step(model, inp, h)
-            states.append((pending, h))
-
-        def from_origin(origin, k):
-            pred, hh = states[origin]
-            for _ in range(k - 1):
-                pred, hh = step(model, pred, hh)
-            return pred
-
         for t in range(far_offset, series.steps):
-            p = from_origin(t - near_offset, near_offset)
-            q = from_origin(t - far_offset, far_offset)
-            value = kl(p, q)
-            scores.append(NoveltyScore(t=series.t0 + t, kind=kind, value=value))
+            p, q = _kl_pair(model, preds, hiddens, t, near_offset, far_offset)
+            scores.append(NoveltyScore(t=series.t0 + t, kind=kind, value=kl(p, q)))
     else:
-        from .forecaster import filter_series
-        steps = filter_series(model, series)
         for t in range(1, series.steps):
-            pred = steps[t - 1].forecast.steps[0]
+            pred = preds[t - 1]
             if kind == "volatility":
                 value = float(pred.sigma.mean())
             else:

@@ -196,24 +196,9 @@ def log(x):
 
 
 def concat(parts):
+    """Concatenate along the first axis: vectors, or 2-D blocks row-wise."""
     values = [value_of(p) for p in parts]
     out = np.concatenate(values)
-    if not any(isinstance(p, Var) for p in parts):
-        return out
-    offsets = np.cumsum([0] + [v.shape[0] for v in values])
-    parents, vjps = [], []
-    for i, p in enumerate(parts):
-        if isinstance(p, Var):
-            lo, hi = offsets[i], offsets[i + 1]
-            parents.append(p)
-            vjps.append(lambda g, lo=lo, hi=hi: g[lo:hi])
-    return Var(out, tuple(parents), tuple(vjps))
-
-
-def concat_rows(parts):
-    """Stack 2-D blocks vertically (row-wise concatenation)."""
-    values = [value_of(p) for p in parts]
-    out = np.concatenate(values, axis=0)
     if not any(isinstance(p, Var) for p in parts):
         return out
     offsets = np.cumsum([0] + [v.shape[0] for v in values])

@@ -116,3 +116,5 @@ class TestMcRollout:
             mc_rollout(model, context, k=2, n_samples=1, seed=0)
         with pytest.raises(ValueError):
             mc_rollout(model, [], k=2, n_samples=4, seed=0)
+        with pytest.raises(ValueError, match="horizon"):
+            mc_rollout(model, context, k=0, n_samples=4, seed=0)

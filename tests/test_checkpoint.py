@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from uprop.checkpoint import load_checkpoint, save_checkpoint
+from uprop.checkpoint import (_CELL_FIELDS, _HYPER_FIELDS, load_checkpoint,
+                              save_checkpoint)
 from uprop.errors import CheckpointNotFoundError, DataError
 from uprop.forecaster import DistVector, TrainConfig, rollout, train
 
@@ -93,3 +96,34 @@ class TestErrors:
         model.train_config = None
         with pytest.raises(ValueError):
             save_checkpoint(model, tmp_path / "x.json", seed=0)
+
+
+# every key of a checkpoint of a 2-layer model, top level and nested
+CHECKPOINT_KEYS = (
+    [(k,) for k in ("dims", "seed", "hyperparameters", "normalization",
+                    "weights", "final_loss")]
+    + [("hyperparameters", k) for k in _HYPER_FIELDS]
+    + [("normalization", k) for k in ("mean", "std")]
+    + [("weights", f"gru.{i}.{name}") for i in range(2) for name in _CELL_FIELDS]
+    + [("weights", "readout.weight"), ("weights", "readout.bias")]
+)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.json"
+    save_checkpoint(small_model(seed=57), path, seed=57, final_loss=1.5)
+    return path.read_text()
+
+
+@pytest.mark.parametrize("keys", CHECKPOINT_KEYS, ids=".".join)
+def test_missing_key_is_data_error_naming_it(checkpoint_doc, tmp_path, keys):
+    doc = json.loads(checkpoint_doc)
+    owner = doc
+    for key in keys[:-1]:
+        owner = owner[key]
+    del owner[keys[-1]]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=".".join(keys)):
+        load_checkpoint(path)

@@ -171,6 +171,27 @@ class TestExitCodes:
                    "--data", str(bad), "--at", "0"])
         assert rc == 3
 
+    def test_horizon_below_one_is_2(self, workdir, capsys):
+        rc = main(["forecast", "--model", str(workdir / "models" / "lookahead_2.json"),
+                   "--data", str(workdir / "data" / "node_000.csv"),
+                   "--at", "100", "--horizon", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "horizon" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, word", [
+        (["--near", "5", "--far", "2"], "offsets"),
+        (["--quantile", "1.5"], "quantile")])
+    def test_bad_detect_options_are_2(self, workdir, capsys, flags, word):
+        rc = main(["detect", "--model", str(workdir / "models" / "lookahead_2.json"),
+                   "--data", str(workdir / "data" / "node_001.csv"),
+                   "--calibrate-on", str(workdir / "data" / "node_000.csv")] + flags)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and word in err
+        assert err.count("\n") == 1
+
     def test_missing_model_is_4(self, workdir, tmp_path):
         rc = main(["forecast", "--model", str(tmp_path / "none.json"),
                    "--data", str(workdir / "data" / "node_000.csv"), "--at", "5"])

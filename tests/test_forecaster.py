@@ -125,6 +125,12 @@ class TestRollout:
         with pytest.raises(ValueError):
             rollout(small_model(), [], k=1)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_horizon_below_one_rejected(self, k):
+        context = [DistVector.observed(np.zeros(2))]
+        with pytest.raises(ValueError, match="horizon"):
+            rollout(small_model(), context, k=k)
+
 
 class TestFilterSeries:
     def test_fully_observed_inputs_have_zero_sigma(self):
@@ -175,6 +181,13 @@ class TestTrainConfig:
     def test_epochs_positive(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("n_layers", 0), ("hidden_size", 0),
+        ("sigma_floor", 0.0), ("sigma_floor", -1e-3)])
+    def test_sizes_and_floor_positive(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestTrain:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gru_reference as ref
 from uprop import nn
 from uprop.errors import ShapeError
 from uprop.tensor import Var, value_of
@@ -43,13 +44,13 @@ def scalar_cell_oracle(cell, x, h):
 def test_zero_params_halve_hidden_state():
     cell = make_cell(3, 4)
     v = np.array([0.2, -0.4, 0.6, 0.8])
-    h_next = nn.gru_cell_forward(cell, np.array([1.0, 2.0, 3.0]), v)
+    h_next = ref.gru_cell_forward(cell, np.array([1.0, 2.0, 3.0]), v)
     np.testing.assert_allclose(h_next, 0.5 * v)
 
 
 def test_zero_params_zero_hidden_fixed_point():
     cell = make_cell(2, 3)
-    h_next = nn.gru_cell_forward(cell, np.array([5.0, -5.0]), np.zeros(3))
+    h_next = ref.gru_cell_forward(cell, np.array([5.0, -5.0]), np.zeros(3))
     np.testing.assert_allclose(h_next, np.zeros(3))
 
 
@@ -59,9 +60,11 @@ def test_cell_matches_scalar_oracle():
     for _ in range(5):
         x = rng.normal(size=4)
         h = rng.normal(size=6) * 0.5
-        got = nn.gru_cell_forward(cell, x, h)
+        got = ref.gru_cell_forward(cell, x, h)
         want = scalar_cell_oracle(cell, x, h)
         np.testing.assert_allclose(got, want, atol=1e-12)
+        fused = nn.fused_cell_forward(nn.fuse_cell(cell), x, h)
+        np.testing.assert_allclose(fused, want, atol=1e-12)
 
 
 def test_fused_cell_matches_plain_cell():
@@ -70,22 +73,37 @@ def test_fused_cell_matches_plain_cell():
     fused = nn.fuse_cell(cell)
     x, h = rng.normal(size=3), rng.normal(size=5) * 0.3
     np.testing.assert_allclose(nn.fused_cell_forward(fused, x, h),
-                               nn.gru_cell_forward(cell, x, h), atol=1e-12)
+                               ref.gru_cell_forward(cell, x, h), atol=1e-12)
+
+
+def test_fused_stack_step_matches_reference_stack_with_dropout():
+    rng = np.random.default_rng(18)
+    stack = nn.freeze_stack(nn.init_gru_stack(3, 5, 3, 0.5, rng))
+    fused = nn.fuse_stack(stack)
+    h_ref = h_fused = nn.zero_hidden(stack)
+    for _ in range(8):
+        x = rng.normal(size=3)
+        masks = [nn.dropout_mask(5, 0.5, rng) for _ in range(2)]
+        top_ref, h_ref = ref.gru_stack_step(stack, x, h_ref, masks)
+        top, h_fused = nn.fused_stack_step(fused, x, h_fused, masks)
+        np.testing.assert_allclose(top, top_ref, atol=1e-12)
+        for a, b in zip(h_fused, h_ref):
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_cell_shape_errors():
     cell = make_cell(3, 4)
     with pytest.raises(ShapeError):
-        nn.gru_cell_forward(cell, np.zeros(2), np.zeros(4))
+        ref.gru_cell_forward(cell, np.zeros(2), np.zeros(4))
     with pytest.raises(ShapeError):
-        nn.gru_cell_forward(cell, np.zeros(3), np.zeros(5))
+        ref.gru_cell_forward(cell, np.zeros(3), np.zeros(5))
 
 
 def test_hidden_state_stays_bounded():
     rng = np.random.default_rng(13)
     stack = nn.freeze_stack(nn.init_gru_stack(2, 8, 2, 0.0, rng))
     x_seq = rng.normal(size=(200, 2)) * 5.0
-    outputs, h = nn.gru_stack_forward(stack, x_seq)
+    outputs, h = ref.gru_stack_forward(stack, x_seq)
     assert np.all(np.abs(outputs) < 1.0)
     for layer_h in h:
         assert np.all(np.abs(value_of(layer_h)) < 1.0)
@@ -95,10 +113,10 @@ def test_stack_of_one_equals_repeated_cell():
     rng = np.random.default_rng(14)
     stack = nn.freeze_stack(nn.init_gru_stack(3, 5, 1, 0.0, rng))
     x_seq = rng.normal(size=(10, 3))
-    outputs, _ = nn.gru_stack_forward(stack, x_seq)
+    outputs, _ = ref.gru_stack_forward(stack, x_seq)
     h = np.zeros(5)
     for t, x in enumerate(x_seq):
-        h = nn.gru_cell_forward(stack.layers[0], x, h)
+        h = ref.gru_cell_forward(stack.layers[0], x, h)
         np.testing.assert_array_equal(outputs[t], h)
 
 
@@ -106,8 +124,8 @@ def test_stack_forward_deterministic():
     rng = np.random.default_rng(15)
     stack = nn.freeze_stack(nn.init_gru_stack(2, 4, 3, 0.0, rng))
     x_seq = rng.normal(size=(20, 2))
-    out1, _ = nn.gru_stack_forward(stack, x_seq, dropout_on=False)
-    out2, _ = nn.gru_stack_forward(stack, x_seq, dropout_on=False)
+    out1, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
+    out2, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
     np.testing.assert_array_equal(out1, out2)
 
 
@@ -115,8 +133,8 @@ def test_zero_rate_dropout_is_noop():
     rng = np.random.default_rng(16)
     stack = nn.freeze_stack(nn.init_gru_stack(2, 4, 2, 0.0, rng))
     x_seq = rng.normal(size=(15, 2))
-    off, _ = nn.gru_stack_forward(stack, x_seq, dropout_on=False)
-    on, _ = nn.gru_stack_forward(stack, x_seq, dropout_on=True,
+    off, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
+    on, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=True,
                                  rng=np.random.default_rng(0))
     np.testing.assert_array_equal(off, on)
 

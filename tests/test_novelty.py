@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uprop.data import TimeSeries
-from uprop.errors import DataError
+from uprop.errors import ConfigError, DataError
 from uprop.forecaster import DistVector, rollout
 from uprop.novelty import (NoveltyScore, Threshold, calibrate_threshold,
                            forecast_from_origin, kl_novelty, score_series,
@@ -97,6 +97,16 @@ class TestKlNovelty:
             kl_novelty(model, series, 20, near_offset=4, far_offset=2)
 
 
+class TestForecastFromOrigin:
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_horizon_below_one_rejected(self, k):
+        # k < 1 must not be read as a 1-step forecast
+        model = small_model(seed=42)
+        series = toy_windows(n_windows=1, seed=42)[0]
+        with pytest.raises(ValueError, match="horizon"):
+            forecast_from_origin(model, series, 10, k)
+
+
 class TestCalibrateThreshold:
     def test_median_quantile_worked_example(self):
         # q=0.5 of {1..100} under linear interpolation is 50.5 — checked
@@ -111,6 +121,11 @@ class TestCalibrateThreshold:
                   for i in range(150)]
         th = calibrate_threshold(scores, quantile=0.9)
         assert th.cutoff == pytest.approx(float(np.quantile(np.arange(150.0), 0.9)))
+
+    @pytest.mark.parametrize("quantile", [0.5, 1.0, 1.5])
+    def test_quantile_outside_range_rejected(self, quantile):
+        with pytest.raises(ConfigError, match="quantile"):
+            calibrate_threshold(np.arange(200.0), quantile=quantile)
 
     def test_requires_100_scores(self):
         with pytest.raises(DataError):
@@ -132,6 +147,17 @@ class TestScoreSeries:
         for s in scores[:5]:
             want = kl_novelty(model, series, s.t)
             assert s.value == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("near, far", [(5, 2), (0, 8), (-1, 3)])
+    def test_kl_rejects_bad_offsets(self, near, far):
+        # far < near would index origins before row 0 (wrapping to the
+        # end of the series); near 0 would score the forecast for t + 1
+        model = small_model(seed=36)
+        series = toy_windows(n_windows=1, length=30, seed=36)[0]
+        with pytest.raises(ConfigError, match="offsets"):
+            score_series(model, series, "kl", near_offset=near, far_offset=far)
+        with pytest.raises(ConfigError, match="offsets"):
+            kl_novelty(model, series, 20, near_offset=near, far_offset=far)
 
     def test_surprise_skips_all_missing_rows(self):
         model = small_model(seed=37)

@@ -101,7 +101,7 @@ def test_concat_and_take_gradients():
 
 def test_concat_rows_gradient():
     a, b = Var(np.ones((2, 2))), Var(np.ones((1, 2)))
-    out = tn.concat_rows([a, b])
+    out = tn.concat([a, b])
     assert out.value.shape == (3, 2)
     weights = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     loss = tn.vsum(tn.mul(out, weights))
