@@ -8,12 +8,13 @@ byte-identical and a loaded model reproduces forecasts bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .data import NormStats, _fmt
-from .errors import CheckpointNotFoundError, DataError
+from .errors import CheckpointNotFoundError, ConfigError, DataError
 from .forecaster import TrainConfig, UPropModel, build_model
 from .tensor import value_of
 
@@ -44,13 +45,20 @@ def _dump(obj) -> str:
     return json.dumps(obj)
 
 
-def _named_weights(model: UPropModel):
-    """(checkpoint key, parameter) for every weight array, in file order."""
-    for i, cell in enumerate(model.stack.layers):
+_INT_HYPERS = ("n_layers", "hidden_size", "lookahead", "epochs", "batch_size",
+               "window_length")
+
+
+def _weight_shapes(dims: int, config: TrainConfig):
+    """(checkpoint key, shape) of every weight array, in file order: the
+    order of ``UPropModel.parameters``."""
+    h = config.hidden_size
+    for i in range(config.n_layers):
+        shapes = {"W": (h, 2 * dims if i == 0 else h), "U": (h, h), "b": (h,)}
         for name in _CELL_FIELDS:
-            yield f"gru.{i}.{name}", getattr(cell, name)
-    yield "readout.weight", model.readout.weight
-    yield "readout.bias", model.readout.bias
+            yield f"gru.{i}.{name}", shapes[name[0]]
+    yield "readout.weight", (2 * dims, h)
+    yield "readout.bias", (2 * dims,)
 
 
 def save_checkpoint(model: UPropModel, path, seed: int,
@@ -58,7 +66,8 @@ def save_checkpoint(model: UPropModel, path, seed: int,
     config = model.train_config
     if config is None:
         raise ValueError("model has no training configuration to checkpoint")
-    weights = {key: value_of(param).ravel() for key, param in _named_weights(model)}
+    weights = {key: value_of(param).ravel() for (key, _), param
+               in zip(_weight_shapes(model.dims, config), model.parameters())}
     doc = {
         "format_version": FORMAT_VERSION,
         "dims": model.dims,
@@ -72,7 +81,11 @@ def save_checkpoint(model: UPropModel, path, seed: int,
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; returns (model, info dict with seed/final_loss)."""
+    """Load a checkpoint; returns (model, info dict with seed/final_loss).
+
+    A missing key, or a value of the wrong type, size or range, raises a
+    ``DataError`` that names the key.
+    """
     path = Path(path)
     if not path.exists():
         raise CheckpointNotFoundError(f"checkpoint not found: {path}")
@@ -80,33 +93,67 @@ def load_checkpoint(path):
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid checkpoint JSON: {exc}") from None
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format_version {doc.get('format_version')!r}")
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: a checkpoint is a JSON object, got {type(doc).__name__}")
+    version = doc.get("format_version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported format_version {version!r}")
+
+    def bad(where, key, what):
+        return DataError(f"{path}: checkpoint key {where}{key} {what}")
 
     def require(obj, key, where=""):
-        if not isinstance(obj, dict) or key not in obj:
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}: checkpoint key {where[:-1]} must be an object")
+        if key not in obj:
             raise DataError(f"{path}: missing checkpoint key {where}{key}")
         return obj[key]
 
-    dims = int(require(doc, "dims"))
-    seed = int(require(doc, "seed"))
+    def number(obj, key, where="", integer=False):
+        value = require(obj, key, where)
+        kinds = int if integer else (int, float)
+        if (isinstance(value, bool) or not isinstance(value, kinds)
+                or isinstance(value, float) and not math.isfinite(value)):
+            kind = "an integer" if integer else "a finite number"
+            raise bad(where, key, f"must be {kind}, got {value!r}")
+        return value
+
+    def array(obj, key, where, shape):
+        try:
+            flat = np.asarray(require(obj, key, where), dtype=np.float64)
+        except (TypeError, ValueError):
+            raise bad(where, key, "must be a list of numbers") from None
+        size = math.prod(shape)
+        if flat.ndim != 1 or flat.size != size:
+            raise bad(where, key, f"has {flat.size} values, expected {size}")
+        if not np.all(np.isfinite(flat)):
+            raise bad(where, key, "has non-finite values")
+        return flat.reshape(shape)
+
+    dims = number(doc, "dims", integer=True)
+    if dims < 1:
+        raise bad("", "dims", f"must be >= 1, got {dims}")
+    seed = number(doc, "seed", integer=True)
     hypers = require(doc, "hyperparameters")
-    config = TrainConfig(seed=seed, **{k: require(hypers, k, "hyperparameters.")
-                                       for k in _HYPER_FIELDS})
+    try:
+        config = TrainConfig(seed=seed, **{
+            k: number(hypers, k, "hyperparameters.", integer=k in _INT_HYPERS)
+            for k in _HYPER_FIELDS})
+    except ConfigError as exc:
+        raise DataError(f"{path}: invalid hyperparameters: {exc}") from None
     stats = require(doc, "normalization")
-    norm = NormStats(mean=np.array(require(stats, "mean", "normalization.")),
-                     std=np.array(require(stats, "std", "normalization.")))
+    norm = NormStats(mean=array(stats, "mean", "normalization.", (dims,)),
+                     std=array(stats, "std", "normalization.", (dims,)))
     final_loss = require(doc, "final_loss")
+    if final_loss is not None:
+        final_loss = number(doc, "final_loss")
     weights = require(doc, "weights")
+    values = [array(weights, key, "weights.", shape)
+              for key, shape in _weight_shapes(dims, config)]
     # shapes come from the config; weight values are overwritten below
     model = build_model(dims, config, norm, np.random.default_rng(0))
-    for key, param in _named_weights(model):
-        target = param.value
-        flat = np.asarray(require(weights, key, "weights."), dtype=np.float64)
-        if flat.size != target.size:
-            raise DataError(f"{path}: weight {key} has {flat.size} values, "
-                            f"expected {target.size}")
-        target[...] = flat.reshape(target.shape)
+    for param, value in zip(model.parameters(), values):
+        param.value[...] = value
     model.refresh_frozen()
     info = {"seed": seed, "final_loss": final_loss,
             "format_version": FORMAT_VERSION}

@@ -1,9 +1,10 @@
 """Series ingestion, normalization, windowing, missingness, synthesis.
 
 CSV format: header ``t,dim_0,...,dim_{N-1}``; t strictly increasing
-consecutive integers; an empty field marks a missing cell. When a series
-with missing cells is saved, a 0/1 observation-mask sidecar
-``<name>.mask.csv`` of the same shape is written next to it.
+consecutive integers; an empty field marks a missing cell, and every
+other field must be a finite number. When a series with missing cells is
+saved, a 0/1 observation-mask sidecar ``<name>.mask.csv`` of the same
+shape is written next to it.
 """
 
 from __future__ import annotations
@@ -124,11 +125,16 @@ def load_csv(path) -> TimeSeries:
                     obs.append(False)
                 else:
                     try:
-                        vals.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise DataError(
                             f"{path}: row {i} column dim_{d} is not numeric: {cell!r}"
                         ) from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: row {i} column dim_{d} is not finite: {cell!r} "
+                            f"(leave the cell empty to mark it missing)")
+                    vals.append(value)
                     obs.append(True)
             rows.append(vals)
             mask_rows.append(obs)

@@ -11,7 +11,11 @@ step's belief into the next input.
 Training runs on complete data only: a window's prefix is fed as observed
 context (dropout on), then the model rolls out ``lookahead`` steps
 self-fed (dropout off) and is scored by the mean per-point Gaussian NLL
-against the ground truth.
+against the ground truth. A batch of windows is one op on the autodiff
+tape (``_batch_loss``): all windows step together, a per-row mask picks
+the observation before each window's anchor and the fed-back belief
+after it, and the gradients come from a hand-written backward pass
+(``nn.window_batch_backward``).
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from .errors import ConfigError, DataError, ShapeError
 from .nn import (AdamState, FusedStack, GruStackParams, LinearParams,
                  adam_init, adam_step, dropout_mask, freeze_linear,
                  freeze_stack, fuse_stack, fused_stack_step, init_gru_stack,
-                 init_linear, linear_forward, zero_grad, zero_hidden)
-from .prob import LN_2PI, DistVector, SigmaSquash, squash_sigma
+                 init_linear, linear_forward, window_batch_backward,
+                 window_batch_forward, zero_grad, zero_hidden)
+from .prob import DistVector, SigmaSquash, squash_sigma
 
 
 @dataclass
@@ -269,39 +274,60 @@ def filter_series(model: UPropModel, series: TimeSeries,
     return steps
 
 
+def _batch_loss(stack: FusedStack, readout: LinearParams, squash: SigmaSquash,
+                X: np.ndarray, anchors, k: int, masks=None):
+    """Training loss of a batch of windows as one tape op.
+
+    ``X`` is the normalized (B, L, N) batch; window b is fed rows
+    0..anchor_b-1 as observations (dropout masks ``masks[b]``, one
+    (anchor_b, gaps, h) array, or None for no dropout), then rolls out k
+    steps self-fed and is scored against rows anchor_b..anchor_b+k-1 by
+    mean per-point NLL. Returns the batch-mean loss as a ``Var`` whose
+    parents are the fused stack and readout weights, and the per-window
+    losses as numpy. The forward is :func:`window_batch_forward`; the
+    gradients come from one :func:`window_batch_backward` pass, run when
+    ``backward`` first asks for them.
+    """
+    losses, cache = window_batch_forward(stack, readout, squash.floor, X,
+                                         anchors, k, masks)
+    weights = [p for c in stack.layers for p in (c.w, c.u, c.b_w, c.b_hn)]
+    weights += [readout.weight, readout.bias]
+    grads = []
+
+    def vjp(i):
+        def apply(g):
+            if not grads:
+                grads.extend(window_batch_backward(cache))
+            return g * grads[i]
+        return apply
+
+    tape = [(p, vjp(i)) for i, p in enumerate(weights) if isinstance(p, tn.Var)]
+    loss = tn.Var(losses.mean(), tuple(p for p, _ in tape),
+                  tuple(f for _, f in tape))
+    return loss, losses
+
+
+def _context_masks(stack: FusedStack, anchor: int, rng: np.random.Generator):
+    """Dropout masks of a window's context rows, (anchor, gaps, h), or None.
+
+    Drawn row by row, gap by gap, from ``rng``.
+    """
+    n_gaps = len(stack.layers) - 1
+    if stack.dropout_rate == 0.0 or n_gaps == 0:
+        return None
+    return dropout_mask((anchor, n_gaps, stack.layers[0].hidden_size),
+                        stack.dropout_rate, rng)
+
+
 def _window_loss(stack: FusedStack, readout: LinearParams,
                  squash: SigmaSquash, x: np.ndarray, anchor: int, k: int,
                  rng: np.random.Generator):
-    """Tape loss of one training window: context then self-fed rollout.
-
-    ``x`` is the normalized (L, N) window; context rows 0..anchor-1 enter
-    as observations with dropout on; the k rollout predictions are scored
-    against rows anchor..anchor+k-1 by mean per-point NLL.
-    """
-    dims = x.shape[1]
-    zeros = np.zeros(dims)
-    n_gaps = len(stack.layers) - 1
-    use_dropout = stack.dropout_rate > 0.0 and n_gaps > 0
-    h = zero_hidden(stack)
-    top = None
-    for row in x[:anchor]:
-        masks = None
-        if use_dropout:
-            masks = [dropout_mask(stack.layers[i].hidden_size, stack.dropout_rate, rng)
-                     for i in range(n_gaps)]
-        top, h = fused_stack_step(stack, np.concatenate([row, zeros]), h, masks)
-    loss = None
-    for j in range(k):
-        raw = linear_forward(readout, top)
-        mu = raw[:dims]
-        sigma = squash_sigma(raw[dims:], squash)
-        target = x[anchor + j]
-        z = (target - mu) / sigma
-        term = tn.vsum(tn.log(sigma)) + 0.5 * tn.vsum(tn.square(z)) + dims * 0.5 * LN_2PI
-        loss = term if loss is None else loss + term
-        if j < k - 1:
-            top, h = fused_stack_step(stack, tn.concat([mu, sigma]), h, masks=None)
-    return loss * (1.0 / (k * dims))
+    """Tape loss of one training window: the batch of one of
+    :func:`_batch_loss`, with its dropout masks drawn from ``rng``."""
+    masks = _context_masks(stack, anchor, rng)
+    loss, _ = _batch_loss(stack, readout, squash, x[None], [anchor], k,
+                          None if masks is None else [masks])
+    return loss
 
 
 def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
@@ -322,7 +348,7 @@ def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
     dims = windows[0].dims
     if norm is None:
         norm = NormStats.from_windows(windows)
-    xs = [(w.values - norm.mean) / norm.std for w in windows]
+    xs = np.stack([(w.values - norm.mean) / norm.std for w in windows])
 
     rng = np.random.default_rng(config.seed)
     model = build_model(dims, config, norm, rng)
@@ -332,22 +358,27 @@ def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
     anchor_lo = math.ceil(L / 4)
     anchor_hi = L - k
     loss_history = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(len(xs))
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             fstack = fuse_stack(model.stack)
-            losses = []
-            for wi in batch:
+            anchors, masks = [], []
+            for _ in batch:
                 anchor = int(rng.integers(anchor_lo, anchor_hi + 1))
-                losses.append(_window_loss(fstack, model.readout,
-                                           model.squash, xs[wi], anchor, k, rng))
-            batch_loss = tn.mean_of(losses)
+                anchors.append(anchor)
+                masks.append(_context_masks(fstack, anchor, rng))
+            batch_loss, losses = _batch_loss(
+                fstack, model.readout, model.squash, xs[batch], anchors, k,
+                None if masks[0] is None else masks)
+            if not np.all(np.isfinite(losses)):
+                raise DataError(f"non-finite training loss in epoch {epoch + 1}, "
+                                f"batch {start // config.batch_size + 1}")
             zero_grad(params)
             tn.backward(batch_loss)
             adam_step(adam, params)
-            epoch_losses.extend(float(l.value) for l in losses)
+            epoch_losses.extend(losses.tolist())
         loss_history.append(float(np.mean(epoch_losses)))
     model.refresh_frozen()
     return model, loss_history

@@ -1,10 +1,13 @@
-"""GRU stack, affine readout, dropout and Adam.
+"""GRU stack, affine readout, dropout, the training kernel and Adam.
 
-Parameters are stored as tape ``Var`` objects. Forward functions accept
-either ``Var`` parameters (training, gradients recorded) or the frozen
-numpy views produced by :func:`freeze_stack` / :func:`freeze_linear`
-(inference, no tape overhead). Both paths execute the identical sequence
-of numpy operations, so their outputs are bit-identical.
+Parameters are stored as tape ``Var`` objects. Inference steps the fused
+cell (:func:`fused_stack_step`) on the frozen numpy views produced by
+:func:`freeze_stack` / :func:`freeze_linear`, one window at a time.
+Training does not run those functions on the tape: it runs
+:func:`window_batch_forward`, the same cell with a batch dimension over a
+whole batch of windows, and :func:`window_batch_backward`, a hand-written
+backward pass through time over the forward's cached gates. The tape sees
+the pair as one op (``forecaster._batch_loss``).
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import expit
 
 from . import tensor as tn
 from .errors import ShapeError
+from .prob import LN_2PI
 from .tensor import Var, matvec, sigmoid, tanh, value_of
 
 
@@ -203,6 +208,206 @@ def zero_hidden(stack: GruStackParams) -> list:
 
 def linear_forward(params: LinearParams, x):
     return matvec(params.weight, x) + params.bias
+
+
+def _sigmoid(x):
+    """1 / (1 + exp(-x)) in place: equal to ``expit`` up to rounding, at
+    about half its cost on the gate blocks of a batch step."""
+    np.exp(np.negative(x, out=x), out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
+
+
+@dataclass
+class WindowBatchCache:
+    """What :func:`window_batch_backward` needs from the forward pass.
+
+    Time-major arrays over T steps and B windows: per layer, ``xin`` is
+    the input (T, B, in; a view of the layer below's ``hs`` when there is
+    no dropout), ``hs`` the hidden states (T + 1, B, h) after the zero
+    start state, ``rz`` the reset and update gates (T, B, 2h),
+    ``n`` the candidate and ``hn`` the term ``U_n h + b_hn`` (T, B, h).
+    ``raw`` is the readout (T, B, 2N), ``d_belief`` the gradient of the
+    batch-mean loss with respect to each step's (mu, sigma), ``fed`` the
+    (T, B, 1) rows whose input was the previous step's belief, and
+    ``masks`` the dropout masks (T, gaps, B, h) or None.
+    """
+
+    stack: FusedStack
+    readout: LinearParams
+    xin: list
+    hs: list
+    rz: list
+    n: list
+    hn: list
+    raw: np.ndarray
+    d_belief: np.ndarray
+    fed: np.ndarray
+    masks: np.ndarray | None
+
+
+def window_batch_forward(stack: FusedStack, readout: LinearParams, floor: float,
+                         X: np.ndarray, anchors, k: int, masks=None):
+    """Training forward over a batch of windows; returns (losses, cache).
+
+    ``X`` is (B, L, N). Row b is left-aligned: steps 0..anchor_b-1 take
+    the observation (x_t, 0) with that row's dropout masks, later steps
+    take the belief (mu, sigma) the previous step emitted, and the k
+    readouts from step anchor_b-1 on are scored against x_{t+1}. A row's
+    loss is its mean per-point Gaussian NLL. ``masks`` is None (no
+    dropout) or one (anchor_b, gaps, h) array per row. Weights may be
+    ``Var``s or numpy arrays; only their values are read. The step is
+    :func:`fused_cell_forward` with a batch dimension.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.intp)
+    B, L, N = X.shape
+    if k < 1 or anchors.shape != (B,) or anchors.min() < 1 or anchors.max() + k > L:
+        raise ShapeError(f"need k >= 1 and 1 <= anchor <= {L} - k for every "
+                         f"window, got anchors {anchors.tolist()}, k={k}")
+    T = int(anchors.max()) + k - 1
+    steps = np.arange(T)[:, None]
+    fed = (steps >= anchors)[:, :, None]
+    scored = (steps >= anchors - 1) & (steps < anchors + k - 1)
+    # transposed weights and row-broadcast biases, laid out once per batch
+    # so each step is a plain product and a same-shape add
+    cells = [(value_of(c.w).T.copy(), value_of(c.u).T.copy(),
+              np.tile(value_of(c.b_w), (B, 1)), np.tile(value_of(c.b_hn), (B, 1)))
+             for c in stack.layers]
+    w_out = value_of(readout.weight).T.copy()
+    b_out = np.tile(value_of(readout.bias), (B, 1))
+    last = len(cells) - 1
+
+    dense_masks = None
+    if masks is not None and last > 0:
+        dense_masks = np.ones((T, last, B, stack.layers[0].hidden_size))
+        for b, m in enumerate(masks):
+            dense_masks[:m.shape[0], :, b] = m
+    rows = X.transpose(1, 0, 2)
+    targets = rows[1:T + 1]
+    hs = [np.zeros((T + 1, B, c.hidden_size)) for c in stack.layers]
+    xin = [np.concatenate([rows[:T], np.zeros((T, B, N))], axis=2)]
+    xin += [hs[i][1:] if dense_masks is None else np.empty_like(hs[i][1:])
+            for i in range(last)]
+    rz = [np.empty((T, B, 2 * c.hidden_size)) for c in stack.layers]
+    ns = [np.empty((T, B, c.hidden_size)) for c in stack.layers]
+    hns = [np.empty((T, B, c.hidden_size)) for c in stack.layers]
+    # per-layer work buffers for W x + b_w and U h
+    a_buf = [np.empty((B, 3 * c.hidden_size)) for c in stack.layers]
+    c_buf = [np.empty((B, 3 * c.hidden_size)) for c in stack.layers]
+    raw = np.empty((T, B, 2 * N))
+    belief = np.empty((T, B, 2 * N))   # (mu, sigma) per step
+
+    first_fed = int(anchors.min())
+    with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
+        for t in range(T):
+            if t >= first_fed:
+                np.copyto(xin[0][t], belief[t - 1], where=fed[t])
+            for i, (w_t, u_t, b_w, b_hn) in enumerate(cells):
+                h = u_t.shape[0]
+                h_prev = hs[i][t]
+                a_i = np.dot(xin[i][t], w_t, out=a_buf[i])
+                a_i += b_w
+                c_i = np.dot(h_prev, u_t, out=c_buf[i])
+                gates = _sigmoid(np.add(a_i[:, :2 * h], c_i[:, :2 * h], out=rz[i][t]))
+                r, z = gates[:, :h], gates[:, h:]
+                hn = np.add(c_i[:, 2 * h:], b_hn, out=hns[i][t])
+                n = np.multiply(r, hn, out=ns[i][t])
+                n += a_i[:, 2 * h:]
+                np.tanh(n, out=n)
+                np.add((1.0 - z) * n, z * h_prev, out=hs[i][t + 1])
+                if dense_masks is not None and i < last:
+                    np.multiply(hs[i][t + 1], dense_masks[t, i], out=xin[i + 1][t])
+            np.dot(hs[last][t + 1], w_out, out=raw[t])
+            raw[t] += b_out
+            belief[t, :, :N] = raw[t, :, :N]
+            np.logaddexp(0.0, raw[t, :, N:], out=belief[t, :, N:])
+            belief[t, :, N:] += floor
+
+    mu, sigma = belief[:, :, :N], belief[:, :, N:]
+    z = (targets - mu) / sigma
+    terms = (np.log(sigma).sum(axis=2) + 0.5 * (z * z).sum(axis=2)
+             + N * 0.5 * LN_2PI)
+    losses = np.where(scored, terms, 0.0).sum(axis=0) * (1.0 / (k * N))
+    # d(batch-mean loss)/d(mu, sigma) at each scored readout
+    weight = scored[:, :, None] * (1.0 / (B * k * N))
+    d_belief = np.concatenate([-z / sigma, (1.0 - z * z) / sigma], axis=2) * weight
+    cache = WindowBatchCache(stack=stack, readout=readout, xin=xin, hs=hs, rz=rz,
+                             n=ns, hn=hns, raw=raw, d_belief=d_belief, fed=fed,
+                             masks=dense_masks)
+    return losses, cache
+
+
+def window_batch_backward(cache: WindowBatchCache) -> list:
+    """Gradients of the batch-mean loss: hand-written BPTT over the cache.
+
+    Returns one array per weight: ``w, u, b_w, b_hn`` of each layer, then
+    the readout weight and bias. Steps run in reverse. At each step the
+    gradient enters at the readout (from the loss and from the next
+    step's input on fed rows), falls through the layers top-down, and
+    leaves layer 0's input towards the previous step's (mu, sigma) on fed
+    rows. The gate derivatives are formed for all steps before the loop
+    and the weight gradients summed over all steps after it, one matrix
+    product per weight.
+    """
+    cells = [(value_of(c.w), value_of(c.u)) for c in cache.stack.layers]
+    w_out = value_of(cache.readout.weight)
+    T, B, two_n = cache.raw.shape
+    N = two_n // 2
+    last = len(cells) - 1
+    # d(mu, sigma)/d(raw) is (1, sigmoid(raw_sigma)) by the softplus squash
+    d_squash = np.concatenate([np.ones((T, B, N)), expit(cache.raw[:, :, N:])], axis=2)
+    d_raw = cache.d_belief * d_squash
+    # per layer: gate derivatives (T, B, h), then the step gradients of the
+    # pre-activations a = W x + b_w (T, B, 3h) and c = U h + [0, 0, b_hn]
+    factors, d_a, d_c = [], [], []
+    for i, (_, u) in enumerate(cells):
+        h = u.shape[1]
+        r, z = cache.rz[i][:, :, :h], cache.rz[i][:, :, h:]
+        n, hn, h_prev = cache.n[i], cache.hn[i], cache.hs[i][:T]
+        factors.append(((1.0 - z) * (1.0 - n * n), hn * r * (1.0 - r),
+                        (h_prev - n) * z * (1.0 - z), r, z))
+        d_a.append(np.empty((T, B, 3 * h)))
+        d_c.append(np.empty((T, B, 3 * h)))
+    d_h = [np.zeros((B, u.shape[1])) for _, u in cells]
+    fed_steps = cache.fed.any(axis=(1, 2))
+    d_feed = None
+
+    for t in range(T - 1, -1, -1):
+        if d_feed is not None:
+            d_raw[t] += d_feed * d_squash[t]
+        d_out = np.dot(d_raw[t], w_out)
+        for i in range(last, -1, -1):
+            w, u = cells[i]
+            h = u.shape[1]
+            k_n, k_r, k_z, r, z = factors[i]
+            da, dc = d_a[i][t], d_c[i][t]
+            dh = np.add(d_h[i], d_out, out=d_h[i])
+            d_pre_n = np.multiply(dh, k_n[t], out=da[:, 2 * h:])
+            np.multiply(d_pre_n, k_r[t], out=da[:, :h])
+            np.multiply(dh, k_z[t], out=da[:, h:2 * h])
+            dc[:, :2 * h] = da[:, :2 * h]
+            np.multiply(d_pre_n, r[t], out=dc[:, 2 * h:])
+            d_h[i] = np.dot(dc, u)
+            d_h[i] += dh * z[t]
+            if i > 0:
+                d_out = np.dot(da, w)
+                if cache.masks is not None:
+                    d_out *= cache.masks[t, i - 1]
+        # layer 0's input gradient only matters on fed rows
+        d_feed = np.dot(da, cells[0][0]) * cache.fed[t] if fed_steps[t] else None
+
+    grads = []
+    for i, (w, u) in enumerate(cells):
+        h = u.shape[1]
+        da = d_a[i].reshape(T * B, 3 * h)
+        dc = d_c[i].reshape(T * B, 3 * h)
+        grads += [da.T @ cache.xin[i].reshape(T * B, -1),
+                  dc.T @ cache.hs[i][:T].reshape(T * B, h),
+                  da.sum(axis=0), dc[:, 2 * h:].sum(axis=0)]
+    d_raw = d_raw.reshape(T * B, two_n)
+    return grads + [d_raw.T @ cache.hs[last][1:].reshape(T * B, -1),
+                    d_raw.sum(axis=0)]
 
 
 @dataclass

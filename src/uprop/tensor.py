@@ -1,14 +1,15 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 A ``Var`` records the operation that produced it; ``backward`` walks the
-tape and accumulates gradients into every reachable ``Var``. The op set is
-deliberately minimal: exactly what a GRU stack with a Gaussian readout and
-a negative-log-likelihood loss needs.
+tape and accumulates gradients into every reachable ``Var``. Training puts
+few nodes on the tape: the concatenations that fuse each GRU cell's
+weights, and one node per batch for the whole training loss, whose
+gradients come from a hand-written backward pass
+(``forecaster._batch_loss``).
 
 Every op here also accepts plain numpy arrays (or scalars) and, when no
-``Var`` is involved, falls through to numpy directly. This lets forward
-code be written once and run either on the tape (training) or as raw
-numpy (inference).
+``Var`` is involved, falls through to numpy directly; inference runs the
+fused GRU cell and the sigma squash that way.
 """
 
 from __future__ import annotations
@@ -240,14 +241,6 @@ def vmean(x):
         return out
     n = xv.size
     return Var(out, (x,), (lambda g: (g / n) * np.ones_like(xv),))
-
-
-def mean_of(parts):
-    """Mean of a list of scalar Vars (or scalars)."""
-    total = parts[0]
-    for p in parts[1:]:
-        total = add(total, p)
-    return mul(total, 1.0 / len(parts))
 
 
 def _topo_order(root: Var):

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uprop.checkpoint import (_CELL_FIELDS, _HYPER_FIELDS, load_checkpoint,
                               save_checkpoint)
+from uprop.cli import main
 from uprop.errors import CheckpointNotFoundError, DataError
 from uprop.forecaster import DistVector, TrainConfig, rollout, train
 
@@ -127,3 +130,83 @@ def test_missing_key_is_data_error_naming_it(checkpoint_doc, tmp_path, keys):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=".".join(keys)):
         load_checkpoint(path)
+
+
+def _write_forecast_data(path, dims=2):
+    rows = "\n".join(f"{t}," + ",".join(str(0.1 * t + d) for d in range(dims))
+                     for t in range(8))
+    path.write_text("t," + ",".join(f"dim_{d}" for d in range(dims)) + "\n" + rows + "\n")
+
+
+def _forecast_exit_code(model_path, data_path):
+    return main(["forecast", "--model", str(model_path), "--data", str(data_path),
+                 "--at", "5", "--horizon", "2"])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: [doc],
+    lambda doc: {**doc, "dims": "abc"},
+    lambda doc: {**doc, "weights": {**doc["weights"], "readout.bias": "abc"}},
+    lambda doc: {**doc, "hyperparameters": {**doc["hyperparameters"], "hidden_size": 0}},
+    lambda doc: {**doc, "normalization": {**doc["normalization"],
+                                          "mean": doc["normalization"]["mean"][:1]}},
+], ids=["top-level-list", "dims-string", "weight-string", "hidden-size-0",
+        "short-mean"])
+def test_malformed_value_is_exit_3(checkpoint_doc, tmp_path, corrupt):
+    path, data = tmp_path / "m.json", tmp_path / "d.csv"
+    path.write_text(json.dumps(corrupt(json.loads(checkpoint_doc))))
+    _write_forecast_data(data)
+    assert _forecast_exit_code(path, data) == 3
+
+
+def _key_paths(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+# values of the wrong type for every key (null is a valid final_loss)
+WRONG_TYPES = ["abc", [], {}, True, [["x"]], None]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, checkpoint_doc):
+    root = tmp_path_factory.mktemp("fuzz")
+    _write_forecast_data(root / "d.csv")
+    path = root / "ok.json"
+    path.write_text(checkpoint_doc)
+    assert _forecast_exit_code(path, root / "d.csv") == 0
+    return root
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_checkpoint_is_exit_3(checkpoint_doc, fuzz_dir, data):
+    doc = json.loads(checkpoint_doc)
+    kind = data.draw(st.sampled_from(["delete", "retype", "resize", "truncate"]))
+    if kind == "truncate":
+        text = checkpoint_doc.rstrip()
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        keys = data.draw(st.sampled_from(list(_key_paths(doc))))
+        owner = doc
+        for key in keys[:-1]:
+            owner = owner[key]
+        if kind == "delete":
+            del owner[keys[-1]]
+        elif kind == "retype":
+            wrong = [v for v in WRONG_TYPES if v is not None or keys != ("final_loss",)]
+            owner[keys[-1]] = data.draw(st.sampled_from(wrong))
+        else:
+            arrays = [k for k in _key_paths(doc) if k[0] in ("weights", "normalization")
+                      and len(k) == 2]
+            keys = data.draw(st.sampled_from(arrays))
+            values = doc[keys[0]][keys[1]]
+            doc[keys[0]][keys[1]] = data.draw(st.sampled_from(
+                [values[:-1], values + [0.5], [values]]))
+        text = json.dumps(doc)
+    path = fuzz_dir / "m.json"
+    path.write_text(text)
+    assert _forecast_exit_code(path, fuzz_dir / "d.csv") == 3

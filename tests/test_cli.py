@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uprop
 from uprop.cli import RunConfig, main
 from uprop.data import load_csv
 from uprop.errors import ConfigError
@@ -171,6 +174,14 @@ class TestExitCodes:
                    "--data", str(bad), "--at", "0"])
         assert rc == 3
 
+    def test_non_finite_cell_is_3(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("t,dim_0,dim_1,dim_2\n0,1,2,3\n1,1.0,nan,3\n")
+        rc = main(["forecast", "--model", str(workdir / "models" / "lookahead_2.json"),
+                   "--data", str(bad), "--at", "0"])
+        assert rc == 3
+        assert "dim_1" in capsys.readouterr().err
+
     def test_horizon_below_one_is_2(self, workdir, capsys):
         rc = main(["forecast", "--model", str(workdir / "models" / "lookahead_2.json"),
                    "--data", str(workdir / "data" / "node_000.csv"),
@@ -199,8 +210,12 @@ class TestExitCodes:
 
 
 def test_console_entry_point_help():
+    # the child imports the same uprop as this process, installed or not
+    src = str(Path(uprop.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "uprop.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for sub in ("synth", "train", "forecast", "evaluate", "detect"):
         assert sub in proc.stdout

@@ -61,6 +61,13 @@ class TestCsv:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_rejected_naming_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"t,dim_0,dim_1\n0,1.0,2.0\n1,1.0,{cell}\n")
+        with pytest.raises(DataError, match="row 2 column dim_1"):
+            load_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("time,a,b\n0,1,2\n")

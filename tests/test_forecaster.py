@@ -214,6 +214,16 @@ class TestTrain:
         with pytest.raises(DataError):
             train(windows, cfg)
 
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        # finite values that overflow to inf once normalized
+        windows = [TimeSeries.complete(np.full((40, 2), 1e304)) for _ in range(3)]
+        cfg = TrainConfig(lookahead=2, epochs=1, window_length=40,
+                          n_layers=1, hidden_size=4, batch_size=2, seed=9)
+        norm = NormStats(mean=np.zeros(2), std=np.full(2, 1e-6))
+        with np.errstate(all="ignore"), \
+                pytest.raises(DataError, match="epoch 1, batch 1"):
+            train(windows, cfg, norm=norm)
+
     def test_rejects_wrong_window_length(self):
         cfg = TrainConfig(lookahead=2, epochs=1, window_length=50,
                           n_layers=1, hidden_size=4, seed=9)

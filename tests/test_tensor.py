@@ -134,12 +134,3 @@ def test_numpy_fallthrough_matches_tape_values():
     assert np.array_equal(tn.matvec(w, x), tn.matvec(Var(w), Var(x)).value)
     assert np.array_equal(tn.sigmoid(x), tn.sigmoid(Var(x)).value)
     assert np.array_equal(tn.concat([x, x]), tn.concat([Var(x), x]).value)
-
-
-def test_mean_of_scalar_vars():
-    parts = [Var(1.0), Var(2.0), Var(6.0)]
-    m = tn.mean_of(parts)
-    assert m.value == pytest.approx(3.0)
-    backward(m)
-    for p in parts:
-        assert p.grad == pytest.approx(1.0 / 3.0)
