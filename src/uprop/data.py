@@ -175,9 +175,22 @@ def save_mask_csv(series: TimeSeries, path) -> None:
 
 
 def normalize(series: TimeSeries, stats: NormStats) -> TimeSeries:
+    """(values - mean) / std per dimension; missing cells stay NaN.
+
+    Raises ``DataError`` naming the first observed cell whose normalized
+    value is not finite (e.g. a huge value over a tiny std overflows).
+    """
     if stats.mean.shape[0] != series.dims:
         raise DataError(f"stats dims {stats.mean.shape[0]} != series dims {series.dims}")
-    values = (series.values - stats.mean) / stats.std
+    with np.errstate(over="ignore"):
+        values = (series.values - stats.mean) / stats.std
+    bad = series.mask & ~np.isfinite(values)
+    if bad.any():
+        i, d = np.argwhere(bad)[0]
+        raise DataError(
+            f"row t={series.t0 + i}, column dim_{d}: observed value "
+            f"{float(series.values[i, d])!r} is not finite once normalized "
+            f"(mean {float(stats.mean[d])!r}, std {float(stats.std[d])!r})")
     values[~series.mask] = np.nan
     return TimeSeries(values=values, mask=series.mask.copy(), t0=series.t0)
 

@@ -73,6 +73,10 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
             raise ConfigError(f"unknown evaluation method {method!r}")
     lookaheads = sorted(models)
     cells = np.zeros((len(rates), len(lookaheads), len(methods)))
+    # each window normalized once per model, each degradation once per
+    # (rate, model), shared by every method
+    truths = {k: [normalize(w, models[k].norm) for w in test_windows]
+              for k in lookaheads}
     for ri, rate in enumerate(rates):
         # one degradation per (rate, window), shared across columns
         degraded = [
@@ -82,11 +86,10 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
         ]
         for ki, k in enumerate(lookaheads):
             model = models[k]
+            inputs = [normalize(d, model.norm) for d in degraded]
             for mi, method in enumerate(methods):
                 total, count = 0.0, 0
-                for wi, w in enumerate(test_windows):
-                    truth = normalize(w, model.norm)
-                    series = normalize(degraded[wi], model.norm)
+                for wi, (truth, series) in enumerate(zip(truths[k], inputs)):
                     if method == "uprop":
                         steps = filter_series(model, series)
                     else:

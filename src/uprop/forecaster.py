@@ -171,13 +171,20 @@ def encode_input(obs: np.ndarray, pending: DistVector | None = None,
 
 
 def step(model: UPropModel, inp: DistVector, h: list):
-    """One recurrent step (dropout off): returns (belief for t+1, new hidden)."""
+    """One recurrent step (dropout off): returns (belief for t+1, new hidden).
+
+    The step is bare numpy on the frozen arrays. Its belief skips
+    ``DistVector``'s checks: ``mu`` and ``sigma`` are equal-length float64
+    slices of the readout, and ``sigma = softplus(raw) + floor`` is at
+    least the floor (or NaN, which the checks let through too).
+    """
     if inp.dims != model.dims:
         raise ShapeError(f"input dims {inp.dims} != model dims {model.dims}")
-    top, h_next = fused_stack_step(model._fstack, inp.flat(), h, masks=None)
+    x = np.concatenate([inp.mu, inp.sigma])
+    top, h_next = fused_stack_step(model._fstack, x, h)
     raw = linear_forward(model._freadout, top)
     n = model.dims
-    return DistVector(mu=raw[:n], sigma=squash_sigma(raw[n:], model.squash)), h_next
+    return DistVector._unchecked(raw[:n], squash_sigma(raw[n:], model.squash)), h_next
 
 
 def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,

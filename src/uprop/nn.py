@@ -1,9 +1,10 @@
 """GRU stack, affine readout, dropout, the training kernel and Adam.
 
 Parameters are stored as tape ``Var`` objects. Inference steps the fused
-cell (:func:`fused_stack_step`) on the frozen numpy views produced by
-:func:`freeze_stack` / :func:`freeze_linear`, one window at a time.
-Training does not run those functions on the tape: it runs
+cell (:func:`fused_stack_step`, :func:`linear_forward`) in bare numpy on
+the frozen arrays produced by :func:`freeze_stack` / :func:`freeze_linear`,
+one window at a time; those functions take numpy arrays only. Training
+does not run them: it runs
 :func:`window_batch_forward`, the same cell with a batch dimension over a
 whole batch of windows, and :func:`window_batch_backward`, a hand-written
 backward pass through time over the forward's cached gates. The tape sees
@@ -21,7 +22,7 @@ from scipy.special import expit
 from . import tensor as tn
 from .errors import ShapeError
 from .prob import LN_2PI
-from .tensor import Var, matvec, sigmoid, tanh, value_of
+from .tensor import Var, value_of
 
 
 @dataclass
@@ -164,7 +165,8 @@ def fuse_stack(stack: GruStackParams) -> FusedStack:
 
 
 def fused_cell_forward(cell: FusedCell, x, h_prev):
-    """One GRU step, two matvecs: returns the next hidden state.
+    """One GRU step, two matvecs on numpy arrays: returns the next hidden
+    state.
 
     r = sig(W_r x + U_r h + b_r)
     z = sig(W_z x + U_z h + b_z)
@@ -172,12 +174,12 @@ def fused_cell_forward(cell: FusedCell, x, h_prev):
     h' = (1 - z) * n + z * h
     """
     h = cell.hidden_size
-    a = matvec(cell.w, x) + cell.b_w
-    b = matvec(cell.u, h_prev)
-    rz = sigmoid(a[: 2 * h] + b[: 2 * h])
+    a = cell.w @ x + cell.b_w
+    b = cell.u @ h_prev
+    rz = expit(a[: 2 * h] + b[: 2 * h])
     r = rz[:h]
     z = rz[h:]
-    n = tanh(a[2 * h:] + r * (b[2 * h:] + cell.b_hn))
+    n = np.tanh(a[2 * h:] + r * (b[2 * h:] + cell.b_hn))
     return (1.0 - z) * n + z * h_prev
 
 
@@ -207,7 +209,8 @@ def zero_hidden(stack: GruStackParams) -> list:
 
 
 def linear_forward(params: LinearParams, x):
-    return matvec(params.weight, x) + params.bias
+    """Affine map on numpy arrays: ``weight @ x + bias``."""
+    return params.weight @ x + params.bias
 
 
 def _sigmoid(x):

@@ -47,8 +47,18 @@ class DistVector:
             raise ShapeError(
                 f"mu/sigma must be 1-D and equal length, got {self.mu.shape} vs {self.sigma.shape}"
             )
-        if np.any(self.sigma < 0.0):
+        if (self.sigma < 0.0).any():
             raise ValueError("sigma entries must be nonnegative")
+
+    @classmethod
+    def _unchecked(cls, mu: np.ndarray, sigma: np.ndarray) -> "DistVector":
+        """A belief built without the checks of ``__post_init__``; only for
+        float64 1-D ``mu``/``sigma`` of equal length with ``sigma >= 0``
+        (or NaN), such as a model's own readout."""
+        belief = cls.__new__(cls)
+        belief.mu = mu
+        belief.sigma = sigma
+        return belief
 
     @property
     def dims(self) -> int:
@@ -103,7 +113,9 @@ def kl(p: DistVector, q: DistVector) -> float:
         raise ValueError("kl requires strictly positive scales")
     var_ratio = (p.sigma / q.sigma) ** 2
     mean_term = ((p.mu - q.mu) / q.sigma) ** 2
-    return float(np.sum(np.log(q.sigma / p.sigma) + 0.5 * (var_ratio + mean_term) - 0.5))
+    total = np.sum(np.log(q.sigma / p.sigma) + 0.5 * (var_ratio + mean_term) - 0.5)
+    # rounding takes near-equal pairs a few ulps below zero; NaN stays NaN
+    return float(np.maximum(total, 0.0))
 
 
 def interval95(belief: DistVector):

@@ -8,8 +8,9 @@ gradients come from a hand-written backward pass
 (``forecaster._batch_loss``).
 
 Every op here also accepts plain numpy arrays (or scalars) and, when no
-``Var`` is involved, falls through to numpy directly; inference runs the
-fused GRU cell and the sigma squash that way.
+``Var`` is involved, falls through to numpy directly. Inference uses that
+fallthrough only for the sigma squash (``prob.squash_sigma``); the GRU
+cell and the readout run bare numpy in ``nn``.
 """
 
 from __future__ import annotations

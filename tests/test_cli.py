@@ -182,6 +182,30 @@ class TestExitCodes:
         assert rc == 3
         assert "dim_1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["forecast", "detect", "evaluate"])
+    def test_value_overflowing_normalization_is_3(self, workdir, tmp_path, capsys,
+                                                  command):
+        model = workdir / "models" / "lookahead_2.json"
+        # the CPU channel's std is below 1, so a huge value overflows
+        assert uprop.load_checkpoint(model)[0].norm.std[2] < 1.0
+        series = load_csv(workdir / "data" / "node_000.csv")
+        series.values[:, 2] = 1.7e308
+        bad = tmp_path / "data" / "node_000.csv"
+        bad.parent.mkdir()
+        uprop.save_csv(series, bad)
+        argv = {
+            "forecast": ["forecast", "--model", str(model), "--data", str(bad),
+                         "--at", "10"],
+            "detect": ["detect", "--model", str(model), "--data", str(bad),
+                       "--calibrate-on", str(workdir / "data" / "node_001.csv")],
+            "evaluate": ["evaluate", "--models-dir", str(model.parent),
+                         "--data", str(bad.parent), "--config",
+                         str(workdir / "config.json"), "--out-dir", str(tmp_path)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "dim_2" in err and "not finite" in err
+
     def test_horizon_below_one_is_2(self, workdir, capsys):
         rc = main(["forecast", "--model", str(workdir / "models" / "lookahead_2.json"),
                    "--data", str(workdir / "data" / "node_000.csv"),

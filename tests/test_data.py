@@ -109,6 +109,22 @@ class TestNormalize:
         with pytest.raises(DataError):
             normalize(s, NormStats(mean=np.zeros(3), std=np.ones(3)))
 
+    def test_overflow_names_first_row_and_column(self):
+        # finite values that overflow once normalized used to become inf
+        # inputs, and filter_series returned NaN beliefs without an error
+        values = np.array([[1.0, 2.0], [np.nan, 1e304], [1e304, 1e304]])
+        s = TimeSeries(values=values, mask=~np.isnan(values), t0=5)
+        with pytest.raises(DataError, match=r"t=6, column dim_1"):
+            normalize(s, NormStats(mean=np.zeros(2), std=np.full(2, 1e-6)))
+
+    def test_huge_value_in_missing_cell_is_ignored(self):
+        values = np.array([[1.0, 1e304], [2.0, 3.0]])
+        mask = np.array([[True, False], [True, True]])
+        normed = normalize(TimeSeries(values=values, mask=mask),
+                           NormStats(mean=np.zeros(2), std=np.full(2, 1e-6)))
+        assert np.isnan(normed.values[0, 1])
+        assert np.isfinite(normed.values[mask]).all()
+
 
 class TestEmulateMissing:
     def test_rate_zero_is_identity(self):
