@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeries
+from .errors import ShapeError
 from .forecaster import (DistVector, UPropModel, _consume, _filter,
                          _self_feed)
 
@@ -45,6 +46,8 @@ def filter_series_imputed(model: UPropModel, series: TimeSeries,
     rng = np.random.default_rng(policy.seed)
     if prior is None:
         prior = DistVector.standard(model.dims)
+    elif prior.dims != model.dims:
+        raise ShapeError(f"prior dims {prior.dims} != model dims {model.dims}")
     values, mask = series.values, series.mask
 
     def impute(t, pending):

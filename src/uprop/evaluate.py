@@ -73,10 +73,14 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
             raise ConfigError(f"unknown evaluation method {method!r}")
     lookaheads = sorted(models)
     cells = np.zeros((len(rates), len(lookaheads), len(methods)))
-    # each window normalized once per model, each degradation once per
-    # (rate, model), shared by every method
-    truths = {k: [normalize(w, models[k].norm) for w in test_windows]
-              for k in lookaheads}
+    # each window normalized once per distinct NormStats (models trained on
+    # the same windows share them), each degradation once per (rate, stats),
+    # and shared by every model and method that uses those stats
+    key = {k: models[k].norm.mean.tobytes() + models[k].norm.std.tobytes()
+           for k in lookaheads}
+    stats = {key[k]: models[k].norm for k in lookaheads}
+    truths = {s: [normalize(w, norm) for w in test_windows]
+              for s, norm in stats.items()}
     for ri, rate in enumerate(rates):
         # one degradation per (rate, window), shared across columns
         degraded = [
@@ -84,12 +88,13 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
             if rate > 0 else w
             for wi, w in enumerate(test_windows)
         ]
+        normed = {s: [normalize(d, norm) for d in degraded]
+                  for s, norm in stats.items()}
         for ki, k in enumerate(lookaheads):
-            model = models[k]
-            inputs = [normalize(d, model.norm) for d in degraded]
+            model, inputs = models[k], normed[key[k]]
             for mi, method in enumerate(methods):
                 total, count = 0.0, 0
-                for wi, (truth, series) in enumerate(zip(truths[k], inputs)):
+                for wi, (truth, series) in enumerate(zip(truths[key[k]], inputs)):
                     if method == "uprop":
                         steps = filter_series(model, series)
                     else:

@@ -114,6 +114,8 @@ class UPropModel:
     train_config: TrainConfig | None = None
     _fstack: FusedStack = field(init=False, repr=False, default=None)
     _freadout: LinearParams = field(init=False, repr=False, default=None)
+    # forecast_from_origin's resume point; see that function
+    _cursor: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.stack.layers[0].input_size != 2 * self.dims:
@@ -125,9 +127,11 @@ class UPropModel:
         self.refresh_frozen()
 
     def refresh_frozen(self) -> None:
-        """Rebind the numpy inference views to the current parameter arrays."""
+        """Rebind the numpy inference views to the current parameter arrays,
+        and drop the filter state kept under the old ones."""
         self._fstack = fuse_stack(freeze_stack(self.stack))
         self._freadout = freeze_linear(self.readout)
+        self._cursor = None
 
     def parameters(self) -> list:
         return self.stack.weights() + self.readout.weights()
@@ -157,7 +161,8 @@ def encode_input(obs: np.ndarray, pending: DistVector | None = None,
     Observed dimensions enter as (value, 0). Missing dimensions take the
     pending one-step forecast for this step, or the prior when there is
     none. Missing entries of ``obs`` are NaN; ``mask`` overrides the NaN
-    convention when given.
+    convention when given. A pending belief or prior whose length differs
+    from ``obs`` raises ``ShapeError`` instead of being broadcast.
     """
     obs = np.asarray(obs, dtype=np.float64)
     if mask is None:
@@ -165,6 +170,8 @@ def encode_input(obs: np.ndarray, pending: DistVector | None = None,
     fallback = pending if pending is not None else prior
     if fallback is None:
         fallback = DistVector.standard(obs.shape[0])
+    elif fallback.dims != obs.shape[0]:
+        raise ShapeError(f"belief dims {fallback.dims} != observation dims {obs.shape[0]}")
     mu = np.where(mask, obs, fallback.mu)
     sigma = np.where(mask, 0.0, fallback.sigma)
     return DistVector(mu=mu, sigma=sigma)

@@ -1,6 +1,12 @@
 """Novelty signals: predicted volatility, observation surprise, and the
 KL divergence between forecasts of the same time point made from a recent
 and a stale origin, plus empirical-quantile threshold calibration.
+
+Forecasts from an origin resume from the filter state of the model's
+previous ``forecast_from_origin`` call when the series still begins with
+the rows that call consumed, so a backtest that walks forward through a
+stream filters each row once. KL scoring resumes every origin from the
+per-row snapshots of a single filter pass.
 """
 
 from __future__ import annotations
@@ -75,13 +81,52 @@ def surprise_score(belief: DistVector, x: np.ndarray,
     return float(np.mean(0.5 * LN_2PI + np.log(sigma) + 0.5 * z * z))
 
 
+def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shape, dtype and bits. Unlike ``==`` this tells -0.0 from 0.0
+    and matches a NaN to the same NaN, exactly as the inputs built from
+    the rows would differ or match."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
                          k: int) -> Forecast:
-    """k-step forecast from row index ``origin`` (rows 0..origin consumed)."""
+    """k-step forecast from row index ``origin`` (rows 0..origin consumed).
+
+    The filter state at ``origin`` is kept on the model as its one resume
+    cursor: the origin, copies of the rows consumed up to it, and the
+    pending belief and hidden state there. A later call resumes from the
+    cursor when its origin is not earlier and its series starts with
+    exactly those rows, bit for bit, under the same frozen weights and
+    sigma floor; it then filters only the rows after the cursor. Any
+    other call (an earlier origin, another series, a consumed value or
+    mask cell edited in place, a weight refresh) filters from a zero
+    state, and both ways step the same arithmetic, so the forecast is the
+    same bit for bit. A model holds at most one cursor, with one copy of
+    the consumed rows. The cursor is a tuple that is replaced, never
+    changed, so a call racing another on the same model, or one whose
+    rows were edited, can only miss it and re-filter.
+    """
     if origin < 0 or origin >= series.steps:
         raise ValueError(f"origin {origin} outside series of length {series.steps}")
-    _, preds, h = _scan(model, origin + 1, _observe(series))
-    _, steps = _self_feed(model, preds[-1], h, k)
+    cursor, fstack, floor = model._cursor, model._fstack, model.squash.floor
+    start, pending, h = 0, None, None
+    if cursor is not None:
+        c, values, mask, c_pending, c_h, c_fstack, c_floor = cursor
+        if (c <= origin and c_fstack is fstack and c_floor == floor
+                and _same_rows(series.mask[:c + 1], mask)
+                and _same_rows(series.values[:c + 1], values)):
+            start, pending, h = c + 1, c_pending, c_h
+    observe = _observe(series)
+    _, preds, h = _scan(model, origin + 1 - start,
+                        lambda t, p: observe(start + t, p), pending, h)
+    if preds:
+        pending = preds[-1]
+    _, steps = _self_feed(model, pending, h, k)
+    # the returned forecast shares ``pending``; the cursor keeps its own copy
+    model._cursor = (origin, series.values[:origin + 1].copy(),
+                     series.mask[:origin + 1].copy(),
+                     DistVector._unchecked(pending.mu.copy(), pending.sigma.copy()),
+                     h, fstack, floor)
     return Forecast(origin_t=series.t0 + origin, steps=steps)
 
 

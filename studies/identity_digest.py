@@ -2,7 +2,8 @@
 
 Hashes the outputs of every inference entry point (``filter_series`` with
 and without a prior and with its state, both imputed policies,
-``forecast_from_origin``, ``rollout``, ``mc_rollout``, the three
+``forecast_from_origin``, a backtest sweep of it with a repeated origin,
+a step back and in-place edits, ``rollout``, ``mc_rollout``, the three
 ``score_series`` kinds and ``kl_novelty`` in both directions) for a 1x16
 and a 3x12 model on a series with 30% of its cells missing, then
 ``evaluate_grid``, the bytes of both models' checkpoints, and every file
@@ -101,6 +102,8 @@ def entries():
                     model, x, ImputePolicy("sample", seed=3))),
                 (f"{name}.forecast_from_origin",
                  [forecast_from_origin(model, x, o, 12) for o in (0, 57, 238)]),
+                (f"{name}.forecast_from_origin.sweep",
+                 _sweep(model, x)),
                 (f"{name}.rollout", rollout(model, context, 16)),
                 (f"{name}.mc_rollout", mc_rollout(model, context, 8, 20, seed=9)),
             ]
@@ -119,6 +122,23 @@ def entries():
         out += _cli_files(main, tmp)
     return [(name, hashlib.sha256(obj).hexdigest() if isinstance(obj, bytes)
              else digest(obj)) for name, obj in out]
+
+
+def _sweep(model, series):
+    """A backtest on a copy of ``series``: forecasts from every 5th row,
+    then a repeated origin, a step back, and two origins after a consumed
+    missing cell is filled and a consumed observed cell is masked, in
+    place."""
+    from uprop import TimeSeries, forecast_from_origin
+
+    s = TimeSeries(values=series.values.copy(), mask=series.mask.copy(),
+                   t0=series.t0)
+    origins = list(range(4, 240, 5)) + [234, 234, 117]
+    out = [forecast_from_origin(model, s, o, 6) for o in origins]
+    s.values[50, 0], s.mask[50, 0] = 0.25, True
+    s.mask[60, 1] = False
+    out += [forecast_from_origin(model, s, o, 6) for o in (117, 239)]
+    return out
 
 
 def _cli_files(main, tmp: Path):

@@ -78,6 +78,16 @@ class TestFilterSeriesImputed:
             filter_series_imputed(model, TimeSeries.complete(np.zeros((5, 3))),
                                   ImputePolicy())
 
+    @pytest.mark.parametrize("size", [1, 4])
+    @pytest.mark.parametrize("kind", ["mean", "sample"])
+    def test_mis_sized_prior_is_rejected(self, size, kind):
+        model = small_model(dims=3)
+        series = TimeSeries(values=np.full((4, 3), np.nan),
+                            mask=np.zeros((4, 3), dtype=bool))
+        prior = DistVector(mu=np.full(size, 5.0), sigma=np.full(size, 2.0))
+        with pytest.raises(ShapeError, match=f"prior dims {size} != model dims 3"):
+            filter_series_imputed(model, series, ImputePolicy(kind=kind), prior)
+
 
 class TestMcRollout:
     def test_shapes(self):

@@ -1,0 +1,31 @@
+import numpy as np
+
+from uprop import evaluate
+from uprop.data import NormStats, TimeSeries
+from uprop.evaluate import evaluate_grid
+
+from test_forecaster import small_model
+
+
+def test_models_with_equal_stats_share_normalized_windows(monkeypatch):
+    rng = np.random.default_rng(8)
+    windows = [TimeSeries.complete(rng.normal(size=(12, 2))) for _ in range(3)]
+    shared = NormStats(mean=np.array([0.5, -1.0]), std=np.array([2.0, 0.5]))
+    models = {k: small_model(seed=k) for k in (2, 4, 8)}
+    models[2].norm = shared
+    models[4].norm = NormStats(mean=np.zeros(2), std=np.ones(2))
+    models[8].norm = NormStats(mean=shared.mean.copy(), std=shared.std.copy())
+    rates = [0.0, 0.5]
+    calls, normalize = [], evaluate.normalize
+
+    def counting(series, stats):
+        calls.append(stats)
+        return normalize(series, stats)
+
+    monkeypatch.setattr(evaluate, "normalize", counting)
+    grid = evaluate_grid(models, windows, rates, seed=3)
+    # truths once and each rate's degradations once, per distinct stats
+    assert len(calls) == 2 * (1 + len(rates)) * len(windows)
+    for ki, k in enumerate(sorted(models)):
+        alone = evaluate_grid({k: models[k]}, windows, rates, seed=3)
+        np.testing.assert_array_equal(grid.cells[:, ki], alone.cells[:, 0])

@@ -58,6 +58,13 @@ class TestEncodeInput:
         np.testing.assert_array_equal(d.mu, [1.0, 0.0])
         np.testing.assert_array_equal(d.sigma, [0.0, 1.0])
 
+    @pytest.mark.parametrize("size", [1, 4])
+    @pytest.mark.parametrize("role", ["pending", "prior"])
+    def test_mis_sized_fallback_is_not_broadcast(self, size, role):
+        belief = DistVector(mu=np.full(size, 5.0), sigma=np.full(size, 2.0))
+        with pytest.raises(ShapeError, match=f"belief dims {size} != observation dims 3"):
+            encode_input(np.full(3, np.nan), **{role: belief})
+
 
 class TestStep:
     def test_deterministic(self):
@@ -171,6 +178,17 @@ class TestFilterSeries:
         model = small_model(dims=2)
         with pytest.raises(ShapeError):
             filter_series(model, TimeSeries.complete(np.zeros((5, 3))))
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_mis_sized_prior_is_rejected(self, size):
+        # an all-missing first row used to take the 1-dim prior broadcast to
+        # every dimension; a 4-dim one failed inside numpy
+        model = small_model(dims=3)
+        series = TimeSeries(values=np.full((4, 3), np.nan),
+                            mask=np.zeros((4, 3), dtype=bool))
+        prior = DistVector(mu=np.full(size, 5.0), sigma=np.full(size, 2.0))
+        with pytest.raises(ShapeError):
+            filter_series(model, series, prior=prior)
 
 
 class TestTrainConfig:
