@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DatasetSplit, _fmt, load_csv, normalize, save_csv, split,
@@ -22,6 +23,20 @@ from .evaluate import METHODS, evaluate_grid
 from .forecaster import TrainConfig, train
 from .novelty import calibrate_threshold, forecast_from_origin, score_series
 from .prob import interval95
+
+# what a JSON config value of each field type must be
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _is_a(value, kind) -> bool:
+    """JSON type check: a bool is no number, and a float field takes any
+    integer or finite float."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, kind)
+
 
 @dataclass
 class RunConfig:
@@ -38,9 +53,9 @@ class RunConfig:
     window: int = 120
     sigma_floor: float = 1e-3
     seed: int = 0
-    missing_rates: list = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.5])
-    lookaheads: list = field(default_factory=lambda: [2, 4, 8, 16])
-    methods: list = field(default_factory=lambda: list(METHODS))
+    missing_rates: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.5])
+    lookaheads: list[int] = field(default_factory=lambda: [2, 4, 8, 16])
+    methods: list[str] = field(default_factory=lambda: list(METHODS))
 
     def __post_init__(self):
         if self.dims < 1:
@@ -64,10 +79,23 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: config must be a JSON object, "
+                              f"got {type(doc).__name__}")
+        hints = typing.get_type_hints(cls)
+        unknown = set(doc) - set(hints)
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in doc.items():
+            kind = hints[key]
+            if typing.get_origin(kind) is list:
+                (item,) = typing.get_args(kind)
+                ok = isinstance(value, list) and all(_is_a(v, item) for v in value)
+                want = f"a list, each entry {_KINDS[item]}"
+            else:
+                ok, want = _is_a(value, kind), _KINDS[kind]
+            if not ok:
+                raise ConfigError(f"{path}: {key} must be {want}, got {value!r}")
         return cls(**doc)
 
     def train_config(self, lookahead: int | None = None) -> TrainConfig:
@@ -82,6 +110,8 @@ class RunConfig:
 def _load_series(path) -> list:
     """A single CSV, or every non-sidecar CSV in a directory (sorted)."""
     path = Path(path)
+    if not path.exists():
+        raise DataError(f"data path not found: {path}")
     if path.is_dir():
         files = sorted(p for p in path.glob("*.csv") if not p.name.endswith(".mask.csv"))
         if not files:

@@ -11,11 +11,11 @@ step's belief into the next input.
 Training runs on complete data only: a window's prefix is fed as observed
 context (dropout on), then the model rolls out ``lookahead`` steps
 self-fed (dropout off) and is scored by the mean per-point Gaussian NLL
-against the ground truth. A batch of windows is one op on the autodiff
-tape (``_batch_loss``): all windows step together, a per-row mask picks
-the observation before each window's anchor and the fed-back belief
-after it, and the gradients come from a hand-written backward pass
-(``nn.window_batch_backward``).
+against the ground truth. A batch of windows is one loss node over the
+model's weights (``_batch_loss``): all windows step together, a per-row
+mask picks the observation before each window's anchor and the fed-back
+belief after it, and the gradients come from a hand-written backward
+pass (``nn.window_batch_backward``).
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .data import NormStats, TimeSeries
 from .errors import ConfigError, DataError, ShapeError
 from .nn import (AdamState, FusedStack, GruStackParams, LinearParams,
                  adam_init, adam_step, dropout_mask, freeze_linear,
-                 freeze_stack, fuse_stack, fused_stack_step, init_gru_stack,
-                 init_linear, linear_forward, window_batch_backward,
-                 window_batch_forward, zero_grad, zero_hidden)
+                 fuse_stack, fused_stack_step, init_gru_stack, init_linear,
+                 linear_forward, window_batch_backward, window_batch_forward,
+                 zero_grad, zero_hidden)
 from .prob import DistVector, SigmaSquash, squash_sigma
 
 
@@ -129,7 +129,7 @@ class UPropModel:
     def refresh_frozen(self) -> None:
         """Rebind the numpy inference views to the current parameter arrays,
         and drop the filter state kept under the old ones."""
-        self._fstack = fuse_stack(freeze_stack(self.stack))
+        self._fstack = fuse_stack(self.stack)
         self._freadout = freeze_linear(self.readout)
         self._cursor = None
 
@@ -290,22 +290,22 @@ def filter_series(model: UPropModel, series: TimeSeries,
 
 def _batch_loss(stack: FusedStack, readout: LinearParams, squash: SigmaSquash,
                 X: np.ndarray, anchors, k: int, masks=None):
-    """Training loss of a batch of windows as one tape op.
+    """Training loss of a batch of windows as one node over the weights.
 
     ``X`` is the normalized (B, L, N) batch; window b is fed rows
     0..anchor_b-1 as observations (dropout masks ``masks[b]``, one
     (anchor_b, gaps, h) array, or None for no dropout), then rolls out k
     steps self-fed and is scored against rows anchor_b..anchor_b+k-1 by
     mean per-point NLL. Returns the batch-mean loss as a ``Var`` whose
-    parents are the fused stack and readout weights, and the per-window
+    parents are the ``Var`` leaves among the per-gate weights ``stack``
+    was fused from and the readout's weight and bias, and the per-window
     losses as numpy. The forward is :func:`window_batch_forward`; the
     gradients come from one :func:`window_batch_backward` pass, run when
     ``backward`` first asks for them.
     """
     losses, cache = window_batch_forward(stack, readout, squash.floor, X,
                                          anchors, k, masks)
-    weights = [p for c in stack.layers for p in (c.w, c.u, c.b_w, c.b_hn)]
-    weights += [readout.weight, readout.bias]
+    weights = stack.weights + readout.weights()
     grads = []
 
     def vjp(i):
@@ -336,7 +336,7 @@ def _context_masks(stack: FusedStack, anchor: int, rng: np.random.Generator):
 def _window_loss(stack: FusedStack, readout: LinearParams,
                  squash: SigmaSquash, x: np.ndarray, anchor: int, k: int,
                  rng: np.random.Generator):
-    """Tape loss of one training window: the batch of one of
+    """Loss node of one training window: the batch of one of
     :func:`_batch_loss`, with its dropout masks drawn from ``rng``."""
     masks = _context_masks(stack, anchor, rng)
     loss, _ = _batch_loss(stack, readout, squash, x[None], [anchor], k,

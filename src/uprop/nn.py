@@ -1,28 +1,29 @@
 """GRU stack, affine readout, dropout, the training kernel and Adam.
 
-Parameters are stored as tape ``Var`` objects. Inference steps the fused
-cell (:func:`fused_stack_step`, :func:`linear_forward`) in bare numpy on
-the frozen arrays produced by :func:`freeze_stack` / :func:`freeze_linear`,
-one window at a time; those functions take numpy arrays only. Training
-does not run them: it runs
-:func:`window_batch_forward`, the same cell with a batch dimension over a
-whole batch of windows, and :func:`window_batch_backward`, a hand-written
-backward pass through time over the forward's cached gates. The tape sees
-the pair as one op (``forecaster._batch_loss``).
+Parameters are stored per gate as ``Var`` leaves. :func:`fuse_stack`
+copies each cell's gate blocks into the stacked numpy arrays of a
+:class:`FusedStack`; this module's forward and backward passes read only
+those arrays, and it is the one place that knows the gate layout
+``[r; z; n]``. Inference steps the fused cell (:func:`fused_stack_step`,
+:func:`linear_forward` on :func:`freeze_linear`'s arrays) one window at a
+time. Training runs :func:`window_batch_forward`, the same cell with a
+batch dimension over a whole batch of windows, and
+:func:`window_batch_backward`, a hand-written backward pass through time
+over the forward's cached gates that returns per-gate gradients
+(``forecaster._batch_loss`` hangs them on the one loss node).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from . import tensor as tn
 from .errors import ShapeError
 from .prob import LN_2PI
-from .tensor import Var, value_of
+from .tensor import Var, value_of, zero_grad  # zero_grad is re-exported
 
 
 @dataclass
@@ -105,22 +106,6 @@ def init_linear(in_size: int, out_size: int, rng: np.random.Generator) -> Linear
     )
 
 
-def freeze_cell(cell: GruCellParams) -> GruCellParams:
-    """Numpy view of a cell's weights, sharing the underlying arrays."""
-    return replace(cell, **{
-        name: value_of(getattr(cell, name))
-        for name in ("W_r", "W_z", "W_n", "U_r", "U_z", "U_n",
-                     "b_r", "b_z", "b_in", "b_hn")
-    })
-
-
-def freeze_stack(stack: GruStackParams) -> GruStackParams:
-    return GruStackParams(
-        layers=[freeze_cell(c) for c in stack.layers],
-        dropout_rate=stack.dropout_rate,
-    )
-
-
 def freeze_linear(lin: LinearParams) -> LinearParams:
     return LinearParams(weight=value_of(lin.weight), bias=value_of(lin.bias))
 
@@ -130,8 +115,9 @@ class FusedCell:
     """One GRU cell with gate matrices stacked for two-matvec stepping.
 
     w = [W_r; W_z; W_n] (3h x in), u = [U_r; U_z; U_n] (3h x h),
-    b_w = [b_r, b_z, b_in]. Fusing once per tape hoists the concatenation
-    out of the time loop.
+    b_w = [b_r, b_z, b_in], numpy copies of the cell's gate blocks.
+    Fusing once per batch or weight update hoists the concatenation out
+    of the time loop.
     """
 
     input_size: int
@@ -144,24 +130,32 @@ class FusedCell:
 
 @dataclass
 class FusedStack:
+    """Fused cells, and the per-gate weights (``GruStackParams.weights``)
+    they were fused from, in the order :func:`window_batch_backward`
+    returns their gradients."""
+
     layers: list
     dropout_rate: float
+    weights: list
 
 
 def fuse_cell(cell: GruCellParams) -> FusedCell:
+    def stacked(*blocks):
+        return np.concatenate([value_of(b) for b in blocks])
+
     return FusedCell(
         input_size=cell.input_size,
         hidden_size=cell.hidden_size,
-        w=tn.concat([cell.W_r, cell.W_z, cell.W_n]),
-        u=tn.concat([cell.U_r, cell.U_z, cell.U_n]),
-        b_w=tn.concat([cell.b_r, cell.b_z, cell.b_in]),
-        b_hn=cell.b_hn,
+        w=stacked(cell.W_r, cell.W_z, cell.W_n),
+        u=stacked(cell.U_r, cell.U_z, cell.U_n),
+        b_w=stacked(cell.b_r, cell.b_z, cell.b_in),
+        b_hn=value_of(cell.b_hn),
     )
 
 
 def fuse_stack(stack: GruStackParams) -> FusedStack:
     return FusedStack(layers=[fuse_cell(c) for c in stack.layers],
-                      dropout_rate=stack.dropout_rate)
+                      dropout_rate=stack.dropout_rate, weights=stack.weights())
 
 
 def fused_cell_forward(cell: FusedCell, x, h_prev):
@@ -258,9 +252,9 @@ def window_batch_forward(stack: FusedStack, readout: LinearParams, floor: float,
     take the belief (mu, sigma) the previous step emitted, and the k
     readouts from step anchor_b-1 on are scored against x_{t+1}. A row's
     loss is its mean per-point Gaussian NLL. ``masks`` is None (no
-    dropout) or one (anchor_b, gaps, h) array per row. Weights may be
-    ``Var``s or numpy arrays; only their values are read. The step is
-    :func:`fused_cell_forward` with a batch dimension.
+    dropout) or one (anchor_b, gaps, h) array per row. The readout may
+    hold ``Var``s or numpy arrays; only their values are read. The step
+    is :func:`fused_cell_forward` with a batch dimension.
     """
     X = np.asarray(X, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.intp)
@@ -274,8 +268,7 @@ def window_batch_forward(stack: FusedStack, readout: LinearParams, floor: float,
     scored = (steps >= anchors - 1) & (steps < anchors + k - 1)
     # transposed weights and row-broadcast biases, laid out once per batch
     # so each step is a plain product and a same-shape add
-    cells = [(value_of(c.w).T.copy(), value_of(c.u).T.copy(),
-              np.tile(value_of(c.b_w), (B, 1)), np.tile(value_of(c.b_hn), (B, 1)))
+    cells = [(c.w.T.copy(), c.u.T.copy(), np.tile(c.b_w, (B, 1)), np.tile(c.b_hn, (B, 1)))
              for c in stack.layers]
     w_out = value_of(readout.weight).T.copy()
     b_out = np.tile(value_of(readout.bias), (B, 1))
@@ -344,16 +337,18 @@ def window_batch_forward(stack: FusedStack, readout: LinearParams, floor: float,
 def window_batch_backward(cache: WindowBatchCache) -> list:
     """Gradients of the batch-mean loss: hand-written BPTT over the cache.
 
-    Returns one array per weight: ``w, u, b_w, b_hn`` of each layer, then
-    the readout weight and bias. Steps run in reverse. At each step the
-    gradient enters at the readout (from the loss and from the next
-    step's input on fed rows), falls through the layers top-down, and
-    leaves layer 0's input towards the previous step's (mu, sigma) on fed
-    rows. The gate derivatives are formed for all steps before the loop
+    Returns one array per weight, in ``UPropModel.parameters()`` order:
+    the ten per-gate weights of each layer (``GruCellParams.weights``;
+    the fused ``w``, ``u`` and ``b_w`` gradients split back into their
+    ``[r; z; n]`` blocks), then the readout weight and bias. Steps run in
+    reverse. At each step the gradient enters at the readout (from the
+    loss and from the next step's input on fed rows), falls through the
+    layers top-down, and leaves layer 0's input towards the previous
+    step's (mu, sigma) on fed rows. The gate derivatives are formed for all steps before the loop
     and the weight gradients summed over all steps after it, one matrix
     product per weight.
     """
-    cells = [(value_of(c.w), value_of(c.u)) for c in cache.stack.layers]
+    cells = [(c.w, c.u) for c in cache.stack.layers]
     w_out = value_of(cache.readout.weight)
     T, B, two_n = cache.raw.shape
     N = two_n // 2
@@ -405,9 +400,9 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
         h = u.shape[1]
         da = d_a[i].reshape(T * B, 3 * h)
         dc = d_c[i].reshape(T * B, 3 * h)
-        grads += [da.T @ cache.xin[i].reshape(T * B, -1),
-                  dc.T @ cache.hs[i][:T].reshape(T * B, h),
-                  da.sum(axis=0), dc[:, 2 * h:].sum(axis=0)]
+        grads += [*np.split(da.T @ cache.xin[i].reshape(T * B, -1), 3),
+                  *np.split(dc.T @ cache.hs[i][:T].reshape(T * B, h), 3),
+                  *np.split(da.sum(axis=0), 3), dc[:, 2 * h:].sum(axis=0)]
     d_raw = d_raw.reshape(T * B, two_n)
     return grads + [d_raw.T @ cache.hs[last][1:].reshape(T * B, -1),
                     d_raw.sum(axis=0)]
@@ -453,6 +448,3 @@ def adam_step(state: AdamState, params: list, grads: list | None = None) -> Adam
         # in-place so frozen numpy views stay current
         p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return state
-
-
-zero_grad = tn.zero_grad

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tn
 from .errors import ShapeError
 
 LN_2PI = math.log(2.0 * math.pi)
@@ -89,9 +88,9 @@ class DistVector:
 def squash_sigma(raw, squash: SigmaSquash):
     """softplus(raw) + floor; strictly positive and monotone in raw.
 
-    Accepts scalars, arrays, or tape Vars.
+    Accepts scalars or numpy arrays.
     """
-    return tn.softplus(raw) + squash.floor
+    return np.logaddexp(0.0, raw) + squash.floor
 
 
 def nll(belief: DistVector, x: np.ndarray) -> float:

@@ -1,17 +1,36 @@
 """Unfused GRU: the reference oracle for ``uprop.nn.fused_cell_forward``.
 
-One matvec per gate, written straight from the cell equations, with
-shape checks. The package runs only the fused path; this module exists so
-tests can check the fused cell against an independent formulation.
+One matvec per gate, written straight from the cell equations in plain
+numpy, with shape checks. The package runs only the fused path; this
+module exists so tests can check the fused cell against an independent
+formulation. It runs on frozen cells: :func:`freeze_cell` and
+:func:`freeze_stack` swap a model's ``Var`` leaves for their arrays.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
+from scipy.special import expit
 
 from uprop.errors import ShapeError
-from uprop.nn import GruStackParams, dropout_mask, zero_hidden
-from uprop.tensor import matvec, sigmoid, tanh, value_of
+from uprop.nn import GruCellParams, GruStackParams, dropout_mask, zero_hidden
+from uprop.tensor import value_of
+
+GATE_WEIGHTS = ("W_r", "W_z", "W_n", "U_r", "U_z", "U_n",
+                "b_r", "b_z", "b_in", "b_hn")
+
+
+def freeze_cell(cell: GruCellParams) -> GruCellParams:
+    """Numpy view of a cell's weights, sharing the underlying arrays."""
+    return replace(cell, **{name: value_of(getattr(cell, name))
+                            for name in GATE_WEIGHTS})
+
+
+def freeze_stack(stack: GruStackParams) -> GruStackParams:
+    return GruStackParams(layers=[freeze_cell(c) for c in stack.layers],
+                          dropout_rate=stack.dropout_rate)
 
 
 def gru_cell_forward(params, x, h_prev):
@@ -22,19 +41,19 @@ def gru_cell_forward(params, x, h_prev):
     n = tanh(W_n x + b_in + r * (U_n h + b_hn))
     h' = (1 - z) * n + z * h
     """
-    if value_of(x).shape != (params.input_size,):
+    if np.shape(x) != (params.input_size,):
         raise ShapeError(
             f"gru cell expects input of length {params.input_size}, "
-            f"got {value_of(x).shape}"
+            f"got {np.shape(x)}"
         )
-    if value_of(h_prev).shape != (params.hidden_size,):
+    if np.shape(h_prev) != (params.hidden_size,):
         raise ShapeError(
             f"gru cell expects hidden state of length {params.hidden_size}, "
-            f"got {value_of(h_prev).shape}"
+            f"got {np.shape(h_prev)}"
         )
-    r = sigmoid(matvec(params.W_r, x) + matvec(params.U_r, h_prev) + params.b_r)
-    z = sigmoid(matvec(params.W_z, x) + matvec(params.U_z, h_prev) + params.b_z)
-    n = tanh(matvec(params.W_n, x) + params.b_in + r * (matvec(params.U_n, h_prev) + params.b_hn))
+    r = expit(params.W_r @ x + params.U_r @ h_prev + params.b_r)
+    z = expit(params.W_z @ x + params.U_z @ h_prev + params.b_z)
+    n = np.tanh(params.W_n @ x + params.b_in + r * (params.U_n @ h_prev + params.b_hn))
     return (1.0 - z) * n + z * h_prev
 
 
@@ -77,5 +96,5 @@ def gru_stack_forward(stack: GruStackParams, x_seq, h0=None, dropout_on=False,
             masks = [dropout_mask(stack.layers[i].hidden_size, stack.dropout_rate, rng)
                      for i in range(n_gaps)]
         top, h = gru_stack_step(stack, x, h, masks)
-        outputs.append(value_of(top))
+        outputs.append(top)
     return np.asarray(outputs), h

@@ -14,8 +14,8 @@ from uprop import tensor as tn
 from uprop.data import NormStats
 from uprop.forecaster import (TrainConfig, _batch_loss, _context_masks,
                               build_model)
-from uprop.nn import (dropout_mask, freeze_linear, freeze_stack, fuse_stack,
-                      fused_stack_step, linear_forward, zero_grad, zero_hidden)
+from uprop.nn import (dropout_mask, freeze_linear, fuse_stack, fused_stack_step,
+                      linear_forward, zero_grad, zero_hidden)
 from uprop.prob import LN_2PI, squash_sigma
 
 
@@ -51,7 +51,7 @@ def loss_and_grads(model, X, anchors, k, masks):
 
 def loop_losses(model, X, anchors, k, masks):
     """Each window scored alone by stepping the frozen inference GRU."""
-    stack, readout = fuse_stack(freeze_stack(model.stack)), freeze_linear(model.readout)
+    stack, readout = fuse_stack(model.stack), freeze_linear(model.readout)
     N = model.dims
     out = []
     for b, (x, anchor) in enumerate(zip(X, anchors)):
@@ -154,6 +154,6 @@ def test_no_per_op_tape():
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    # the loss, 3 concatenated blocks and 10 cell weights per layer, and
-    # the readout's weight and bias
-    assert len(seen) == 1 + 2 * (3 + 10) + 2
+    # the loss, the 10 per-gate weights of each layer, and the readout's
+    # weight and bias
+    assert len(seen) == 1 + 2 * 10 + 2

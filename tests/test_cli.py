@@ -227,6 +227,49 @@ class TestExitCodes:
         assert err.startswith("config error:") and word in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, says", [
+        ("5", "JSON object"), ("[1, 2]", "JSON object"),
+        ('{"dims": "abc"}', "dims must be"), ('{"lookaheads": 5}', "lookaheads must be"),
+        ('{"missing_rates": ["a"]}', "missing_rates must be"),
+        ('{"epochs": 2.5}', "epochs must be"), ('{"hidden": 8.0}', "hidden must be"),
+        ('{"methods": "uprop"}', "methods must be"),
+        ('{"lookahead": true}', "lookahead must be"), ('{"lr": NaN}', "lr must be")])
+    def test_wrongly_typed_config_is_2(self, workdir, tmp_path, capsys, doc, says):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        rc = main(["train", "--data", str(workdir / "data"),
+                   "--config", str(bad), "--model-out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert says in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "forecast", "detect-data",
+                                         "detect-calibrate-on", "evaluate"])
+    def test_missing_data_path_is_3(self, workdir, tmp_path, capsys, command):
+        model = workdir / "models" / "lookahead_2.json"
+        good = str(workdir / "data" / "node_000.csv")
+        absent = str(tmp_path / "absent.csv")
+        argv = {
+            "train": ["train", "--data", absent, "--config",
+                      str(workdir / "config.json"), "--model-out",
+                      str(tmp_path / "m.json")],
+            "forecast": ["forecast", "--model", str(model), "--data", absent,
+                         "--at", "10"],
+            "detect-data": ["detect", "--model", str(model), "--data", absent,
+                            "--calibrate-on", good],
+            "detect-calibrate-on": ["detect", "--model", str(model), "--data", good,
+                                    "--calibrate-on", absent],
+            "evaluate": ["evaluate", "--models-dir", str(model.parent),
+                         "--data", absent, "--config", str(workdir / "config.json"),
+                         "--out-dir", str(tmp_path)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and absent in err
+        assert err.count("\n") == 1
+
     def test_missing_model_is_4(self, workdir, tmp_path):
         rc = main(["forecast", "--model", str(tmp_path / "none.json"),
                    "--data", str(workdir / "data" / "node_000.csv"), "--at", "5"])

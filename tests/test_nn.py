@@ -6,7 +6,7 @@ import pytest
 import gru_reference as ref
 from uprop import nn
 from uprop.errors import ShapeError
-from uprop.tensor import Var, value_of
+from uprop.tensor import Var
 
 
 def make_cell(input_size, hidden_size, rng=None):
@@ -19,7 +19,7 @@ def make_cell(input_size, hidden_size, rng=None):
             W_n=zeros_m(hidden_size, input_size), U_r=zeros_m(hidden_size, hidden_size),
             U_z=zeros_m(hidden_size, hidden_size), U_n=zeros_m(hidden_size, hidden_size),
             b_r=zeros_v(), b_z=zeros_v(), b_in=zeros_v(), b_hn=zeros_v())
-    return nn.freeze_cell(nn.init_gru_cell(input_size, hidden_size, rng))
+    return ref.freeze_cell(nn.init_gru_cell(input_size, hidden_size, rng))
 
 
 def scalar_cell_oracle(cell, x, h):
@@ -78,7 +78,7 @@ def test_fused_cell_matches_plain_cell():
 
 def test_fused_stack_step_matches_reference_stack_with_dropout():
     rng = np.random.default_rng(18)
-    stack = nn.freeze_stack(nn.init_gru_stack(3, 5, 3, 0.5, rng))
+    stack = ref.freeze_stack(nn.init_gru_stack(3, 5, 3, 0.5, rng))
     fused = nn.fuse_stack(stack)
     h_ref = h_fused = nn.zero_hidden(stack)
     for _ in range(8):
@@ -101,17 +101,17 @@ def test_cell_shape_errors():
 
 def test_hidden_state_stays_bounded():
     rng = np.random.default_rng(13)
-    stack = nn.freeze_stack(nn.init_gru_stack(2, 8, 2, 0.0, rng))
+    stack = ref.freeze_stack(nn.init_gru_stack(2, 8, 2, 0.0, rng))
     x_seq = rng.normal(size=(200, 2)) * 5.0
     outputs, h = ref.gru_stack_forward(stack, x_seq)
     assert np.all(np.abs(outputs) < 1.0)
     for layer_h in h:
-        assert np.all(np.abs(value_of(layer_h)) < 1.0)
+        assert np.all(np.abs(layer_h) < 1.0)
 
 
 def test_stack_of_one_equals_repeated_cell():
     rng = np.random.default_rng(14)
-    stack = nn.freeze_stack(nn.init_gru_stack(3, 5, 1, 0.0, rng))
+    stack = ref.freeze_stack(nn.init_gru_stack(3, 5, 1, 0.0, rng))
     x_seq = rng.normal(size=(10, 3))
     outputs, _ = ref.gru_stack_forward(stack, x_seq)
     h = np.zeros(5)
@@ -122,7 +122,7 @@ def test_stack_of_one_equals_repeated_cell():
 
 def test_stack_forward_deterministic():
     rng = np.random.default_rng(15)
-    stack = nn.freeze_stack(nn.init_gru_stack(2, 4, 3, 0.0, rng))
+    stack = ref.freeze_stack(nn.init_gru_stack(2, 4, 3, 0.0, rng))
     x_seq = rng.normal(size=(20, 2))
     out1, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
     out2, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
@@ -131,7 +131,7 @@ def test_stack_forward_deterministic():
 
 def test_zero_rate_dropout_is_noop():
     rng = np.random.default_rng(16)
-    stack = nn.freeze_stack(nn.init_gru_stack(2, 4, 2, 0.0, rng))
+    stack = ref.freeze_stack(nn.init_gru_stack(2, 4, 2, 0.0, rng))
     x_seq = rng.normal(size=(15, 2))
     off, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
     on, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=True,
