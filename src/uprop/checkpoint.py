@@ -16,12 +16,10 @@ import numpy as np
 from .data import NormStats, _fmt
 from .errors import CheckpointNotFoundError, ConfigError, DataError
 from .forecaster import TrainConfig, UPropModel, build_model
+from .nn import GATE_NAMES, gate_blocks
 from .tensor import value_of
 
 FORMAT_VERSION = 1
-
-_CELL_FIELDS = ("W_r", "W_z", "W_n", "U_r", "U_z", "U_n",
-                "b_r", "b_z", "b_in", "b_hn")
 
 _HYPER_FIELDS = ("n_layers", "hidden_size", "dropout", "lookahead", "epochs",
                  "learning_rate", "batch_size", "window_length", "sigma_floor")
@@ -50,15 +48,23 @@ _INT_HYPERS = ("n_layers", "hidden_size", "lookahead", "epochs", "batch_size",
 
 
 def _weight_shapes(dims: int, config: TrainConfig):
-    """(checkpoint key, shape) of every weight array, in file order: the
-    order of ``UPropModel.parameters``."""
+    """(checkpoint key, shape) of every weight array, in file order."""
     h = config.hidden_size
     for i in range(config.n_layers):
         shapes = {"W": (h, 2 * dims if i == 0 else h), "U": (h, h), "b": (h,)}
-        for name in _CELL_FIELDS:
+        for name in GATE_NAMES:
             yield f"gru.{i}.{name}", shapes[name[0]]
     yield "readout.weight", (2 * dims, h)
     yield "readout.bias", (2 * dims,)
+
+
+def _weight_arrays(model: UPropModel):
+    """The model's weight arrays in file order: each layer's per-gate
+    blocks (views of its fused weights), then the readout."""
+    for cell in model.stack.layers:
+        yield from gate_blocks(cell).values()
+    yield value_of(model.readout.weight)
+    yield value_of(model.readout.bias)
 
 
 def save_checkpoint(model: UPropModel, path, seed: int,
@@ -66,8 +72,8 @@ def save_checkpoint(model: UPropModel, path, seed: int,
     config = model.train_config
     if config is None:
         raise ValueError("model has no training configuration to checkpoint")
-    weights = {key: value_of(param).ravel() for (key, _), param
-               in zip(_weight_shapes(model.dims, config), model.parameters())}
+    weights = {key: array.ravel() for (key, _), array
+               in zip(_weight_shapes(model.dims, config), _weight_arrays(model))}
     doc = {
         "format_version": FORMAT_VERSION,
         "dims": model.dims,
@@ -152,8 +158,8 @@ def load_checkpoint(path):
               for key, shape in _weight_shapes(dims, config)]
     # shapes come from the config; weight values are overwritten below
     model = build_model(dims, config, norm, np.random.default_rng(0))
-    for param, value in zip(model.parameters(), values):
-        param.value[...] = value
+    for array, value in zip(_weight_arrays(model), values):
+        array[...] = value
     model.refresh_frozen()
     info = {"seed": seed, "final_loss": final_loss,
             "format_version": FORMAT_VERSION}

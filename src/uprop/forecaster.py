@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as tn
 from .data import NormStats, TimeSeries
 from .errors import ConfigError, DataError, ShapeError
-from .nn import (AdamState, FusedStack, GruStackParams, LinearParams,
+from .nn import (AdamState, GruStackParams, LinearParams,
                  adam_init, adam_step, dropout_mask, freeze_linear,
                  fuse_stack, fused_stack_step, init_gru_stack, init_linear,
                  linear_forward, window_batch_backward, window_batch_forward,
@@ -112,7 +112,7 @@ class UPropModel:
     squash: SigmaSquash
     norm: NormStats
     train_config: TrainConfig | None = None
-    _fstack: FusedStack = field(init=False, repr=False, default=None)
+    _fstack: GruStackParams = field(init=False, repr=False, default=None)
     _freadout: LinearParams = field(init=False, repr=False, default=None)
     # forecast_from_origin's resume point; see that function
     _cursor: tuple = field(init=False, repr=False, compare=False, default=None)
@@ -144,9 +144,7 @@ def build_model(dims: int, config: TrainConfig, norm: NormStats,
     # the scale half of the input starts with zero weight: an untrained
     # model treats a belief input exactly like an observation, and the
     # scale channels only gain influence through training
-    first = stack.layers[0]
-    for name in ("W_r", "W_z", "W_n"):
-        getattr(first, name).value[:, dims:] = 0.0
+    stack.layers[0].w.value[:, dims:] = 0.0
     readout = init_linear(config.hidden_size, 2 * dims, rng)
     return UPropModel(dims=dims, stack=stack, readout=readout,
                       squash=SigmaSquash(config.sigma_floor), norm=norm,
@@ -288,7 +286,7 @@ def filter_series(model: UPropModel, series: TimeSeries,
     return steps
 
 
-def _batch_loss(stack: FusedStack, readout: LinearParams, squash: SigmaSquash,
+def _batch_loss(stack: GruStackParams, readout: LinearParams, squash: SigmaSquash,
                 X: np.ndarray, anchors, k: int, masks=None):
     """Training loss of a batch of windows as one node over the weights.
 
@@ -297,15 +295,14 @@ def _batch_loss(stack: FusedStack, readout: LinearParams, squash: SigmaSquash,
     (anchor_b, gaps, h) array, or None for no dropout), then rolls out k
     steps self-fed and is scored against rows anchor_b..anchor_b+k-1 by
     mean per-point NLL. Returns the batch-mean loss as a ``Var`` whose
-    parents are the ``Var`` leaves among the per-gate weights ``stack``
-    was fused from and the readout's weight and bias, and the per-window
-    losses as numpy. The forward is :func:`window_batch_forward`; the
+    parents are the ``Var`` leaves among the weights of ``stack`` and
+    ``readout``, and the per-window losses as numpy. The forward is :func:`window_batch_forward`; the
     gradients come from one :func:`window_batch_backward` pass, run when
     ``backward`` first asks for them.
     """
     losses, cache = window_batch_forward(stack, readout, squash.floor, X,
                                          anchors, k, masks)
-    weights = stack.weights + readout.weights()
+    weights = stack.weights() + readout.weights()
     grads = []
 
     def vjp(i):
@@ -321,7 +318,7 @@ def _batch_loss(stack: FusedStack, readout: LinearParams, squash: SigmaSquash,
     return loss, losses
 
 
-def _context_masks(stack: FusedStack, anchor: int, rng: np.random.Generator):
+def _context_masks(stack: GruStackParams, anchor: int, rng: np.random.Generator):
     """Dropout masks of a window's context rows, (anchor, gaps, h), or None.
 
     Drawn row by row, gap by gap, from ``rng``.
@@ -333,7 +330,7 @@ def _context_masks(stack: FusedStack, anchor: int, rng: np.random.Generator):
                         stack.dropout_rate, rng)
 
 
-def _window_loss(stack: FusedStack, readout: LinearParams,
+def _window_loss(stack: GruStackParams, readout: LinearParams,
                  squash: SigmaSquash, x: np.ndarray, anchor: int, k: int,
                  rng: np.random.Generator):
     """Loss node of one training window: the batch of one of
@@ -377,14 +374,13 @@ def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
         epoch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            fstack = fuse_stack(model.stack)
             anchors, masks = [], []
             for _ in batch:
                 anchor = int(rng.integers(anchor_lo, anchor_hi + 1))
                 anchors.append(anchor)
-                masks.append(_context_masks(fstack, anchor, rng))
+                masks.append(_context_masks(model.stack, anchor, rng))
             batch_loss, losses = _batch_loss(
-                fstack, model.readout, model.squash, xs[batch], anchors, k,
+                model.stack, model.readout, model.squash, xs[batch], anchors, k,
                 None if masks[0] is None else masks)
             if not np.all(np.isfinite(losses)):
                 raise DataError(f"non-finite training loss in epoch {epoch + 1}, "

@@ -1,16 +1,17 @@
 """GRU stack, affine readout, dropout, the training kernel and Adam.
 
-Parameters are stored per gate as ``Var`` leaves. :func:`fuse_stack`
-copies each cell's gate blocks into the stacked numpy arrays of a
-:class:`FusedStack`; this module's forward and backward passes read only
-those arrays, and it is the one place that knows the gate layout
-``[r; z; n]``. Inference steps the fused cell (:func:`fused_stack_step`,
-:func:`linear_forward` on :func:`freeze_linear`'s arrays) one window at a
-time. Training runs :func:`window_batch_forward`, the same cell with a
-batch dimension over a whole batch of windows, and
+Each GRU cell is stored once, in the fused layout its kernels read
+(:class:`GruCell`: ``w``, ``u`` and ``b_w`` stack the gate blocks
+``[r; z; n]``). A model holds ``Var`` leaves; :func:`fuse_stack` and
+:func:`freeze_linear` give numpy views of the same arrays for inference,
+which steps the cell (:func:`fused_stack_step`, :func:`linear_forward`)
+one window at a time. Training runs :func:`window_batch_forward`, the
+same cell with a batch dimension over a whole batch of windows, and
 :func:`window_batch_backward`, a hand-written backward pass through time
-over the forward's cached gates that returns per-gate gradients
-(``forecaster._batch_loss`` hangs them on the one loss node).
+over the forward's cached gates (``forecaster._batch_loss`` hangs its
+gradients on the one loss node). This module is the one place that
+knows the gate order; :func:`gate_blocks` names the per-gate blocks for
+checkpoints.
 """
 
 from __future__ import annotations
@@ -27,25 +28,24 @@ from .tensor import Var, value_of, zero_grad  # zero_grad is re-exported
 
 
 @dataclass
-class GruCellParams:
-    """Weights of one GRU cell (reset-before-candidate, two-bias form)."""
+class GruCell:
+    """One GRU cell (reset-before-candidate, two-bias form), stored fused.
+
+    w = [W_r; W_z; W_n] (3h x in), u = [U_r; U_z; U_n] (3h x h),
+    b_w = [b_r, b_z, b_in] (3h) and b_hn (h): ``Var`` leaves in a model,
+    numpy arrays in :func:`fuse_stack`'s views. Stacked gate blocks make
+    a step two matrix products.
+    """
 
     input_size: int
     hidden_size: int
-    W_r: object
-    W_z: object
-    W_n: object
-    U_r: object
-    U_z: object
-    U_n: object
-    b_r: object
-    b_z: object
-    b_in: object
+    w: object
+    u: object
+    b_w: object
     b_hn: object
 
     def weights(self):
-        return [self.W_r, self.W_z, self.W_n, self.U_r, self.U_z, self.U_n,
-                self.b_r, self.b_z, self.b_in, self.b_hn]
+        return [self.w, self.u, self.b_w, self.b_hn]
 
 
 @dataclass
@@ -66,26 +66,31 @@ class LinearParams:
         return [self.weight, self.bias]
 
 
-def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -> GruCellParams:
+# checkpoint names of a cell's per-gate blocks, in file order
+GATE_NAMES = ("W_r", "W_z", "W_n", "U_r", "U_z", "U_n", "b_r", "b_z", "b_in", "b_hn")
+
+
+def gate_blocks(cell: GruCell) -> dict:
+    """The cell's per-gate blocks by checkpoint name, in file order.
+
+    Each block is a view of the cell's fused arrays, so writing into a
+    block writes the cell.
+    """
+    w, u, b_w = (np.split(value_of(a), 3) for a in (cell.w, cell.u, cell.b_w))
+    return dict(zip(GATE_NAMES, [*w, *u, *b_w, value_of(cell.b_hn)]))
+
+
+def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -> GruCell:
     """Uniform(-1/sqrt(hidden), 1/sqrt(hidden)) matrices, zero biases."""
     bound = 1.0 / math.sqrt(hidden_size)
-
-    def mat(rows, cols):
-        return Var(rng.uniform(-bound, bound, size=(rows, cols)))
-
-    def bias():
-        return Var(np.zeros(hidden_size))
-
-    return GruCellParams(
+    rows = 3 * hidden_size
+    return GruCell(
         input_size=input_size,
         hidden_size=hidden_size,
-        W_r=mat(hidden_size, input_size),
-        W_z=mat(hidden_size, input_size),
-        W_n=mat(hidden_size, input_size),
-        U_r=mat(hidden_size, hidden_size),
-        U_z=mat(hidden_size, hidden_size),
-        U_n=mat(hidden_size, hidden_size),
-        b_r=bias(), b_z=bias(), b_in=bias(), b_hn=bias(),
+        w=Var(rng.uniform(-bound, bound, size=(rows, input_size))),
+        u=Var(rng.uniform(-bound, bound, size=(rows, hidden_size))),
+        b_w=Var(np.zeros(rows)),
+        b_hn=Var(np.zeros(hidden_size)),
     )
 
 
@@ -107,58 +112,19 @@ def init_linear(in_size: int, out_size: int, rng: np.random.Generator) -> Linear
 
 
 def freeze_linear(lin: LinearParams) -> LinearParams:
+    """Numpy views of the readout's weights: the same arrays, no copies."""
     return LinearParams(weight=value_of(lin.weight), bias=value_of(lin.bias))
 
 
-@dataclass
-class FusedCell:
-    """One GRU cell with gate matrices stacked for two-matvec stepping.
-
-    w = [W_r; W_z; W_n] (3h x in), u = [U_r; U_z; U_n] (3h x h),
-    b_w = [b_r, b_z, b_in], numpy copies of the cell's gate blocks.
-    Fusing once per batch or weight update hoists the concatenation out
-    of the time loop.
-    """
-
-    input_size: int
-    hidden_size: int
-    w: object
-    u: object
-    b_w: object
-    b_hn: object
+def fuse_stack(stack: GruStackParams) -> GruStackParams:
+    """Numpy views of the stack's weights: the same arrays, no copies."""
+    return GruStackParams(
+        layers=[GruCell(c.input_size, c.hidden_size, *map(value_of, c.weights()))
+                for c in stack.layers],
+        dropout_rate=stack.dropout_rate)
 
 
-@dataclass
-class FusedStack:
-    """Fused cells, and the per-gate weights (``GruStackParams.weights``)
-    they were fused from, in the order :func:`window_batch_backward`
-    returns their gradients."""
-
-    layers: list
-    dropout_rate: float
-    weights: list
-
-
-def fuse_cell(cell: GruCellParams) -> FusedCell:
-    def stacked(*blocks):
-        return np.concatenate([value_of(b) for b in blocks])
-
-    return FusedCell(
-        input_size=cell.input_size,
-        hidden_size=cell.hidden_size,
-        w=stacked(cell.W_r, cell.W_z, cell.W_n),
-        u=stacked(cell.U_r, cell.U_z, cell.U_n),
-        b_w=stacked(cell.b_r, cell.b_z, cell.b_in),
-        b_hn=value_of(cell.b_hn),
-    )
-
-
-def fuse_stack(stack: GruStackParams) -> FusedStack:
-    return FusedStack(layers=[fuse_cell(c) for c in stack.layers],
-                      dropout_rate=stack.dropout_rate, weights=stack.weights())
-
-
-def fused_cell_forward(cell: FusedCell, x, h_prev):
+def fused_cell_forward(cell: GruCell, x, h_prev):
     """One GRU step, two matvecs on numpy arrays: returns the next hidden
     state.
 
@@ -177,7 +143,7 @@ def fused_cell_forward(cell: FusedCell, x, h_prev):
     return (1.0 - z) * n + z * h_prev
 
 
-def fused_stack_step(stack: FusedStack, x, h_prev, masks=None):
+def fused_stack_step(stack: GruStackParams, x, h_prev, masks=None):
     """Advance every fused layer one step; returns (top output, new hidden)."""
     h_next = []
     inp = x
@@ -219,7 +185,8 @@ def _sigmoid(x):
 class WindowBatchCache:
     """What :func:`window_batch_backward` needs from the forward pass.
 
-    Time-major arrays over T steps and B windows: per layer, ``xin`` is
+    ``stack`` and ``readout`` are numpy views of the weights. Time-major
+    arrays over T steps and B windows: per layer, ``xin`` is
     the input (T, B, in; a view of the layer below's ``hs`` when there is
     no dropout), ``hs`` the hidden states (T + 1, B, h) after the zero
     start state, ``rz`` the reset and update gates (T, B, 2h),
@@ -230,7 +197,7 @@ class WindowBatchCache:
     ``masks`` the dropout masks (T, gaps, B, h) or None.
     """
 
-    stack: FusedStack
+    stack: GruStackParams
     readout: LinearParams
     xin: list
     hs: list
@@ -243,7 +210,7 @@ class WindowBatchCache:
     masks: np.ndarray | None
 
 
-def window_batch_forward(stack: FusedStack, readout: LinearParams, floor: float,
+def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: float,
                          X: np.ndarray, anchors, k: int, masks=None):
     """Training forward over a batch of windows; returns (losses, cache).
 
@@ -252,10 +219,11 @@ def window_batch_forward(stack: FusedStack, readout: LinearParams, floor: float,
     take the belief (mu, sigma) the previous step emitted, and the k
     readouts from step anchor_b-1 on are scored against x_{t+1}. A row's
     loss is its mean per-point Gaussian NLL. ``masks`` is None (no
-    dropout) or one (anchor_b, gaps, h) array per row. The readout may
-    hold ``Var``s or numpy arrays; only their values are read. The step
-    is :func:`fused_cell_forward` with a batch dimension.
+    dropout) or one (anchor_b, gaps, h) array per row. The stack and
+    readout may hold ``Var``s or numpy arrays; only their values are
+    read. The step is :func:`fused_cell_forward` with a batch dimension.
     """
+    stack, readout = fuse_stack(stack), freeze_linear(readout)
     X = np.asarray(X, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.intp)
     B, L, N = X.shape
@@ -270,8 +238,8 @@ def window_batch_forward(stack: FusedStack, readout: LinearParams, floor: float,
     # so each step is a plain product and a same-shape add
     cells = [(c.w.T.copy(), c.u.T.copy(), np.tile(c.b_w, (B, 1)), np.tile(c.b_hn, (B, 1)))
              for c in stack.layers]
-    w_out = value_of(readout.weight).T.copy()
-    b_out = np.tile(value_of(readout.bias), (B, 1))
+    w_out = readout.weight.T.copy()
+    b_out = np.tile(readout.bias, (B, 1))
     last = len(cells) - 1
 
     dense_masks = None
@@ -338,18 +306,17 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     """Gradients of the batch-mean loss: hand-written BPTT over the cache.
 
     Returns one array per weight, in ``UPropModel.parameters()`` order:
-    the ten per-gate weights of each layer (``GruCellParams.weights``;
-    the fused ``w``, ``u`` and ``b_w`` gradients split back into their
-    ``[r; z; n]`` blocks), then the readout weight and bias. Steps run in
-    reverse. At each step the gradient enters at the readout (from the
-    loss and from the next step's input on fed rows), falls through the
-    layers top-down, and leaves layer 0's input towards the previous
-    step's (mu, sigma) on fed rows. The gate derivatives are formed for all steps before the loop
-    and the weight gradients summed over all steps after it, one matrix
-    product per weight.
+    ``w``, ``u``, ``b_w`` and ``b_hn`` of each layer, then the readout
+    weight and bias. Steps run in reverse. At each step the gradient
+    enters at the readout (from the loss and from the next step's input
+    on fed rows), falls through the layers top-down, and leaves layer 0's
+    input towards the previous step's (mu, sigma) on fed rows. The gate
+    derivatives are formed for all steps before the loop and the weight
+    gradients summed over all steps after it, one matrix product per
+    weight.
     """
     cells = [(c.w, c.u) for c in cache.stack.layers]
-    w_out = value_of(cache.readout.weight)
+    w_out = cache.readout.weight
     T, B, two_n = cache.raw.shape
     N = two_n // 2
     last = len(cells) - 1
@@ -400,9 +367,9 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
         h = u.shape[1]
         da = d_a[i].reshape(T * B, 3 * h)
         dc = d_c[i].reshape(T * B, 3 * h)
-        grads += [*np.split(da.T @ cache.xin[i].reshape(T * B, -1), 3),
-                  *np.split(dc.T @ cache.hs[i][:T].reshape(T * B, h), 3),
-                  *np.split(da.sum(axis=0), 3), dc[:, 2 * h:].sum(axis=0)]
+        grads += [da.T @ cache.xin[i].reshape(T * B, -1),
+                  dc.T @ cache.hs[i][:T].reshape(T * B, h),
+                  da.sum(axis=0), dc[:, 2 * h:].sum(axis=0)]
     d_raw = d_raw.reshape(T * B, two_n)
     return grads + [d_raw.T @ cache.hs[last][1:].reshape(T * B, -1),
                     d_raw.sum(axis=0)]

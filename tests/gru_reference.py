@@ -1,39 +1,25 @@
 """Unfused GRU: the reference oracle for ``uprop.nn.fused_cell_forward``.
 
 One matvec per gate, written straight from the cell equations in plain
-numpy, with shape checks. The package runs only the fused path; this
-module exists so tests can check the fused cell against an independent
-formulation. It runs on frozen cells: :func:`freeze_cell` and
-:func:`freeze_stack` swap a model's ``Var`` leaves for their arrays.
+numpy, with shape checks. The package stores and runs only the fused
+cell; this module reads each cell through its per-gate blocks
+(``nn.gate_blocks``, the blocks a checkpoint names), so tests can check
+the fused kernels against an independent formulation. Cells may hold
+``Var`` leaves or numpy arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import expit
 
 from uprop.errors import ShapeError
-from uprop.nn import GruCellParams, GruStackParams, dropout_mask, zero_hidden
-from uprop.tensor import value_of
-
-GATE_WEIGHTS = ("W_r", "W_z", "W_n", "U_r", "U_z", "U_n",
-                "b_r", "b_z", "b_in", "b_hn")
+from uprop.nn import GruStackParams, dropout_mask, gate_blocks, zero_hidden
 
 
-def freeze_cell(cell: GruCellParams) -> GruCellParams:
-    """Numpy view of a cell's weights, sharing the underlying arrays."""
-    return replace(cell, **{name: value_of(getattr(cell, name))
-                            for name in GATE_WEIGHTS})
-
-
-def freeze_stack(stack: GruStackParams) -> GruStackParams:
-    return GruStackParams(layers=[freeze_cell(c) for c in stack.layers],
-                          dropout_rate=stack.dropout_rate)
-
-
-def gru_cell_forward(params, x, h_prev):
+def gru_cell_forward(cell, x, h_prev):
     """One GRU step: returns the next hidden state.
 
     r = sig(W_r x + U_r h + b_r)
@@ -41,16 +27,17 @@ def gru_cell_forward(params, x, h_prev):
     n = tanh(W_n x + b_in + r * (U_n h + b_hn))
     h' = (1 - z) * n + z * h
     """
-    if np.shape(x) != (params.input_size,):
+    if np.shape(x) != (cell.input_size,):
         raise ShapeError(
-            f"gru cell expects input of length {params.input_size}, "
+            f"gru cell expects input of length {cell.input_size}, "
             f"got {np.shape(x)}"
         )
-    if np.shape(h_prev) != (params.hidden_size,):
+    if np.shape(h_prev) != (cell.hidden_size,):
         raise ShapeError(
-            f"gru cell expects hidden state of length {params.hidden_size}, "
+            f"gru cell expects hidden state of length {cell.hidden_size}, "
             f"got {np.shape(h_prev)}"
         )
+    params = SimpleNamespace(**gate_blocks(cell))
     r = expit(params.W_r @ x + params.U_r @ h_prev + params.b_r)
     z = expit(params.W_z @ x + params.U_z @ h_prev + params.b_z)
     n = np.tanh(params.W_n @ x + params.b_in + r * (params.U_n @ h_prev + params.b_hn))

@@ -21,7 +21,7 @@ from uprop.data import (TimeSeries, emulate_missing, load_csv, save_csv,
 from uprop.evaluate import evaluate_grid
 from uprop.forecaster import (DistVector, TrainConfig, _window_loss,
                               build_model, filter_series, rollout, train)
-from uprop.nn import fuse_stack, zero_grad
+from uprop.nn import zero_grad
 from uprop.novelty import calibrate_threshold, score_series
 from uprop.prob import interval95, kl, nll
 
@@ -55,12 +55,12 @@ def test_criterion_1_gradient_oracle():
         params = model.parameters()
 
         def loss_value():
-            return float(_window_loss(fuse_stack(model.stack), model.readout,
+            return float(_window_loss(model.stack, model.readout,
                                       model.squash, x, anchor, k,
                                       rng=None).value)
 
         zero_grad(params)
-        loss = _window_loss(fuse_stack(model.stack), model.readout,
+        loss = _window_loss(model.stack, model.readout,
                             model.squash, x, anchor, k, rng=None)
         tn.backward(loss)
         eps = 1e-5

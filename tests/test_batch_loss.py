@@ -26,24 +26,21 @@ def make_model(dims, hidden, layers, dropout, k, L, seed):
     model = build_model(dims, cfg, NormStats(mean=np.zeros(dims),
                                              std=np.ones(dims)), rng)
     # give the sigma-input columns weight, so the fed-back sigma matters
-    first = model.stack.layers[0]
-    for name in ("W_r", "W_z", "W_n"):
-        getattr(first, name).value[:, dims:] = rng.uniform(-0.5, 0.5, size=(hidden, dims))
+    model.stack.layers[0].w.value[:, dims:] = rng.uniform(-0.5, 0.5, size=(3 * hidden, dims))
     return model
 
 
 def batch(model, B, L, k, anchors, seed):
     rng = np.random.default_rng(seed + 1)
     X = rng.normal(size=(B, L, model.dims))
-    fstack = fuse_stack(model.stack)
-    masks = [_context_masks(fstack, a, rng) for a in anchors]
+    masks = [_context_masks(model.stack, a, rng) for a in anchors]
     return X, None if masks[0] is None else masks
 
 
 def loss_and_grads(model, X, anchors, k, masks):
     params = model.parameters()
     zero_grad(params)
-    loss, losses = _batch_loss(fuse_stack(model.stack), model.readout,
+    loss, losses = _batch_loss(model.stack, model.readout,
                                model.squash, X, anchors, k, masks)
     tn.backward(loss)
     return float(loss.value), losses, [p.grad.copy() for p in params]
@@ -79,7 +76,7 @@ def test_gradients_match_finite_differences():
     _, _, grads = loss_and_grads(model, X, anchors, k, masks)
 
     def loss_value():
-        loss, _ = _batch_loss(fuse_stack(model.stack), model.readout,
+        loss, _ = _batch_loss(model.stack, model.readout,
                               model.squash, X, anchors, k, masks)
         return float(loss.value)
 
@@ -136,7 +133,7 @@ def test_random_shapes_match_batches_of_one_and_the_inference_loop(
 def test_context_masks_follow_the_per_row_draw_order():
     # training draws a window's masks row by row, gap by gap
     model = make_model(dims=2, hidden=5, layers=3, dropout=0.25, k=2, L=10, seed=1)
-    got = _context_masks(fuse_stack(model.stack), 4, np.random.default_rng(9))
+    got = _context_masks(model.stack, 4, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     want = [[dropout_mask(5, 0.25, rng) for _ in range(2)] for _ in range(4)]
     np.testing.assert_array_equal(got, np.array(want))
@@ -146,7 +143,7 @@ def test_no_per_op_tape():
     # the loss is one node over the weights, whatever the window length
     model = make_model(dims=2, hidden=4, layers=2, dropout=0.0, k=3, L=60, seed=2)
     X, _ = batch(model, 4, 60, 3, [50, 40, 30, 57], seed=2)
-    loss, _ = _batch_loss(fuse_stack(model.stack), model.readout, model.squash,
+    loss, _ = _batch_loss(model.stack, model.readout, model.squash,
                           X, [50, 40, 30, 57], 3)
     seen, stack = {id(loss)}, [loss]
     while stack:
@@ -154,6 +151,6 @@ def test_no_per_op_tape():
             if id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    # the loss, the 10 per-gate weights of each layer, and the readout's
+    # the loss, the 4 fused weights of each layer, and the readout's
     # weight and bias
-    assert len(seen) == 1 + 2 * 10 + 2
+    assert len(seen) == 1 + 2 * 4 + 2

@@ -1,17 +1,25 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uprop.checkpoint import (_CELL_FIELDS, _HYPER_FIELDS, load_checkpoint,
-                              save_checkpoint)
+from uprop.checkpoint import _HYPER_FIELDS, load_checkpoint, save_checkpoint
 from uprop.cli import main
 from uprop.errors import CheckpointNotFoundError, DataError
 from uprop.forecaster import DistVector, TrainConfig, rollout, train
 
 from test_forecaster import small_model, toy_windows
+
+# the per-gate weight keys of one GRU layer, in the order format version 1
+# writes them
+GATE_KEYS = ("W_r", "W_z", "W_n", "U_r", "U_z", "U_n", "b_r", "b_z", "b_in", "b_hn")
+
+# a format-1 checkpoint (dims 2, 2 layers x hidden 3) written when the GRU
+# weights were still stored per gate
+V1_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_v1_2x3.json"
 
 
 def tiny_trained_model(seed=50):
@@ -29,6 +37,23 @@ class TestRoundTrip:
         loaded, info = load_checkpoint(p1)
         save_checkpoint(loaded, p2, seed=info["seed"], final_loss=info["final_loss"])
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_per_gate_checkpoint_loads_and_resaves_byte_identically(self, tmp_path):
+        doc = json.loads(V1_CHECKPOINT.read_text())
+        assert list(doc["weights"]) == (
+            [f"gru.{i}.{name}" for i in range(2) for name in GATE_KEYS]
+            + ["readout.weight", "readout.bias"])
+        loaded, info = load_checkpoint(V1_CHECKPOINT)
+        # each fused weight stacks its gate blocks as [r; z; n]; row-major,
+        # that is the concatenation of the blocks' flat lists
+        for i, cell in enumerate(loaded.stack.layers):
+            blocks = (GATE_KEYS[:3], GATE_KEYS[3:6], GATE_KEYS[6:9], GATE_KEYS[9:])
+            for fused, names in zip(cell.weights(), blocks):
+                np.testing.assert_array_equal(fused.value.ravel(), np.concatenate(
+                    [doc["weights"][f"gru.{i}.{name}"] for name in names]))
+        path = tmp_path / "resaved.json"
+        save_checkpoint(loaded, path, seed=info["seed"], final_loss=info["final_loss"])
+        assert path.read_bytes() == V1_CHECKPOINT.read_bytes()
 
     def test_loaded_model_reproduces_forecasts_bit_exactly(self, tmp_path):
         model, hist = tiny_trained_model(seed=51)
@@ -107,7 +132,7 @@ CHECKPOINT_KEYS = (
                     "weights", "final_loss")]
     + [("hyperparameters", k) for k in _HYPER_FIELDS]
     + [("normalization", k) for k in ("mean", "std")]
-    + [("weights", f"gru.{i}.{name}") for i in range(2) for name in _CELL_FIELDS]
+    + [("weights", f"gru.{i}.{name}") for i in range(2) for name in GATE_KEYS]
     + [("weights", "readout.weight"), ("weights", "readout.bias")]
 )
 

@@ -7,7 +7,7 @@ from uprop.errors import ConfigError, DataError, ShapeError
 from uprop.forecaster import (DistVector, TrainConfig, _window_loss,
                               build_model, encode_input, filter_series,
                               rollout, step, train)
-from uprop.nn import fuse_stack, zero_grad, zero_hidden
+from uprop.nn import zero_grad, zero_hidden
 from uprop.prob import SigmaSquash
 
 
@@ -271,13 +271,11 @@ class TestGradientsOfTrainingLoss:
         params = model.parameters()
 
         def loss_value():
-            fstack = fuse_stack(model.stack)
-            return float(_window_loss(fstack, model.readout, model.squash,
+            return float(_window_loss(model.stack, model.readout, model.squash,
                                       x, anchor, k, rng=None).value)
 
         zero_grad(params)
-        fstack = fuse_stack(model.stack)
-        loss = _window_loss(fstack, model.readout, model.squash, x, anchor, k,
+        loss = _window_loss(model.stack, model.readout, model.squash, x, anchor, k,
                             rng=None)
         tn.backward(loss)
         eps = 1e-5
@@ -301,8 +299,7 @@ class TestGradientsOfTrainingLoss:
         x = np.zeros((4, 1))
         params = model.parameters()
         zero_grad(params)
-        fstack = fuse_stack(model.stack)
-        loss = _window_loss(fstack, model.readout, model.squash, x, 2, 1, rng=None)
+        loss = _window_loss(model.stack, model.readout, model.squash, x, 2, 1, rng=None)
         tn.backward(loss)
         for p in params:
             assert p.grad is not None

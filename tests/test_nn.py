@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,22 +11,20 @@ from uprop.tensor import Var
 
 
 def make_cell(input_size, hidden_size, rng=None):
+    """A numpy cell: all zeros, or the initialisation drawn from ``rng``."""
     if rng is None:
-        zeros_m = lambda r, c: np.zeros((r, c))
-        zeros_v = lambda: np.zeros(hidden_size)
-        return nn.GruCellParams(
-            input_size=input_size, hidden_size=hidden_size,
-            W_r=zeros_m(hidden_size, input_size), W_z=zeros_m(hidden_size, input_size),
-            W_n=zeros_m(hidden_size, input_size), U_r=zeros_m(hidden_size, hidden_size),
-            U_z=zeros_m(hidden_size, hidden_size), U_n=zeros_m(hidden_size, hidden_size),
-            b_r=zeros_v(), b_z=zeros_v(), b_in=zeros_v(), b_hn=zeros_v())
-    return ref.freeze_cell(nn.init_gru_cell(input_size, hidden_size, rng))
+        rows = 3 * hidden_size
+        return nn.GruCell(input_size, hidden_size, np.zeros((rows, input_size)),
+                          np.zeros((rows, hidden_size)), np.zeros(rows),
+                          np.zeros(hidden_size))
+    return nn.fuse_stack(nn.init_gru_stack(input_size, hidden_size, 1, 0.0, rng)).layers[0]
 
 
 def scalar_cell_oracle(cell, x, h):
     """Step-by-step scalar re-implementation of the cell equations."""
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
     hs = cell.hidden_size
+    cell = SimpleNamespace(input_size=cell.input_size, **nn.gate_blocks(cell))
     out = []
     for i in range(hs):
         wr = sum(cell.W_r[i][j] * x[j] for j in range(cell.input_size))
@@ -63,22 +62,21 @@ def test_cell_matches_scalar_oracle():
         got = ref.gru_cell_forward(cell, x, h)
         want = scalar_cell_oracle(cell, x, h)
         np.testing.assert_allclose(got, want, atol=1e-12)
-        fused = nn.fused_cell_forward(nn.fuse_cell(cell), x, h)
+        fused = nn.fused_cell_forward(cell, x, h)
         np.testing.assert_allclose(fused, want, atol=1e-12)
 
 
 def test_fused_cell_matches_plain_cell():
     rng = np.random.default_rng(12)
     cell = make_cell(3, 5, rng)
-    fused = nn.fuse_cell(cell)
     x, h = rng.normal(size=3), rng.normal(size=5) * 0.3
-    np.testing.assert_allclose(nn.fused_cell_forward(fused, x, h),
+    np.testing.assert_allclose(nn.fused_cell_forward(cell, x, h),
                                ref.gru_cell_forward(cell, x, h), atol=1e-12)
 
 
 def test_fused_stack_step_matches_reference_stack_with_dropout():
     rng = np.random.default_rng(18)
-    stack = ref.freeze_stack(nn.init_gru_stack(3, 5, 3, 0.5, rng))
+    stack = nn.init_gru_stack(3, 5, 3, 0.5, rng)
     fused = nn.fuse_stack(stack)
     h_ref = h_fused = nn.zero_hidden(stack)
     for _ in range(8):
@@ -101,7 +99,7 @@ def test_cell_shape_errors():
 
 def test_hidden_state_stays_bounded():
     rng = np.random.default_rng(13)
-    stack = ref.freeze_stack(nn.init_gru_stack(2, 8, 2, 0.0, rng))
+    stack = nn.fuse_stack(nn.init_gru_stack(2, 8, 2, 0.0, rng))
     x_seq = rng.normal(size=(200, 2)) * 5.0
     outputs, h = ref.gru_stack_forward(stack, x_seq)
     assert np.all(np.abs(outputs) < 1.0)
@@ -111,7 +109,7 @@ def test_hidden_state_stays_bounded():
 
 def test_stack_of_one_equals_repeated_cell():
     rng = np.random.default_rng(14)
-    stack = ref.freeze_stack(nn.init_gru_stack(3, 5, 1, 0.0, rng))
+    stack = nn.fuse_stack(nn.init_gru_stack(3, 5, 1, 0.0, rng))
     x_seq = rng.normal(size=(10, 3))
     outputs, _ = ref.gru_stack_forward(stack, x_seq)
     h = np.zeros(5)
@@ -122,7 +120,7 @@ def test_stack_of_one_equals_repeated_cell():
 
 def test_stack_forward_deterministic():
     rng = np.random.default_rng(15)
-    stack = ref.freeze_stack(nn.init_gru_stack(2, 4, 3, 0.0, rng))
+    stack = nn.fuse_stack(nn.init_gru_stack(2, 4, 3, 0.0, rng))
     x_seq = rng.normal(size=(20, 2))
     out1, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
     out2, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
@@ -131,7 +129,7 @@ def test_stack_forward_deterministic():
 
 def test_zero_rate_dropout_is_noop():
     rng = np.random.default_rng(16)
-    stack = ref.freeze_stack(nn.init_gru_stack(2, 4, 2, 0.0, rng))
+    stack = nn.fuse_stack(nn.init_gru_stack(2, 4, 2, 0.0, rng))
     x_seq = rng.normal(size=(15, 2))
     off, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
     on, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=True,
