@@ -207,13 +207,14 @@ def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,
     if h is None:
         h = zero_hidden(model.stack)
     inputs, preds = [], []
-    for t in range(n):
-        inp = pending if policy is None else policy(t, pending)
-        pending, h = step(model, inp, h)
-        inputs.append(inp)
-        preds.append(pending)
-        if snapshots is not None:
-            snapshots.append(h)
+    with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
+        for t in range(n):
+            inp = pending if policy is None else policy(t, pending)
+            pending, h = step(model, inp, h)
+            inputs.append(inp)
+            preds.append(pending)
+            if snapshots is not None:
+                snapshots.append(h)
     return inputs, preds, h
 
 

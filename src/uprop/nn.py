@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeError
 from .prob import LN_2PI
@@ -124,6 +123,17 @@ def fuse_stack(stack: GruStackParams) -> GruStackParams:
         dropout_rate=stack.dropout_rate)
 
 
+def _sigmoid(x):
+    """1 / (1 + exp(-x)) in place on ``x``, the one sigmoid of the package.
+
+    Below x = -709, exp(-x) overflows to inf and the result is exactly 0;
+    callers silence that overflow with ``np.errstate(over="ignore")``.
+    """
+    np.exp(np.negative(x, out=x), out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
+
+
 def fused_cell_forward(cell: GruCell, x, h_prev):
     """One GRU step, two matvecs on numpy arrays: returns the next hidden
     state.
@@ -136,7 +146,7 @@ def fused_cell_forward(cell: GruCell, x, h_prev):
     h = cell.hidden_size
     a = cell.w @ x + cell.b_w
     b = cell.u @ h_prev
-    rz = expit(a[: 2 * h] + b[: 2 * h])
+    rz = _sigmoid(a[: 2 * h] + b[: 2 * h])
     r = rz[:h]
     z = rz[h:]
     n = np.tanh(a[2 * h:] + r * (b[2 * h:] + cell.b_hn))
@@ -171,14 +181,6 @@ def zero_hidden(stack: GruStackParams) -> list:
 def linear_forward(params: LinearParams, x):
     """Affine map on numpy arrays: ``weight @ x + bias``."""
     return params.weight @ x + params.bias
-
-
-def _sigmoid(x):
-    """1 / (1 + exp(-x)) in place: equal to ``expit`` up to rounding, at
-    about half its cost on the gate blocks of a batch step."""
-    np.exp(np.negative(x, out=x), out=x)
-    x += 1.0
-    return np.reciprocal(x, out=x)
 
 
 @dataclass
@@ -321,7 +323,9 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     N = two_n // 2
     last = len(cells) - 1
     # d(mu, sigma)/d(raw) is (1, sigmoid(raw_sigma)) by the softplus squash
-    d_squash = np.concatenate([np.ones((T, B, N)), expit(cache.raw[:, :, N:])], axis=2)
+    with np.errstate(over="ignore"):
+        d_sigma = _sigmoid(cache.raw[:, :, N:].copy())
+    d_squash = np.concatenate([np.ones((T, B, N)), d_sigma], axis=2)
     d_raw = cache.d_belief * d_squash
     # per layer: gate derivatives (T, B, h), then the step gradients of the
     # pre-activations a = W x + b_w (T, B, 3h) and c = U h + [0, 0, b_hn]

@@ -276,13 +276,23 @@ class TestExitCodes:
         assert rc == 4
 
 
-def test_console_entry_point_help():
-    # the child imports the same uprop as this process, installed or not
+def run_python(*args):
+    """A child Python that imports the same uprop as this process,
+    installed or not."""
     src = str(Path(uprop.__file__).parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "uprop.cli", "--help"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_entry_point_help():
+    proc = run_python("-m", "uprop.cli", "--help")
     assert proc.returncode == 0
     for sub in ("synth", "train", "forecast", "evaluate", "detect"):
         assert sub in proc.stdout
+
+
+def test_runtime_does_not_import_scipy():
+    # scipy is a test dependency only
+    proc = run_python("-c", "import sys, uprop.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n"

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import gru_reference as ref
 from uprop import tensor as tn
 from uprop.data import NormStats, TimeSeries
 from uprop.errors import ConfigError, DataError, ShapeError
-from uprop.forecaster import (DistVector, TrainConfig, _window_loss,
-                              build_model, encode_input, filter_series,
-                              rollout, step, train)
-from uprop.nn import zero_grad, zero_hidden
+from uprop.forecaster import (DistVector, TrainConfig, _batch_loss,
+                              _window_loss, build_model, encode_input,
+                              filter_series, rollout, step, train)
+from uprop.nn import window_batch_forward, zero_grad, zero_hidden
+from uprop.novelty import forecast_from_origin
 from uprop.prob import SigmaSquash
 
 
@@ -304,3 +308,70 @@ class TestGradientsOfTrainingLoss:
         for p in params:
             assert p.grad is not None
             assert p.grad.shape == p.value.shape
+
+
+class TestSaturatedGates:
+    """Gate pre-activations at +-800 and a readout sigma half at -800:
+    exp overflows inside the sigmoid, which must stay silent and give
+    gates of exactly 0 or 1."""
+
+    @staticmethod
+    def saturated_model():
+        model = small_model(dims=2, hidden=4, layers=2, seed=21)
+        rng = np.random.default_rng(21)
+        for cell in model.stack.layers:
+            cell.b_w.value[:8] = rng.choice([-800.0, 800.0], size=8)
+        model.readout.bias.value[2:] = -800.0
+        model.refresh_frozen()
+        return model
+
+    @staticmethod
+    def reference_scan(model, n, policy):
+        """The beliefs of ``n`` steps of ``gru_reference`` under an input
+        policy, as in ``forecaster._scan``."""
+        h, pending, out = zero_hidden(model.stack), None, []
+        w, b = model.readout.weight.value, model.readout.bias.value
+        for t in range(n):
+            inp = policy(t, pending)
+            top, h = ref.gru_stack_step(model.stack, np.concatenate([inp.mu, inp.sigma]), h)
+            raw = w @ top + b
+            pending = DistVector(mu=raw[:2],
+                                 sigma=np.logaddexp(0.0, raw[2:]) + model.squash.floor)
+            out.append(pending)
+        return out
+
+    def test_no_warning_and_matches_the_reference(self):
+        model = self.saturated_model()
+        rng = np.random.default_rng(22)
+        values = rng.normal(size=(30, 2))
+        values[rng.random((30, 2)) < 0.3] = np.nan
+        series = TimeSeries(values=values, mask=~np.isnan(values))
+        X = rng.normal(size=(3, 12, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = filter_series(model, series)
+            fc = forecast_from_origin(model, series, 20, 4)
+            _, cache = window_batch_forward(model.stack, model.readout,
+                                            model.squash.floor, X, [3, 8, 5], 4)
+            params = model.parameters()
+            zero_grad(params)
+            loss, _ = _batch_loss(model.stack, model.readout, model.squash,
+                                  X, [3, 8, 5], 4)
+            tn.backward(loss)
+        for rz in cache.rz:
+            assert np.all((rz == 0.0) | (rz == 1.0))
+        assert all(np.all(np.isfinite(p.grad)) for p in params)
+        np.testing.assert_array_equal(model.readout.bias.grad[2:], 0.0)
+
+        def observe(t, pending, origin=len(values)):
+            return encode_input(values[t], pending) if t <= origin else pending
+
+        filtered = [r.forecast.steps[0] for r in records]
+        assert filtered[0].sigma.tolist() == [model.squash.floor] * 2
+        pairs = [(filtered, self.reference_scan(model, 30, observe)),
+                 (fc.steps, self.reference_scan(
+                     model, 24, lambda t, p: observe(t, p, 20))[20:])]
+        for got, want in pairs:
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_allclose(g.mu, w.mu, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(g.sigma, w.sigma, rtol=0, atol=1e-12)
