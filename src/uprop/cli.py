@@ -107,22 +107,30 @@ class RunConfig:
             dropout=self.dropout, sigma_floor=self.sigma_floor)
 
 
-def _load_series(path) -> list:
-    """A single CSV, or every non-sidecar CSV in a directory (sorted)."""
+def _load_series(path, dims: int | None = None) -> list:
+    """A single CSV, or every non-sidecar CSV in a directory (sorted); when
+    ``dims`` is given, each must have that many value columns."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"data path not found: {path}")
+    files = [path]
     if path.is_dir():
         files = sorted(p for p in path.glob("*.csv") if not p.name.endswith(".mask.csv"))
         if not files:
             raise DataError(f"no CSV files in {path}")
-        return [load_csv(p) for p in files]
-    return [load_csv(path)]
+    series = []
+    for file in files:
+        s = load_csv(file)
+        if dims is not None and s.dims != dims:
+            raise DataError(f"{file}: {s.dims} value columns, but the config's "
+                            f"dims is {dims}")
+        series.append(s)
+    return series
 
 
 def _dataset(config: RunConfig, data_path) -> DatasetSplit:
     windows = []
-    for series in _load_series(data_path):
+    for series in _load_series(data_path, config.dims):
         windows.extend(window(series, config.window))
     return split(windows, (0.8, 0.1, 0.1), seed=config.seed,
                  window_length=config.window)

@@ -345,19 +345,22 @@ def _window_loss(stack: GruStackParams, readout: LinearParams,
 def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
     """Train on complete windows; returns (model, per-epoch mean loss).
 
-    Windows must be fully observed and of length ``config.window_length``.
+    Windows must be fully observed, of length ``config.window_length`` and
+    of one dims.
     Per window per epoch one anchor is drawn uniformly from
     [ceil(L/4), L-k]; identical seeds give identical trajectories.
     """
     if not windows:
         raise DataError("no training windows")
     L, k = config.window_length, config.lookahead
+    dims = windows[0].dims
     for w in windows:
         if not w.mask.all():
             raise DataError("training data must not contain missing values")
         if w.steps != L:
             raise DataError(f"training window length {w.steps} != configured {L}")
-    dims = windows[0].dims
+        if w.dims != dims:
+            raise DataError(f"training window dims {w.dims} != first window's {dims}")
     if norm is None:
         norm = NormStats.from_windows(windows)
     xs = np.stack([(w.values - norm.mean) / norm.std for w in windows])

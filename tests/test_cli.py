@@ -270,6 +270,27 @@ class TestExitCodes:
         assert err.startswith("data error:") and absent in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["config-dims", "mixed-dims"])
+    def test_data_not_of_the_config_dims_is_3(self, workdir, tmp_path, capsys, case):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("node_000.csv", "node_001.csv"):
+            (data / name).write_bytes((workdir / "data" / name).read_bytes())
+        config = dict(TINY, dims=5) if case == "config-dims" else TINY
+        bad = data / ("node_000.csv" if case == "config-dims" else "node_001.csv")
+        if case == "mixed-dims":
+            rows = [line.rsplit(",", 1)[0] for line in bad.read_text().splitlines()]
+            bad.write_text("\n".join(rows) + "\n")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--config", str(path),
+                   "--model-out", str(model)])
+        err = capsys.readouterr().err
+        assert rc == 3 and not model.exists()
+        assert err.startswith("data error:") and str(bad) in err
+        assert err.count("\n") == 1
+
     def test_missing_model_is_4(self, workdir, tmp_path):
         rc = main(["forecast", "--model", str(tmp_path / "none.json"),
                    "--data", str(workdir / "data" / "node_000.csv"), "--at", "5"])

@@ -236,6 +236,13 @@ class TestTrain:
         with pytest.raises(DataError):
             train(windows, cfg)
 
+    def test_rejects_windows_of_mixed_dims(self):
+        windows = toy_windows(n_windows=2, dims=2, seed=9) + toy_windows(n_windows=1, dims=3)
+        cfg = TrainConfig(lookahead=2, epochs=1, window_length=40,
+                          n_layers=1, hidden_size=4, seed=9)
+        with pytest.raises(DataError, match="dims 3 != first window's 2"):
+            train(windows, cfg)
+
     def test_non_finite_loss_names_epoch_and_batch(self):
         # finite values that overflow to inf once normalized
         windows = [TimeSeries.complete(np.full((40, 2), 1e304)) for _ in range(3)]
