@@ -297,9 +297,10 @@ def _batch_loss(stack: GruStackParams, readout: LinearParams, squash: SigmaSquas
     steps self-fed and is scored against rows anchor_b..anchor_b+k-1 by
     mean per-point NLL. Returns the batch-mean loss as a ``Var`` whose
     parents are the ``Var`` leaves among the weights of ``stack`` and
-    ``readout``, and the per-window losses as numpy. The forward is :func:`window_batch_forward`; the
-    gradients come from one :func:`window_batch_backward` pass, run when
-    ``backward`` first asks for them.
+    ``readout``, and the per-window losses as numpy. The forward is
+    :func:`window_batch_forward`; the gradients come from one
+    :func:`window_batch_backward` pass, run when ``backward`` first asks
+    for them.
     """
     losses, cache = window_batch_forward(stack, readout, squash.floor, X,
                                          anchors, k, masks)
@@ -345,10 +346,10 @@ def _window_loss(stack: GruStackParams, readout: LinearParams,
 def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
     """Train on complete windows; returns (model, per-epoch mean loss).
 
-    Windows must be fully observed, of length ``config.window_length`` and
-    of one dims.
-    Per window per epoch one anchor is drawn uniformly from
-    [ceil(L/4), L-k]; identical seeds give identical trajectories.
+    Windows must be fully observed, of length ``config.window_length``
+    and all of the same dims. Per window per epoch one anchor is drawn
+    uniformly from [ceil(L/4), L-k]; identical seeds give identical
+    trajectories.
     """
     if not windows:
         raise DataError("no training windows")

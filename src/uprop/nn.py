@@ -144,13 +144,24 @@ def fused_cell_forward(cell: GruCell, x, h_prev):
     h' = (1 - z) * n + z * h
     """
     h = cell.hidden_size
-    a = cell.w @ x + cell.b_w
+    # in place on the two fresh products: at batch of one, each temporary
+    # costs about as much as the arithmetic
+    a = cell.w @ x
+    a += cell.b_w
     b = cell.u @ h_prev
-    rz = _sigmoid(a[: 2 * h] + b[: 2 * h])
-    r = rz[:h]
-    z = rz[h:]
-    n = np.tanh(a[2 * h:] + r * (b[2 * h:] + cell.b_hn))
-    return (1.0 - z) * n + z * h_prev
+    rz = a[: 2 * h]
+    rz += b[: 2 * h]
+    _sigmoid(rz)
+    r, z = rz[:h], rz[h:]
+    n = b[2 * h:]
+    n += cell.b_hn
+    n *= r
+    n += a[2 * h:]
+    np.tanh(n, out=n)
+    out = 1.0 - z
+    out *= n
+    out += z * h_prev
+    return out
 
 
 def fused_stack_step(stack: GruStackParams, x, h_prev, masks=None):
