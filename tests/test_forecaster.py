@@ -103,6 +103,20 @@ class TestStep:
         np.testing.assert_allclose(
             pred.sigma, np.logaddexp(0, [0.2, -3.0]) + model.squash.floor)
 
+    def test_in_place_weight_edits_are_seen_without_a_refresh(self):
+        # inference reads views of the weights, not copies
+        model = small_model(seed=3)
+        inp = DistVector.observed(np.array([0.5, -0.5]))
+        before, _ = step(model, inp, zero_hidden(model.stack))
+        for p in model.parameters():
+            p.value *= 1.5
+        edited, _ = step(model, inp, zero_hidden(model.stack))
+        model.refresh_frozen()
+        refreshed, _ = step(model, inp, zero_hidden(model.stack))
+        assert not np.array_equal(before.mu, edited.mu)
+        np.testing.assert_array_equal(edited.mu, refreshed.mu)
+        np.testing.assert_array_equal(edited.sigma, refreshed.sigma)
+
     def test_dim_mismatch(self):
         model = small_model(dims=2)
         with pytest.raises(ShapeError):
