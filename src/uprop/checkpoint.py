@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .data import NormStats, _fmt
+from .data import _KINDS, NormStats, _fmt, _is_a
 from .errors import CheckpointNotFoundError, ConfigError, DataError
 from .forecaster import TrainConfig, UPropModel, build_model
 from .nn import GATE_NAMES, gate_blocks
@@ -41,10 +42,6 @@ def _dump(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
     return json.dumps(obj)
-
-
-_INT_HYPERS = ("n_layers", "hidden_size", "lookahead", "epochs", "batch_size",
-               "window_length")
 
 
 def _weight_shapes(dims: int, config: TrainConfig):
@@ -115,13 +112,10 @@ def load_checkpoint(path):
             raise DataError(f"{path}: missing checkpoint key {where}{key}")
         return obj[key]
 
-    def number(obj, key, where="", integer=False):
+    def number(obj, key, where="", kind=float):
         value = require(obj, key, where)
-        kinds = int if integer else (int, float)
-        if (isinstance(value, bool) or not isinstance(value, kinds)
-                or isinstance(value, float) and not math.isfinite(value)):
-            kind = "an integer" if integer else "a finite number"
-            raise bad(where, key, f"must be {kind}, got {value!r}")
+        if not _is_a(value, kind):
+            raise bad(where, key, f"must be {_KINDS[kind]}, got {value!r}")
         return value
 
     def array(obj, key, where, shape):
@@ -136,15 +130,15 @@ def load_checkpoint(path):
             raise bad(where, key, "has non-finite values")
         return flat.reshape(shape)
 
-    dims = number(doc, "dims", integer=True)
+    dims = number(doc, "dims", kind=int)
     if dims < 1:
         raise bad("", "dims", f"must be >= 1, got {dims}")
-    seed = number(doc, "seed", integer=True)
+    seed = number(doc, "seed", kind=int)
     hypers = require(doc, "hyperparameters")
+    kinds = typing.get_type_hints(TrainConfig)
     try:
         config = TrainConfig(seed=seed, **{
-            k: number(hypers, k, "hyperparameters.", integer=k in _INT_HYPERS)
-            for k in _HYPER_FIELDS})
+            k: number(hypers, k, "hyperparameters.", kinds[k]) for k in _HYPER_FIELDS})
     except ConfigError as exc:
         raise DataError(f"{path}: invalid hyperparameters: {exc}") from None
     stats = require(doc, "normalization")

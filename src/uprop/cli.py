@@ -9,34 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (DatasetSplit, _fmt, load_csv, normalize, save_csv, split,
-                   synth_cloud, window)
+from .data import (_KINDS, DatasetSplit, _fmt, _is_a, load_csv, normalize,
+                   save_csv, split, synth_cloud, window)
 from .errors import CheckpointNotFoundError, ConfigError, DataError
 from .evaluate import METHODS, evaluate_grid
 from .forecaster import TrainConfig, train
 from .novelty import calibrate_threshold, forecast_from_origin, score_series
 from .prob import interval95
-
-# what a JSON config value of each field type must be
-_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
-
-
-def _is_a(value, kind) -> bool:
-    """JSON type check: a bool is no number, and a float field takes any
-    integer or finite float."""
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    return isinstance(value, kind)
-
 
 @dataclass
 class RunConfig:
@@ -136,11 +121,35 @@ def _dataset(config: RunConfig, data_path) -> DatasetSplit:
                  window_length=config.window)
 
 
+def _write_table(dest, columns, rows, fmt="csv") -> None:
+    """Write ``rows`` (sequences in ``columns`` order) to the file ``dest``,
+    or to stdout when it is None or empty: CSV under a header line, or a
+    JSON list of objects. Floats take 17 significant digits, a bool is
+    0/1 in CSV and true/false in JSON, and ints and strings are written
+    as they are."""
+    def cell(v):
+        if isinstance(v, bool):
+            return v if fmt == "json" else int(v)
+        if isinstance(v, (int, str)):
+            return v
+        return float(_fmt(v)) if fmt == "json" else _fmt(v)
+
+    table = [[cell(v) for v in row] for row in rows]
+    if fmt == "json":
+        text = json.dumps([dict(zip(columns, row)) for row in table], indent=2) + "\n"
+    else:
+        text = "".join(",".join(map(str, row)) + "\n" for row in [columns, *table])
+    if dest:
+        Path(dest).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     series = synth_cloud(nodes=args.nodes, steps=args.steps, seed=args.seed,
                          dims=args.dims, period=args.period)
+    out.mkdir(parents=True, exist_ok=True)
     for i, s in enumerate(series):
         save_csv(s, out / f"node_{i:03d}.csv")
     print(f"wrote {len(series)} series to {out}")
@@ -157,12 +166,8 @@ def cmd_train(args) -> int:
     model, history = train(dataset.train, config.train_config(args.lookahead))
     save_checkpoint(model, args.model_out, seed=config.seed,
                     final_loss=history[-1])
-    loss_path = Path(args.loss_out) if args.loss_out else \
-        Path(args.model_out).with_suffix(".loss.csv")
-    with loss_path.open("w") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(history, start=1):
-            fh.write(f"{i},{_fmt(loss)}\n")
+    loss_path = args.loss_out or Path(args.model_out).with_suffix(".loss.csv")
+    _write_table(loss_path, ["epoch", "loss"], enumerate(history, start=1))
     print(f"checkpoint: {args.model_out}  final loss: {_fmt(history[-1])}")
     return 0
 
@@ -181,24 +186,10 @@ def cmd_forecast(args) -> int:
     for j, belief in enumerate(fc.steps):
         lower, upper = interval95(belief)
         for d in range(model.dims):
-            rows.append({"step": args.at + 1 + j, "dim": d,
-                         "mu": belief.mu[d], "sigma": belief.sigma[d],
-                         "lower95": lower[d], "upper95": upper[d]})
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if args.format == "json":
-            doc = [{k: (v if isinstance(v, int) else float(_fmt(v)))
-                    for k, v in row.items()} for row in rows]
-            out.write(json.dumps(doc, indent=2) + "\n")
-        else:
-            out.write("step,dim,mu,sigma,lower95,upper95\n")
-            for row in rows:
-                out.write(f"{row['step']},{row['dim']},{_fmt(row['mu'])},"
-                          f"{_fmt(row['sigma'])},{_fmt(row['lower95'])},"
-                          f"{_fmt(row['upper95'])}\n")
-    finally:
-        if args.out:
-            out.close()
+            rows.append((args.at + 1 + j, d, belief.mu[d], belief.sigma[d],
+                         lower[d], upper[d]))
+    _write_table(args.out, ["step", "dim", "mu", "sigma", "lower95", "upper95"],
+                 rows, args.format)
     return 0
 
 
@@ -215,17 +206,14 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write_table(path, table):
-        with path.open("w") as fh:
-            fh.write("missing," + ",".join(str(k) for k in grid.lookaheads) + "\n")
-            for ri, rate in enumerate(grid.rates):
-                fh.write(_fmt(rate) + "," +
-                         ",".join(_fmt(v) for v in table[ri]) + "\n")
+    def write_table(name, table):
+        _write_table(out_dir / f"{name}.csv", ["missing", *map(str, grid.lookaheads)],
+                     [[rate, *row] for rate, row in zip(grid.rates, table)])
 
     for mi, method in enumerate(grid.methods):
-        write_table(out_dir / f"grid_{method}.csv", grid.cells[:, :, mi])
+        write_table(f"grid_{method}", grid.cells[:, :, mi])
         if method != "uprop":
-            write_table(out_dir / f"diff_{method}.csv", grid.difference(method))
+            write_table(f"diff_{method}", grid.difference(method))
     print(f"wrote evaluation grid to {out_dir}")
     return 0
 
@@ -239,19 +227,8 @@ def cmd_detect(args) -> int:
     threshold = calibrate_threshold(calib_scores, args.quantile)
     scores = score_series(model, target, args.method, near_offset=args.near,
                           far_offset=args.far, threshold=threshold)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if args.format == "json":
-            doc = [{"t": s.t, "kind": s.kind, "value": float(_fmt(s.value)),
-                    "flagged": s.flagged} for s in scores]
-            out.write(json.dumps(doc, indent=2) + "\n")
-        else:
-            out.write("t,kind,value,flagged\n")
-            for s in scores:
-                out.write(f"{s.t},{s.kind},{_fmt(s.value)},{int(s.flagged)}\n")
-    finally:
-        if args.out:
-            out.close()
+    _write_table(args.out, ["t", "kind", "value", "flagged"],
+                 [(s.t, s.kind, s.value, s.flagged) for s in scores], args.format)
     return 0
 
 

@@ -148,9 +148,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# what a JSON value of each field type must be
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _is_a(value, kind) -> bool:
+    """JSON type check: a bool is no number, and a float field takes any
+    integer or finite float."""
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, kind)
+
+
 def save_csv(series: TimeSeries, path) -> None:
-    """Write the series; adds a <name>.mask.csv sidecar if cells are missing."""
+    """Write the series; adds a <name>.mask.csv sidecar if cells are missing.
+    An observed cell that is not finite is a ``DataError``; nothing is written."""
     path = Path(path)
+    bad = series.mask & ~np.isfinite(series.values)
+    if bad.any():
+        i, d = np.argwhere(bad)[0]
+        raise DataError(
+            f"{path}: row t={series.t0 + i}, column dim_{d}: observed value "
+            f"{float(series.values[i, d])!r} is not finite (mark the cell missing instead)")
     header = ["t"] + [f"dim_{d}" for d in range(series.dims)]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -279,6 +300,10 @@ def synth_cloud(nodes: int, steps: int, seed: int, dims: int = 3,
         raise DataError(f"synth_cloud needs steps >= 240, got {steps}")
     if dims < 2:
         raise DataError("synth_cloud needs at least one traffic channel and a CPU channel")
+    if nodes < 1:
+        raise DataError(f"synth_cloud needs nodes >= 1, got {nodes}")
+    if period < 1:
+        raise DataError(f"synth_cloud needs period >= 1, got {period}")
     children = np.random.SeedSequence(seed).spawn(nodes)
     series = []
     t = np.arange(steps)

@@ -5,13 +5,14 @@ Each GRU cell is stored once, in the fused layout its kernels read
 ``[r; z; n]``). A model holds ``Var`` leaves; :func:`fuse_stack` and
 :func:`freeze_linear` give numpy views of the same arrays for inference,
 which steps the cell (:func:`fused_stack_step`, :func:`linear_forward`)
-one window at a time. Training runs :func:`window_batch_forward`, the
-same cell with a batch dimension over a whole batch of windows, and
+one window at a time. Training runs :func:`window_batch_forward` and
 :func:`window_batch_backward`, a hand-written backward pass through time
-over the forward's cached gates (``forecaster._batch_loss`` hangs its
-gradients on the one loss node). This module is the one place that
-knows the gate order; :func:`gate_blocks` names the per-gate blocks for
-checkpoints.
+over the gates the forward caches (``forecaster._batch_loss`` hangs its
+gradients on the one loss node). The training forward repeats the cell's
+arithmetic, in the same order, on buffers it owns: one cell shared by
+both callers slowed inference (README, "Layout"). This module is the
+one place that knows the gate order; :func:`gate_blocks` names the
+per-gate blocks for checkpoints.
 """
 
 from __future__ import annotations
@@ -234,7 +235,9 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     loss is its mean per-point Gaussian NLL. ``masks`` is None (no
     dropout) or one (anchor_b, gaps, h) array per row. The stack and
     readout may hold ``Var``s or numpy arrays; only their values are
-    read. The step is :func:`fused_cell_forward` with a batch dimension.
+    read. Each step is :func:`fused_cell_forward`'s arithmetic, in the
+    same order, with a batch dimension, on buffers the backward reads: a
+    copy, because sharing one cell slowed batch-of-one inference.
     """
     stack, readout = fuse_stack(stack), freeze_linear(readout)
     X = np.asarray(X, dtype=np.float64)

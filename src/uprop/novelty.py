@@ -19,7 +19,7 @@ from .data import TimeSeries
 from .errors import ConfigError, DataError
 from .forecaster import (DistVector, Forecast, UPropModel, _observe, _scan,
                          _self_feed)
-from .prob import LN_2PI, kl
+from .prob import kl, nll
 
 SCORE_KINDS = ("volatility", "surprise", "kl")
 
@@ -74,11 +74,11 @@ def surprise_score(belief: DistVector, x: np.ndarray,
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("surprise score undefined: all dimensions missing")
-    mu, sigma, xv = belief.mu[mask], belief.sigma[mask], x[mask]
+    sigma = belief.sigma[mask]
     if np.any(sigma == 0.0):
         raise ValueError("surprise score needs strictly positive forecast scales")
-    z = (xv - mu) / sigma
-    return float(np.mean(0.5 * LN_2PI + np.log(sigma) + 0.5 * z * z))
+    observed = DistVector._unchecked(belief.mu[mask], sigma)
+    return nll(observed, x[mask]) / np.count_nonzero(mask)
 
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:

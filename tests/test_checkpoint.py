@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,21 @@ def test_malformed_value_is_exit_3(checkpoint_doc, tmp_path, corrupt):
     path.write_text(json.dumps(corrupt(json.loads(checkpoint_doc))))
     _write_forecast_data(data)
     assert _forecast_exit_code(path, data) == 3
+
+
+@pytest.mark.parametrize("key, value, says", [
+    ("hidden_size", 2.5, "must be an integer, got 2.5"),
+    ("window_length", True, "must be an integer, got True"),
+    ("dropout", True, "must be a finite number, got True"),
+    ("learning_rate", "0.1", "must be a finite number, got '0.1'")])
+def test_wrongly_typed_hyperparameter_is_named(checkpoint_doc, tmp_path, key, value,
+                                               says):
+    doc = json.loads(checkpoint_doc)
+    doc["hyperparameters"][key] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(f"key hyperparameters.{key} {says}")):
+        load_checkpoint(path)
 
 
 def _key_paths(doc, prefix=()):

@@ -9,7 +9,7 @@ import pytest
 
 import uprop
 from uprop.cli import RunConfig, main
-from uprop.data import load_csv
+from uprop.data import _fmt, load_csv
 from uprop.errors import ConfigError
 
 TINY = {
@@ -33,6 +33,38 @@ def workdir(tmp_path_factory):
     assert main(["train", "--data", str(data), "--config", str(config),
                  "--model-out", str(model)]) == 0
     return root
+
+
+def table_to_file_and_stdout(argv, fmt, out, capsys):
+    """Run a table command in ``fmt`` to stdout and to ``out``; the two
+    must be byte-equal. Returns the text."""
+    capsys.readouterr()
+    assert main(argv + ["--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text() == printed and capsys.readouterr().out == ""
+    return printed
+
+
+def assert_formats_agree(csv_text, json_text, ints=(), bools=()):
+    """Row by row, the CSV is the JSON written with the table rules: ints
+    as they are, bools as 0/1, floats with 17 significant digits."""
+    lines = csv_text.splitlines()
+    header = lines[0].split(",")
+    doc = json.loads(json_text)
+    assert len(doc) == len(lines) - 1 > 0
+    for line, obj in zip(lines[1:], doc):
+        assert list(obj) == header
+        for name, cell in zip(header, line.split(",")):
+            value = obj[name]
+            if name in ints:
+                assert type(value) is int and cell == str(value)
+            elif name in bools:
+                assert type(value) is bool and cell == str(int(value))
+            elif isinstance(value, str):
+                assert cell == value
+            else:
+                assert type(value) is float and cell == _fmt(value)
 
 
 class TestRunConfig:
@@ -62,6 +94,20 @@ class TestSynth:
         s = load_csv(files[0])
         assert s.values.shape == (480, 3)
         assert s.mask.all()
+
+    @pytest.mark.parametrize("flag, value, says", [
+        ("--nodes", "-1", "nodes >= 1"), ("--nodes", "0", "nodes >= 1"),
+        ("--period", "0", "period >= 1"), ("--steps", "100", "steps >= 240"),
+        ("--dims", "1", "CPU channel")],
+        ids=["nodes-negative", "nodes-0", "period-0", "steps-short", "dims-1"])
+    def test_rejected_shape_is_3_and_writes_nothing(self, tmp_path, capsys, flag,
+                                                    value, says):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--steps", "240", flag, value]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and says in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestTrain:
@@ -100,6 +146,18 @@ class TestForecast:
         doc = json.loads(out.read_text())
         assert len(doc) == 6
         assert {"step", "dim", "mu", "sigma", "lower95", "upper95"} <= set(doc[0])
+
+    def test_formats_agree_to_file_and_to_stdout(self, workdir, tmp_path, capsys):
+        argv = ["forecast", "--model", str(workdir / "models" / "lookahead_2.json"),
+                "--data", str(workdir / "data" / "node_000.csv"),
+                "--at", "100", "--horizon", "3"]
+        csv_text = table_to_file_and_stdout(argv, "csv", tmp_path / "fc.csv", capsys)
+        json_text = table_to_file_and_stdout(argv, "json", tmp_path / "fc.json", capsys)
+        assert csv_text.splitlines()[0] == "step,dim,mu,sigma,lower95,upper95"
+        assert_formats_agree(csv_text, json_text, ints=("step", "dim"))
+        doc = json.loads(json_text)
+        assert [(r["step"], r["dim"]) for r in doc] == [
+            (step, dim) for step in (101, 102, 103) for dim in range(3)]
 
     def test_at_outside_range_is_data_error(self, workdir):
         rc = main(["forecast", "--model", str(workdir / "models" / "lookahead_2.json"),
@@ -157,6 +215,19 @@ class TestDetect:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc[0]["kind"] == "surprise"
+
+
+    def test_formats_agree_to_file_and_to_stdout(self, workdir, tmp_path, capsys):
+        argv = ["detect", "--model", str(workdir / "models" / "lookahead_2.json"),
+                "--data", str(workdir / "data" / "node_001.csv"),
+                "--calibrate-on", str(workdir / "data" / "node_000.csv"),
+                "--method", "kl", "--quantile", "0.9"]
+        csv_text = table_to_file_and_stdout(argv, "csv", tmp_path / "s.csv", capsys)
+        json_text = table_to_file_and_stdout(argv, "json", tmp_path / "s.json", capsys)
+        assert csv_text.splitlines()[0] == "t,kind,value,flagged"
+        assert_formats_agree(csv_text, json_text, ints=("t",), bools=("flagged",))
+        flags = {r["flagged"] for r in json.loads(json_text)}
+        assert flags == {False, True}
 
 
 class TestExitCodes:

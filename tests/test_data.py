@@ -43,6 +43,15 @@ class TestCsv:
         back = load_csv(path)
         assert np.array_equal(back.values, values)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_observed_non_finite_value(self, tmp_path, value):
+        values = np.arange(6.0).reshape(3, 2)
+        values[1, 1] = value
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DataError, match=r"row t=11, column dim_1: .* not finite"):
+            save_csv(TimeSeries.complete(values, t0=10), path)
+        assert not path.exists()
+
     def test_gap_in_t_names_row(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("t,dim_0\n1,1\n2,2\n4,3\n")
@@ -211,6 +220,14 @@ class TestSynthCloud:
         s = synth_cloud(nodes=1, steps=10_000, seed=8)[0]
         for d in range(s.dims):
             assert lag1_autocorr(s.values[:, d]) > 0.5
+
+    @pytest.mark.parametrize("kwargs, says", [
+        ({"nodes": 0}, "nodes >= 1"), ({"nodes": -1}, "nodes >= 1"),
+        ({"period": 0}, "period >= 1"), ({"period": -5}, "period >= 1")],
+        ids=["nodes-0", "nodes-negative", "period-0", "period-negative"])
+    def test_nodes_and_period_below_one_rejected(self, kwargs, says):
+        with pytest.raises(DataError, match=says):
+            synth_cloud(**{"nodes": 2, "steps": 240, "seed": 0, **kwargs})
 
     def test_too_short_rejected(self):
         with pytest.raises(DataError):

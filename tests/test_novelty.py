@@ -55,6 +55,24 @@ class TestSurprise:
         with pytest.raises(ValueError):
             surprise_score(belief, np.full(2, np.nan))
 
+    def test_zero_scale_on_an_observed_dim_is_error(self):
+        belief = DistVector(mu=np.zeros(2), sigma=np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            surprise_score(belief, np.array([0.0, 1.0]))
+        # a zero scale on a missing dim is not scored
+        assert surprise_score(belief, np.array([0.0, np.nan])) == pytest.approx(
+            0.5 * LN_2PI, abs=1e-12)
+
+    def test_equals_mean_of_per_point_nll_bitwise(self):
+        rng = np.random.default_rng(3)
+        belief = DistVector(mu=rng.normal(size=7), sigma=rng.uniform(0.1, 3.0, size=7))
+        x = rng.normal(size=7) * 2.0
+        x[[1, 4]] = np.nan
+        keep = ~np.isnan(x)
+        z = (x[keep] - belief.mu[keep]) / belief.sigma[keep]
+        terms = 0.5 * LN_2PI + np.log(belief.sigma[keep]) + 0.5 * z * z
+        assert surprise_score(belief, x) == float(np.mean(terms))
+
     def test_larger_deviation_scores_higher(self):
         belief = DistVector(mu=np.zeros(1), sigma=np.full(1, 0.5))
         assert surprise_score(belief, np.array([3.0])) > surprise_score(
