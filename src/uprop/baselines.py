@@ -13,13 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeries
-from .errors import ShapeError
-from .forecaster import (DistVector, UPropModel, _consume, _filter,
-                         _self_feed)
-
-# imputed values are presented as certain observations; clamp keeps a
-# pathological sample from destabilizing the recurrence
-IMPUTE_CLAMP = 8.0
+from .errors import ConfigError
+from .forecaster import (IMPUTE_CLAMP, DistVector, UPropModel,  # noqa: F401
+                         _consume, _filter, _self_feed)
 
 
 @dataclass
@@ -34,6 +30,19 @@ class ImputePolicy:
             raise ValueError(f"impute policy must be 'mean' or 'sample', got {self.kind!r}")
 
 
+def impute_noise(mask: np.ndarray, seed: int) -> np.ndarray:
+    """The standard normals the sample policy reads over a (T, N) mask:
+    one row per step with a missing cell, drawn in step order from
+    ``default_rng(seed)``, and zeros on the other steps. ``mu + sigma *``
+    a row equals the ``rng.normal(mu, sigma)`` drawn at that step, bit for
+    bit."""
+    noise = np.zeros(mask.shape)
+    gaps = ~mask.all(axis=1)
+    noise[gaps] = np.random.default_rng(seed).standard_normal(
+        (np.count_nonzero(gaps), mask.shape[1]))
+    return noise
+
+
 def filter_series_imputed(model: UPropModel, series: TimeSeries,
                           policy: ImputePolicy,
                           prior: DistVector | None = None) -> list:
@@ -43,26 +52,8 @@ def filter_series_imputed(model: UPropModel, series: TimeSeries,
     s ~ N(mu_pending, sigma_pending), seeded. Values are clamped to
     +-IMPUTE_CLAMP normalized units.
     """
-    rng = np.random.default_rng(policy.seed)
-    if prior is None:
-        prior = DistVector.standard(model.dims)
-    elif prior.dims != model.dims:
-        raise ShapeError(f"prior dims {prior.dims} != model dims {model.dims}")
-    values, mask = series.values, series.mask
-
-    def impute(t, pending):
-        fallback = pending if pending is not None else prior
-        observed, row = mask[t], values[t]
-        if observed.all():
-            fill = row
-        elif policy.kind == "mean":
-            fill = np.clip(fallback.mu, -IMPUTE_CLAMP, IMPUTE_CLAMP)
-        else:
-            draw = rng.normal(fallback.mu, fallback.sigma)
-            fill = np.clip(draw, -IMPUTE_CLAMP, IMPUTE_CLAMP)
-        return DistVector(mu=np.where(observed, row, fill), sigma=np.zeros(model.dims))
-
-    return _filter(model, series, impute)[0]
+    noise = impute_noise(series.mask, policy.seed) if policy.kind == "sample" else None
+    return _filter(model, series, prior, policy.kind, noise)[0]
 
 
 def mc_rollout(model: UPropModel, context: list, k: int, n_samples: int,
@@ -71,19 +62,29 @@ def mc_rollout(model: UPropModel, context: list, k: int, n_samples: int,
 
     Each trajectory consumes the context, then repeatedly samples from the
     predicted belief and feeds the sample as a certain observation.
-    Returns (k, N) arrays of per-step empirical means and stds.
+    Returns (k, N) arrays of per-step empirical means and stds. The
+    context is consumed once; the trajectories then step as one batch,
+    trajectory i drawing its k standard normal rows from the i-th child of
+    ``SeedSequence(seed)``, as a loop over ``rng.normal`` would.
     """
     if n_samples < 2:
         raise ValueError(f"mc_rollout needs n_samples >= 2, got {n_samples}")
     pending, h = _consume(model, context)
-    trajectories = []
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        rng = np.random.default_rng(child)
-        inputs, beliefs = _self_feed(
-            model, pending, h, k,
-            lambda j, pred, rng=rng: DistVector.observed(rng.normal(pred.mu, pred.sigma)))
-        last = beliefs[-1]
-        trajectories.append([inp.mu for inp in inputs]
-                            + [rng.normal(last.mu, last.sigma)])
-    trajectories = np.array(trajectories)
+    if k < 1:
+        raise ConfigError(f"horizon must be >= 1, got {k}")
+    noise = np.stack([np.random.default_rng(child).standard_normal((k, model.dims))
+                      for child in np.random.SeedSequence(seed).spawn(n_samples)],
+                     axis=1)
+    pending = DistVector._unchecked(np.tile(pending.mu, (n_samples, 1)),
+                                    np.tile(pending.sigma, (n_samples, 1)))
+    h = [np.tile(layer, (n_samples, 1)) for layer in h]
+    certain = np.zeros((n_samples, model.dims))
+    inputs, beliefs = _self_feed(
+        model, pending, h, k,
+        lambda j, pred: DistVector._unchecked(pred.mu + pred.sigma * noise[j], certain))
+    last = beliefs[-1]
+    # (n_samples, k, N), trajectory-major: the mean and std over axis 0 add
+    # the trajectories in order, as over a list of per-trajectory rows
+    trajectories = np.stack([inp.mu for inp in inputs]
+                            + [last.mu + last.sigma * noise[k - 1]], axis=1)
     return trajectories.mean(axis=0), trajectories.std(axis=0)

@@ -145,6 +145,14 @@ def _write_table(dest, columns, rows, fmt="csv") -> None:
         sys.stdout.write(text)
 
 
+def _check_outputs(*paths) -> None:
+    """Refuse, before any work is done, an output file whose directory
+    does not exist."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise ConfigError(f"output directory does not exist: {Path(path).parent}")
+
+
 def cmd_synth(args) -> int:
     out = Path(args.out)
     series = synth_cloud(nodes=args.nodes, steps=args.steps, seed=args.seed,
@@ -157,6 +165,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_outputs(args.model_out, args.loss_out)
     config = RunConfig.load(args.config)
     dataset = _dataset(config, args.data)
     for w in dataset.train:
@@ -173,6 +182,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    _check_outputs(args.out)
     model, _ = load_checkpoint(args.model)
     series = _load_series(args.data)[0]
     idx = args.at - series.t0
@@ -219,6 +229,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _check_outputs(args.out)
     model, _ = load_checkpoint(args.model)
     calib = normalize(_load_series(args.calibrate_on)[0], model.norm)
     target = normalize(_load_series(args.data)[0], model.norm)

@@ -304,6 +304,8 @@ def synth_cloud(nodes: int, steps: int, seed: int, dims: int = 3,
         raise DataError(f"synth_cloud needs nodes >= 1, got {nodes}")
     if period < 1:
         raise DataError(f"synth_cloud needs period >= 1, got {period}")
+    if seed < 0:
+        raise DataError(f"synth_cloud needs seed >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(nodes)
     series = []
     t = np.arange(steps)

@@ -5,8 +5,12 @@ values enter with scale 0, missing values with the (mu, sigma) predicted
 for them at the previous step. Multi-step forecasts feed each predicted
 belief directly into the next step, with no sampling anywhere, so every
 inference path is deterministic. Every inference path runs on one scan
-(``_scan``); they differ only in the input policy that turns the previous
-step's belief into the next input.
+(``_scan``); they differ only in the input policy (``_feed``) that turns
+the previous step's belief into the next input. The scan steps one series,
+or a batch of B independent rows at once ((B, N) beliefs, (B, hidden)
+states): the offline paths (the evaluation grid, KL scoring, Monte-Carlo
+rollouts) run batched, the streaming ones one series at a time. Each row
+of a batch is bitwise the row stepped alone; ``nn`` says why.
 
 Training runs on complete data only: a window's prefix is fed as observed
 context (dropout on), then the model rolls out ``lookahead`` steps
@@ -68,6 +72,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.sigma_floor > 0.0:
             raise ConfigError(f"sigma_floor must be positive, got {self.sigma_floor}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -151,6 +157,11 @@ def build_model(dims: int, config: TrainConfig, norm: NormStats,
                       train_config=config)
 
 
+# imputed values are presented as certain observations; clamp keeps a
+# pathological sample from destabilizing the recurrence
+IMPUTE_CLAMP = 8.0
+
+
 def encode_input(obs: np.ndarray, pending: DistVector | None = None,
                  prior: DistVector | None = None,
                  mask: np.ndarray | None = None) -> DistVector:
@@ -178,18 +189,21 @@ def encode_input(obs: np.ndarray, pending: DistVector | None = None,
 def step(model: UPropModel, inp: DistVector, h: list):
     """One recurrent step (dropout off): returns (belief for t+1, new hidden).
 
-    The step is bare numpy on the frozen arrays. Its belief skips
-    ``DistVector``'s checks: ``mu`` and ``sigma`` are equal-length float64
-    slices of the readout, and ``sigma = softplus(raw) + floor`` is at
-    least the floor (or NaN, which the checks let through too).
+    ``inp`` is one belief, (N,) arrays, with one (hidden,) state per layer
+    in ``h``, or a batch: (B, N) arrays and (B, hidden) states. The step
+    is bare numpy on the frozen arrays. Its belief skips ``DistVector``'s
+    checks: ``mu`` and ``sigma`` are equal-shape float64 slices of the
+    readout, and ``sigma = softplus(raw) + floor`` is at least the floor
+    (or NaN, which the checks let through too).
     """
     if inp.dims != model.dims:
         raise ShapeError(f"input dims {inp.dims} != model dims {model.dims}")
-    x = np.concatenate([inp.mu, inp.sigma])
+    x = np.concatenate([inp.mu, inp.sigma], axis=-1)
     top, h_next = fused_stack_step(model._fstack, x, h)
     raw = linear_forward(model._freadout, top)
     n = model.dims
-    return DistVector._unchecked(raw[:n], squash_sigma(raw[n:], model.squash)), h_next
+    return (DistVector._unchecked(raw[..., :n], squash_sigma(raw[..., n:], model.squash)),
+            h_next)
 
 
 def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,
@@ -198,8 +212,10 @@ def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,
 
     Step t's input is ``policy(t, pending)``, where ``pending`` is the
     belief the previous step emitted (None before the first step); with
-    no policy that belief is fed back as is. Returns the per-step inputs
-    and emitted beliefs, and the final hidden state. The hidden state
+    no policy that belief is fed back as is. ``pending`` and ``h`` hold
+    one row or a batch (``h=None`` is the zero state of one row). Returns
+    the per-step inputs and emitted beliefs, and the final hidden state.
+    It calls :func:`step` once per step, batch or not. The hidden state
     after each step is appended to ``snapshots`` when one is given; only
     callers that resume from every row ask, since keeping them all slows
     the loop.
@@ -218,23 +234,67 @@ def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,
     return inputs, preds, h
 
 
-def _observe(series: TimeSeries, prior: DistVector | None = None):
-    """Uncertainty-propagation input policy: see :func:`encode_input`."""
-    values, mask = series.values, series.mask
-    return lambda t, pending: encode_input(values[t], pending, prior, mask[t])
+def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
+          kind="uprop", noise: np.ndarray | None = None):
+    """The input policy over the rows ``values[t]``, ``mask[t]``: (N,) for
+    one series, (B, N) for a batch.
+
+    Observed cells enter as (value, 0). A missing cell takes the belief
+    pending for it, or ``prior`` (default: standard) before the first
+    step. ``kind`` names, for every row or per row, the method that turns
+    that belief into the input: "uprop" (uncertainty propagation) feeds it
+    as is, like :func:`encode_input`; "mean" feeds the certain value
+    clip(mu), and "sample" the certain value clip(mu + sigma * noise[t]),
+    where ``noise`` holds standard normals drawn ahead (``noise[t]`` is
+    read on steps with a missing cell only). Imputed values are clamped
+    to +-IMPUTE_CLAMP. The prior is checked here, once.
+    """
+    dims = values.shape[-1]
+    if prior is None:
+        prior = DistVector.standard(dims)
+    elif prior.dims != dims:
+        raise ShapeError(f"prior dims {prior.dims} != model dims {dims}")
+    kind = np.asarray(kind)[..., None]
+    imputed, sampled = kind != "uprop", kind == "sample"
+    impute, sample = imputed.any(), sampled.any()
+
+    def policy(t, pending):
+        fallback = prior if pending is None else pending
+        mu, sigma, observed = fallback.mu, fallback.sigma, mask[t]
+        if impute:
+            if sample:
+                mu = np.where(sampled, mu + sigma * noise[t], mu)
+            mu = np.where(imputed, np.clip(mu, -IMPUTE_CLAMP, IMPUTE_CLAMP), mu)
+            sigma = np.where(imputed, 0.0, sigma)
+        return DistVector._unchecked(np.where(observed, values[t], mu),
+                                     np.where(observed, 0.0, sigma))
+    return policy
 
 
-def _filter(model: UPropModel, series: TimeSeries, policy):
-    """FilterStep records of one pass over ``series`` under an input
-    policy, and the final hidden state."""
+def _filter(model: UPropModel, series: TimeSeries, prior: DistVector | None = None,
+            kind: str = "uprop", noise: np.ndarray | None = None):
+    """FilterStep records of one pass over ``series`` under the input
+    policy of :func:`_feed`, and the final hidden state."""
     if series.dims != model.dims:
         raise ShapeError(f"series dims {series.dims} != model dims {model.dims}")
-    inputs, preds, h = _scan(model, series.steps, policy)
+    inputs, preds, h = _scan(model, series.steps,
+                             _feed(series.values, series.mask, prior, kind, noise))
     t0 = series.t0
     records = [FilterStep(t=t0 + t, input=inp,
                           forecast=Forecast(origin_t=t0 + t, steps=[pred]))
                for t, (inp, pred) in enumerate(zip(inputs, preds))]
     return records, h
+
+
+def _filter_batch(model: UPropModel, values: np.ndarray, mask: np.ndarray,
+                  kind="uprop", noise: np.ndarray | None = None):
+    """One filter pass over B series of T rows at once: ``values``,
+    ``mask`` and ``noise`` are (T, B, N), ``kind`` one method per row (see
+    :func:`_feed`). Returns the one-step forecasts' ``mu`` and ``sigma``,
+    (T, B, N) each; row b is bitwise the pass over series b alone."""
+    _, preds, _ = _scan(model, values.shape[0], _feed(values, mask, kind=kind, noise=noise),
+                        h=zero_hidden(model.stack, values.shape[1]))
+    return np.stack([p.mu for p in preds]), np.stack([p.sigma for p in preds])
 
 
 def _consume(model: UPropModel, context: list):
@@ -281,7 +341,7 @@ def filter_series(model: UPropModel, series: TimeSeries,
     recorded. Returns the list of FilterStep records, plus the final
     hidden state and pending forecast when ``return_state`` is set.
     """
-    steps, h = _filter(model, series, _observe(series, prior))
+    steps, h = _filter(model, series, prior)
     if return_state:
         return steps, h, steps[-1].forecast.steps[0] if steps else None
     return steps

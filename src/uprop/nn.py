@@ -5,7 +5,17 @@ Each GRU cell is stored once, in the fused layout its kernels read
 ``[r; z; n]``). A model holds ``Var`` leaves; :func:`fuse_stack` and
 :func:`freeze_linear` give numpy views of the same arrays for inference,
 which steps the cell (:func:`fused_stack_step`, :func:`linear_forward`)
-one window at a time. Training runs :func:`window_batch_forward` and
+on one row or on a batch of rows. Every product goes through
+:func:`matvec`: one gemv for one row, and for a (B, n) batch a stacked
+matmul, which numpy runs as one gemv per row, so each row of a batch is
+bitwise the row stepped alone. A gemm (``X @ W.T``) is not: on the
+scipy-openblas 0.3.31 of numpy 2.4 (one BLAS thread) its rows differ
+from the gemv at every B >= 2, and even depend on B (at B = 2-12 for a
+96x32 block, 2-6 for 192x64, and 75 of the 111 sizes up to 112 for a
+6x32 readout). Padding one row to two, to keep a single series on gemm
+too, costs 10.7 against 4.8 us per 192x64 product. One series stays
+1-D: a (1, n) batch costs about 0.9 us more per product.
+Training runs :func:`window_batch_forward` and
 :func:`window_batch_backward`, a hand-written backward pass through time
 over the gates the forward caches (``forecaster._batch_loss`` hangs its
 gradients on the one loss node). The training forward repeats the cell's
@@ -135,9 +145,19 @@ def _sigmoid(x):
     return np.reciprocal(x, out=x)
 
 
+def matvec(w, x):
+    """``w @ x`` for one vector ``x`` (n,), or for each row of a batch
+    (B, n), where numpy runs one gemv per stacked row: each row of the
+    batch is bitwise the product of that row alone."""
+    if x.ndim == 1:
+        return w @ x
+    return np.matmul(w, x[..., None])[..., 0]
+
+
 def fused_cell_forward(cell: GruCell, x, h_prev):
     """One GRU step, two matvecs on numpy arrays: returns the next hidden
-    state.
+    state. ``x`` and ``h_prev`` are one row, (in,) and (h,), or a batch,
+    (B, in) and (B, h).
 
     r = sig(W_r x + U_r h + b_r)
     z = sig(W_z x + U_z h + b_z)
@@ -147,17 +167,17 @@ def fused_cell_forward(cell: GruCell, x, h_prev):
     h = cell.hidden_size
     # in place on the two fresh products: at batch of one, each temporary
     # costs about as much as the arithmetic
-    a = cell.w @ x
+    a = matvec(cell.w, x)
     a += cell.b_w
-    b = cell.u @ h_prev
-    rz = a[: 2 * h]
-    rz += b[: 2 * h]
+    b = matvec(cell.u, h_prev)
+    rz = a[..., : 2 * h]
+    rz += b[..., : 2 * h]
     _sigmoid(rz)
-    r, z = rz[:h], rz[h:]
-    n = b[2 * h:]
+    r, z = rz[..., :h], rz[..., h:]
+    n = b[..., 2 * h:]
     n += cell.b_hn
     n *= r
-    n += a[2 * h:]
+    n += a[..., 2 * h:]
     np.tanh(n, out=n)
     out = 1.0 - z
     out *= n
@@ -166,7 +186,8 @@ def fused_cell_forward(cell: GruCell, x, h_prev):
 
 
 def fused_stack_step(stack: GruStackParams, x, h_prev, masks=None):
-    """Advance every fused layer one step; returns (top output, new hidden)."""
+    """Advance every fused layer one step, for one row or a batch of rows;
+    returns (top output, new hidden)."""
     h_next = []
     inp = x
     last = len(stack.layers) - 1
@@ -186,13 +207,15 @@ def dropout_mask(size: int, rate: float, rng: np.random.Generator) -> np.ndarray
     return (rng.random(size) >= rate) / (1.0 - rate)
 
 
-def zero_hidden(stack: GruStackParams) -> list:
-    return [np.zeros(c.hidden_size) for c in stack.layers]
+def zero_hidden(stack: GruStackParams, rows: int | None = None) -> list:
+    """The zero start state: one (h,) array per layer, or (rows, h)."""
+    shape = () if rows is None else (rows,)
+    return [np.zeros(shape + (c.hidden_size,)) for c in stack.layers]
 
 
 def linear_forward(params: LinearParams, x):
-    """Affine map on numpy arrays: ``weight @ x + bias``."""
-    return params.weight @ x + params.bias
+    """Affine map on numpy arrays, per row of a batch: ``weight @ x + bias``."""
+    return matvec(params.weight, x) + params.bias
 
 
 @dataclass

@@ -6,7 +6,9 @@ Forecasts from an origin resume from the filter state of the model's
 previous ``forecast_from_origin`` call when the series still begins with
 the rows that call consumed, so a backtest that walks forward through a
 stream filters each row once. KL scoring resumes every origin from the
-per-row snapshots of a single filter pass.
+per-row snapshots of a single filter pass, and steps the near and the far
+forecasts of all targets as two batches; each row of a batch is bitwise
+the forecast stepped alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .data import TimeSeries
 from .errors import ConfigError, DataError
-from .forecaster import (DistVector, Forecast, UPropModel, _observe, _scan,
+from .forecaster import (DistVector, Forecast, UPropModel, _feed, _scan,
                          _self_feed)
 from .prob import kl, nll
 
@@ -116,7 +118,7 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
                 and _same_rows(series.mask[:c + 1], mask)
                 and _same_rows(series.values[:c + 1], values)):
             start, pending, h = c + 1, c_pending, c_h
-    observe = _observe(series)
+    observe = _feed(series.values, series.mask)
     _, preds, h = _scan(model, origin + 1 - start,
                         lambda t, p: observe(start + t, p), pending, h)
     if preds:
@@ -130,12 +132,23 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
     return Forecast(origin_t=series.t0 + origin, steps=steps)
 
 
-def _kl_pair(model: UPropModel, preds: list, hiddens: list, t: int,
-             near_offset: int, far_offset: int):
-    """Forecasts (p, q) of row t from the near and the far origin, resumed
-    from the per-row (belief, hidden) snapshots of one filter pass."""
-    return [_self_feed(model, preds[t - o], hiddens[t - o], o)[1][-1]
-            for o in (near_offset, far_offset)]
+def _kl_values(model: UPropModel, preds: list, hiddens: list, targets: range,
+               near_offset: int, far_offset: int, reverse: bool = False) -> list:
+    """KL(p || q) for each row t in ``targets``: p and q are the forecasts
+    of row t from the near and the far origin, resumed from the per-row
+    (belief, hidden) snapshots of one filter pass, each offset's
+    forecasts stepped as one batch. ``reverse`` swaps p and q."""
+    if not targets:
+        return []
+    pq = []
+    for o in (near_offset, far_offset):
+        origins = [t - o for t in targets]
+        pending = DistVector._unchecked(np.stack([preds[i].mu for i in origins]),
+                                        np.stack([preds[i].sigma for i in origins]))
+        h = [np.stack(layer) for layer in zip(*(hiddens[i] for i in origins))]
+        pq.append(_self_feed(model, pending, h, o)[1][-1])
+    p, q = pq[::-1] if reverse else pq
+    return kl(p, q).tolist()
 
 
 def kl_novelty(model: UPropModel, series: TimeSeries, target_t: int,
@@ -156,10 +169,10 @@ def kl_novelty(model: UPropModel, series: TimeSeries, target_t: int,
         raise ValueError(f"origin {target_t - near_offset} outside series of "
                          f"length {series.steps}")
     hiddens = []
-    _, preds, _ = _scan(model, target_t - near_offset + 1, _observe(series),
-                        snapshots=hiddens)
-    p, q = _kl_pair(model, preds, hiddens, target_t, near_offset, far_offset)
-    return kl(q, p) if reverse else kl(p, q)
+    _, preds, _ = _scan(model, target_t - near_offset + 1,
+                        _feed(series.values, series.mask), snapshots=hiddens)
+    return _kl_values(model, preds, hiddens, [target_t], near_offset, far_offset,
+                      reverse)[0]
 
 
 def calibrate_threshold(scores, quantile: float = 0.99) -> Threshold:
@@ -184,12 +197,14 @@ def score_series(model: UPropModel, series: TimeSeries, kind: str,
     # one filter pass; its per-row snapshots of (pending forecast, hidden
     # state) let every KL origin be resumed without re-filtering
     hiddens = [] if kind == "kl" else None
-    _, preds, _ = _scan(model, series.steps, _observe(series), snapshots=hiddens)
+    _, preds, _ = _scan(model, series.steps, _feed(series.values, series.mask),
+                        snapshots=hiddens)
     scores = []
     if kind == "kl":
-        for t in range(far_offset, series.steps):
-            p, q = _kl_pair(model, preds, hiddens, t, near_offset, far_offset)
-            scores.append(NoveltyScore(t=series.t0 + t, kind=kind, value=kl(p, q)))
+        targets = range(far_offset, series.steps)
+        values = _kl_values(model, preds, hiddens, targets, near_offset, far_offset)
+        scores = [NoveltyScore(t=series.t0 + t, kind=kind, value=v)
+                  for t, v in zip(targets, values)]
     else:
         for t in range(1, series.steps):
             pred = preds[t - 1]

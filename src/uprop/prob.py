@@ -3,7 +3,10 @@
 A belief over an N-dimensional observation is a pair of length-N arrays
 (mu, sigma). sigma[i] == 0 encodes a certain (observed) value; model
 outputs always carry sigma >= floor. The flattened wire layout is
-[mu_0..mu_{N-1}, sigma_0..sigma_{N-1}].
+[mu_0..mu_{N-1}, sigma_0..sigma_{N-1}]. The batched inference paths pass
+a batch of B beliefs as one unchecked ``DistVector`` of (B, N) arrays;
+``nll`` and ``kl`` then return one value per row, each bitwise the value
+of that row alone.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ class DistVector:
     @classmethod
     def _unchecked(cls, mu: np.ndarray, sigma: np.ndarray) -> "DistVector":
         """A belief built without the checks of ``__post_init__``; only for
-        float64 1-D ``mu``/``sigma`` of equal length with ``sigma >= 0``
-        (or NaN), such as a model's own readout."""
+        float64 ``mu``/``sigma`` of equal shape, (N,) or a batch (B, N),
+        with ``sigma >= 0`` (or NaN), such as a model's own readout."""
         belief = cls.__new__(cls)
         belief.mu = mu
         belief.sigma = sigma
@@ -61,7 +64,7 @@ class DistVector:
 
     @property
     def dims(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-1]
 
     def flat(self) -> np.ndarray:
         """Wire layout [mu..., sigma...], length 2N."""
@@ -93,7 +96,12 @@ def squash_sigma(raw, squash: SigmaSquash):
     return np.logaddexp(0.0, raw) + squash.floor
 
 
-def nll(belief: DistVector, x: np.ndarray) -> float:
+def _per_row(total):
+    """A float for one belief, an array of per-row values for a batch."""
+    return float(total) if total.ndim == 0 else total
+
+
+def nll(belief: DistVector, x: np.ndarray):
     """Negative log likelihood of x under the belief (sum over dimensions)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != belief.mu.shape:
@@ -101,10 +109,10 @@ def nll(belief: DistVector, x: np.ndarray) -> float:
     if np.any(belief.sigma == 0.0):
         raise ValueError("nll scored against a zero-scale belief (an observation)")
     z = (x - belief.mu) / belief.sigma
-    return float(np.sum(0.5 * LN_2PI + np.log(belief.sigma) + 0.5 * z * z))
+    return _per_row(np.sum(0.5 * LN_2PI + np.log(belief.sigma) + 0.5 * z * z, axis=-1))
 
 
-def kl(p: DistVector, q: DistVector) -> float:
+def kl(p: DistVector, q: DistVector):
     """KL(p || q) between diagonal Gaussians (sum over dimensions)."""
     if p.dims != q.dims:
         raise ShapeError(f"kl: dimension mismatch {p.dims} vs {q.dims}")
@@ -112,9 +120,10 @@ def kl(p: DistVector, q: DistVector) -> float:
         raise ValueError("kl requires strictly positive scales")
     var_ratio = (p.sigma / q.sigma) ** 2
     mean_term = ((p.mu - q.mu) / q.sigma) ** 2
-    total = np.sum(np.log(q.sigma / p.sigma) + 0.5 * (var_ratio + mean_term) - 0.5)
+    total = np.sum(np.log(q.sigma / p.sigma) + 0.5 * (var_ratio + mean_term) - 0.5,
+                   axis=-1)
     # rounding takes near-equal pairs a few ulps below zero; NaN stays NaN
-    return float(np.maximum(total, 0.0))
+    return _per_row(np.maximum(total, 0.0))
 
 
 def interval95(belief: DistVector):

@@ -13,11 +13,18 @@ prints the same digest as its parent.
 
 Run from a checkout (a few seconds on one core):
 
-    python3 studies/identity_digest.py             # uprop from ./src
-    python3 studies/identity_digest.py --src DIR   # uprop from DIR
+    python3 studies/identity_digest.py              # uprop from ./src
+    python3 studies/identity_digest.py --src DIR    # uprop from DIR
+    python3 studies/identity_digest.py --expect HEX # exit 1 unless HEX
 
 The last line of standard output is the overall digest; the lines above
-it give one digest per entry, in a fixed order.
+it give one digest per entry, in a fixed order. With ``--expect`` a
+different overall digest exits 1; when ``studies/identity_digest.txt``
+(the recorded output, whose last line is the expected digest) lists HEX,
+the message names the first entry that differs from it. A change that
+moves the digest on purpose records the new output there:
+
+    python3 studies/identity_digest.py > studies/identity_digest.txt
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+RECORDED = Path(__file__).with_suffix(".txt")
 
 
 def _update(h, obj) -> None:
@@ -185,13 +193,34 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory that holds the uprop package to digest")
+    parser.add_argument("--expect", metavar="HEX",
+                        help="exit 1 unless the overall digest is HEX")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     total = hashlib.sha256()
+    lines = []
     for name, hexdigest in entries():
-        print(f"{name} {hexdigest}")
-        total.update(f"{name} {hexdigest}\n".encode())
+        lines.append(f"{name} {hexdigest}")
+        print(lines[-1])
+        total.update(f"{lines[-1]}\n".encode())
     print(total.hexdigest())
+    if args.expect is not None and total.hexdigest() != args.expect:
+        sys.exit(f"digest {total.hexdigest()} != expected {args.expect}: "
+                 + _first_difference(lines, args.expect))
+
+
+def _first_difference(lines: list, expect: str) -> str:
+    """Name the first entry that differs from the recorded output of
+    ``expect``, or say why no entry can be named."""
+    recorded = RECORDED.read_text().split("\n") if RECORDED.exists() else []
+    if not recorded or recorded[-2:] != [expect, ""]:
+        return f"{RECORDED.name} does not record {expect}, so no entry is named"
+    want = dict(line.split(" ", 1) for line in recorded[:-2])
+    for line in lines:
+        name, hexdigest = line.split(" ", 1)
+        if want.get(name) != hexdigest:
+            return f"first entry that differs: {name}"
+    return f"the entries of {RECORDED.name} differ in number or order"
 
 
 if __name__ == "__main__":

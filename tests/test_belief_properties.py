@@ -55,12 +55,17 @@ def model_and_series(draw):
 
 @contextlib.contextmanager
 def emitted_beliefs():
-    """Collect every belief ``step`` returns while the block runs."""
+    """Collect every belief ``step`` returns while the block runs; a
+    batched belief ((B, N) arrays) is recorded as its B rows."""
     beliefs, original = [], forecaster.step
 
     def recording(model, inp, h):
         belief, h_next = original(model, inp, h)
-        beliefs.append(belief)
+        if belief.mu.ndim == 1:
+            beliefs.append(belief)
+        else:
+            beliefs.extend(DistVector._unchecked(mu, sigma)
+                           for mu, sigma in zip(belief.mu, belief.sigma))
         return belief, h_next
 
     forecaster.step = recording

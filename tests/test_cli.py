@@ -98,8 +98,9 @@ class TestSynth:
     @pytest.mark.parametrize("flag, value, says", [
         ("--nodes", "-1", "nodes >= 1"), ("--nodes", "0", "nodes >= 1"),
         ("--period", "0", "period >= 1"), ("--steps", "100", "steps >= 240"),
-        ("--dims", "1", "CPU channel")],
-        ids=["nodes-negative", "nodes-0", "period-0", "steps-short", "dims-1"])
+        ("--dims", "1", "CPU channel"), ("--seed", "-1", "seed >= 0")],
+        ids=["nodes-negative", "nodes-0", "period-0", "steps-short", "dims-1",
+             "seed-negative"])
     def test_rejected_shape_is_3_and_writes_nothing(self, tmp_path, capsys, flag,
                                                     value, says):
         out = tmp_path / "data"
@@ -361,6 +362,42 @@ class TestExitCodes:
         assert rc == 3 and not model.exists()
         assert err.startswith("data error:") and str(bad) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["forecast --out", "detect --out",
+                                      "train --model-out", "train --loss-out"])
+    def test_output_in_a_missing_directory_is_2_and_writes_nothing(
+            self, workdir, tmp_path, capsys, flag):
+        model = str(workdir / "models" / "lookahead_2.json")
+        data = workdir / "data"
+        absent = tmp_path / "nodir" / "out.csv"
+        argv = {
+            "forecast --out": ["forecast", "--model", model, "--data",
+                               str(data / "node_000.csv"), "--at", "10",
+                               "--out", str(absent)],
+            "detect --out": ["detect", "--model", model, "--data",
+                             str(data / "node_000.csv"), "--calibrate-on",
+                             str(data / "node_001.csv"), "--out", str(absent)],
+            "train --model-out": ["train", "--data", str(data), "--config",
+                                  str(workdir / "config.json"),
+                                  "--model-out", str(absent)],
+            "train --loss-out": ["train", "--data", str(data), "--config",
+                                 str(workdir / "config.json"), "--model-out",
+                                 str(tmp_path / "m.json"), "--loss-out", str(absent)],
+        }[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output directory does not exist: {absent.parent}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_config_seed_is_2(self, workdir, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY, seed=-1)))
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(workdir / "data"), "--config", str(config),
+                   "--model-out", str(model)])
+        err = capsys.readouterr().err
+        assert rc == 2 and not model.exists()
+        assert err == "config error: seed must be >= 0, got -1\n"
 
     def test_missing_model_is_4(self, workdir, tmp_path):
         rc = main(["forecast", "--model", str(tmp_path / "none.json"),

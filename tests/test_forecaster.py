@@ -225,6 +225,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+
 
 class TestTrain:
     def test_loss_decreases_on_learnable_data(self):
