@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeries
-from .errors import ConfigError
 from .forecaster import (IMPUTE_CLAMP, DistVector, UPropModel,  # noqa: F401
-                         _consume, _filter, _self_feed)
+                         _check_horizon, _consume, _filter, _self_feed)
 
 
 @dataclass
@@ -69,22 +68,22 @@ def mc_rollout(model: UPropModel, context: list, k: int, n_samples: int,
     """
     if n_samples < 2:
         raise ValueError(f"mc_rollout needs n_samples >= 2, got {n_samples}")
+    _check_horizon(k)
     pending, h = _consume(model, context)
-    if k < 1:
-        raise ConfigError(f"horizon must be >= 1, got {k}")
     noise = np.stack([np.random.default_rng(child).standard_normal((k, model.dims))
                       for child in np.random.SeedSequence(seed).spawn(n_samples)],
                      axis=1)
-    pending = DistVector._unchecked(np.tile(pending.mu, (n_samples, 1)),
-                                    np.tile(pending.sigma, (n_samples, 1)))
+    pending = np.tile(pending, (n_samples, 1))
     h = [np.tile(layer, (n_samples, 1)) for layer in h]
-    certain = np.zeros((n_samples, model.dims))
-    inputs, beliefs = _self_feed(
+    n = model.dims
+    certain = np.zeros((n_samples, n))
+    inputs, rows = _self_feed(
         model, pending, h, k,
-        lambda j, pred: DistVector._unchecked(pred.mu + pred.sigma * noise[j], certain))
-    last = beliefs[-1]
+        lambda j, row: np.concatenate([row[:, :n] + row[:, n:] * noise[j], certain],
+                                      axis=1))
+    last = rows[-1]
     # (n_samples, k, N), trajectory-major: the mean and std over axis 0 add
     # the trajectories in order, as over a list of per-trajectory rows
-    trajectories = np.stack([inp.mu for inp in inputs]
-                            + [last.mu + last.sigma * noise[k - 1]], axis=1)
+    trajectories = np.stack([x[:, :n] for x in inputs]
+                            + [last[:, :n] + last[:, n:] * noise[k - 1]], axis=1)
     return trajectories.mean(axis=0), trajectories.std(axis=0)

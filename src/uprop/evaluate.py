@@ -16,7 +16,7 @@ import numpy as np
 # binds them, and tests/test_bench_hooks.py requires both bindings to stay
 from .baselines import filter_series_imputed, impute_noise  # noqa: F401
 from .data import emulate_missing, normalize
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .forecaster import UPropModel, _filter_batch
 from .prob import DistVector, nll
 
@@ -85,11 +85,15 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
 
     Missingness is emulated per (rate, window) with seeds derived from the
     run seed, identically across lookaheads and methods, so cells in a row
-    see the same degraded data.
+    see the same degraded data. A ``DataError`` is raised, before any
+    work, when no test window has the two rows a one-step forecast needs.
     """
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"unknown evaluation method {method!r}")
+    if not any(w.steps >= 2 for w in test_windows):
+        raise DataError("evaluate_grid needs a test window of two rows or more: "
+                        "with fewer there is no one-step forecast to score")
     lookaheads = sorted(models)
     cells = np.zeros((len(rates), len(lookaheads), len(methods)))
     # each window normalized once per distinct NormStats (models trained on

@@ -12,6 +12,17 @@ states): the offline paths (the evaluation grid, KL scoring, Monte-Carlo
 rollouts) run batched, the streaming ones one series at a time. Each row
 of a batch is bitwise the row stepped alone; ``nn`` says why.
 
+Inside the scan a belief is one row in the wire layout ``[mu..., sigma...]``
+(``prob``), (2N,) or (B, 2N): the policy builds each input row with one
+``np.where`` against an observed half laid out once per scan, ``step``
+feeds it to the stack as is and returns the readout, a fresh row whose
+sigma half is squashed in place, and the scan feeds that row back. The
+gate products of every step land in work buffers that the scan call
+makes and owns (``nn.gate_buffers``), never the model, so two scans of
+one model in two threads share no array they write. Beliefs the API
+returns are ``DistVector._of_row`` views of the step's own rows, which
+no later step writes.
+
 Training runs on complete data only: a window's prefix is fed as observed
 context (dropout on), then the model rolls out ``lookahead`` steps
 self-fed (dropout off) and is scored by the mean per-point Gaussian NLL
@@ -34,10 +45,10 @@ from .data import NormStats, TimeSeries
 from .errors import ConfigError, DataError, ShapeError
 from .nn import (AdamState, GruStackParams, LinearParams,
                  adam_init, adam_step, dropout_mask, freeze_linear,
-                 fuse_stack, fused_stack_step, init_gru_stack, init_linear,
-                 linear_forward, window_batch_backward, window_batch_forward,
-                 zero_grad, zero_hidden)
-from .prob import DistVector, SigmaSquash, squash_sigma
+                 fuse_stack, fused_stack_step, gate_buffers, init_gru_stack,
+                 init_linear, matvec, window_batch_backward,
+                 window_batch_forward, zero_grad, zero_hidden)
+from .prob import DistVector, SigmaSquash
 
 
 @dataclass
@@ -186,48 +197,57 @@ def encode_input(obs: np.ndarray, pending: DistVector | None = None,
     return DistVector(mu=mu, sigma=sigma)
 
 
-def step(model: UPropModel, inp: DistVector, h: list):
-    """One recurrent step (dropout off): returns (belief for t+1, new hidden).
+def step(model: UPropModel, x: np.ndarray, h: list, bufs: list | None = None):
+    """One recurrent step (dropout off): returns (row for t+1, new hidden).
 
-    ``inp`` is one belief, (N,) arrays, with one (hidden,) state per layer
-    in ``h``, or a batch: (B, N) arrays and (B, hidden) states. The step
-    is bare numpy on the frozen arrays. Its belief skips ``DistVector``'s
-    checks: ``mu`` and ``sigma`` are equal-shape float64 slices of the
-    readout, and ``sigma = softplus(raw) + floor`` is at least the floor
-    (or NaN, which the checks let through too).
+    ``x`` is one input row in the wire layout ``[mu..., sigma...]``, (2N,),
+    with one (hidden,) state per layer in ``h``, or a batch: (B, 2N) rows
+    and (B, hidden) states. ``bufs`` is :func:`nn.gate_buffers` for that
+    shape (made when None). The step is bare numpy on the frozen
+    arrays. It returns a fresh row in the same layout, the readout with
+    its sigma half squashed in place: ``sigma = softplus(raw) + floor`` is
+    at least the floor (or NaN). ``DistVector._of_row`` views it as a
+    belief without ``DistVector``'s checks.
     """
-    if inp.dims != model.dims:
-        raise ShapeError(f"input dims {inp.dims} != model dims {model.dims}")
-    x = np.concatenate([inp.mu, inp.sigma], axis=-1)
-    top, h_next = fused_stack_step(model._fstack, x, h)
-    raw = linear_forward(model._freadout, top)
-    n = model.dims
-    return (DistVector._unchecked(raw[..., :n], squash_sigma(raw[..., n:], model.squash)),
-            h_next)
+    if x.shape[-1] != 2 * model.dims:
+        raise ShapeError(f"input width {x.shape[-1]} != 2 * model dims {model.dims}")
+    top, h_next = fused_stack_step(model._fstack, x, h, bufs=bufs)
+    readout = model._freadout
+    row = matvec(readout.weight, top)
+    row += readout.bias
+    sigma = row[..., model.dims:]
+    np.logaddexp(0.0, sigma, out=sigma)
+    sigma += model.squash.floor
+    return row, h_next
 
 
 def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,
           snapshots: list | None = None):
     """The recurrence loop of inference: ``n`` steps from ``(pending, h)``.
 
-    Step t's input is ``policy(t, pending)``, where ``pending`` is the
-    belief the previous step emitted (None before the first step); with
-    no policy that belief is fed back as is. ``pending`` and ``h`` hold
-    one row or a batch (``h=None`` is the zero state of one row). Returns
-    the per-step inputs and emitted beliefs, and the final hidden state.
-    It calls :func:`step` once per step, batch or not. The hidden state
-    after each step is appended to ``snapshots`` when one is given; only
-    callers that resume from every row ask, since keeping them all slows
-    the loop.
+    Every input and output is a row in the wire layout ``[mu..., sigma...]``.
+    Step t's input is ``policy(t, pending)``, where ``pending`` is the row
+    the previous step emitted (None before the first step); with no
+    policy that row is fed back as is. ``pending`` and ``h`` hold one row
+    or a batch (``h=None`` is the zero state of one row). Returns the
+    per-step input rows and emitted rows, and the final hidden state. It
+    calls :func:`step` once per step, batch or not, on gate buffers made
+    once per call for the shape of ``h``: per call, not per model, so
+    concurrent scans of one model never share them. Each emitted row and
+    each hidden state is a fresh array that no later step writes. The
+    hidden state after each step is appended to ``snapshots`` when one is
+    given; only callers that resume from every row ask, since keeping
+    them all slows the loop.
     """
     if h is None:
         h = zero_hidden(model.stack)
+    bufs = gate_buffers(model._fstack.layers, h[0].shape[:-1])
     inputs, preds = [], []
     with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
         for t in range(n):
-            inp = pending if policy is None else policy(t, pending)
-            pending, h = step(model, inp, h)
-            inputs.append(inp)
+            x = pending if policy is None else policy(t, pending)
+            pending, h = step(model, x, h, bufs)
+            inputs.append(x)
             preds.append(pending)
             if snapshots is not None:
                 snapshots.append(h)
@@ -237,7 +257,7 @@ def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,
 def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
           kind="uprop", noise: np.ndarray | None = None):
     """The input policy over the rows ``values[t]``, ``mask[t]``: (N,) for
-    one series, (B, N) for a batch.
+    one series, (B, N) for a batch. It returns wire-layout rows.
 
     Observed cells enter as (value, 0). A missing cell takes the belief
     pending for it, or ``prior`` (default: standard) before the first
@@ -247,42 +267,48 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     clip(mu), and "sample" the certain value clip(mu + sigma * noise[t]),
     where ``noise`` holds standard normals drawn ahead (``noise[t]`` is
     read on steps with a missing cell only). Imputed values are clamped
-    to +-IMPUTE_CLAMP. The prior is checked here, once.
+    to +-IMPUTE_CLAMP. The prior is checked here, once, and the observed
+    halves, ``[mask, mask]`` and ``[values, 0]``, are laid out here, so a
+    "uprop" step is one ``np.where``.
     """
     dims = values.shape[-1]
     if prior is None:
         prior = DistVector.standard(dims)
     elif prior.dims != dims:
         raise ShapeError(f"prior dims {prior.dims} != model dims {dims}")
+    prior = prior.flat()
+    observed = np.concatenate([mask, mask], axis=-1)
+    given = np.concatenate([values, np.zeros(values.shape)], axis=-1)
     kind = np.asarray(kind)[..., None]
     imputed, sampled = kind != "uprop", kind == "sample"
     impute, sample = imputed.any(), sampled.any()
 
     def policy(t, pending):
         fallback = prior if pending is None else pending
-        mu, sigma, observed = fallback.mu, fallback.sigma, mask[t]
         if impute:
+            mu, sigma = fallback[..., :dims], fallback[..., dims:]
             if sample:
                 mu = np.where(sampled, mu + sigma * noise[t], mu)
             mu = np.where(imputed, np.clip(mu, -IMPUTE_CLAMP, IMPUTE_CLAMP), mu)
-            sigma = np.where(imputed, 0.0, sigma)
-        return DistVector._unchecked(np.where(observed, values[t], mu),
-                                     np.where(observed, 0.0, sigma))
+            fallback = np.concatenate([mu, np.where(imputed, 0.0, sigma)], axis=-1)
+        return np.where(observed[t], given[t], fallback)
     return policy
 
 
 def _filter(model: UPropModel, series: TimeSeries, prior: DistVector | None = None,
             kind: str = "uprop", noise: np.ndarray | None = None):
     """FilterStep records of one pass over ``series`` under the input
-    policy of :func:`_feed`, and the final hidden state."""
+    policy of :func:`_feed`, and the final hidden state. Each record's
+    input and forecast are views of the step's own rows."""
     if series.dims != model.dims:
         raise ShapeError(f"series dims {series.dims} != model dims {model.dims}")
     inputs, preds, h = _scan(model, series.steps,
                              _feed(series.values, series.mask, prior, kind, noise))
     t0 = series.t0
-    records = [FilterStep(t=t0 + t, input=inp,
-                          forecast=Forecast(origin_t=t0 + t, steps=[pred]))
-               for t, (inp, pred) in enumerate(zip(inputs, preds))]
+    records = [FilterStep(t=t0 + t, input=DistVector._of_row(x),
+                          forecast=Forecast(origin_t=t0 + t,
+                                            steps=[DistVector._of_row(row)]))
+               for t, (x, row) in enumerate(zip(inputs, preds))]
     return records, h
 
 
@@ -294,26 +320,32 @@ def _filter_batch(model: UPropModel, values: np.ndarray, mask: np.ndarray,
     (T, B, N) each; row b is bitwise the pass over series b alone."""
     _, preds, _ = _scan(model, values.shape[0], _feed(values, mask, kind=kind, noise=noise),
                         h=zero_hidden(model.stack, values.shape[1]))
-    return np.stack([p.mu for p in preds]), np.stack([p.sigma for p in preds])
+    belief = DistVector._of_row(np.stack(preds))
+    return belief.mu, belief.sigma
 
 
 def _consume(model: UPropModel, context: list):
-    """Feed a non-empty list of input beliefs; returns (belief, hidden)."""
+    """Feed a non-empty list of input beliefs; returns (row, hidden)."""
     if not context:
         raise ValueError("a non-empty context is required")
-    _, preds, h = _scan(model, len(context), lambda t, _: context[t])
+    rows = [belief.flat() for belief in context]
+    _, preds, h = _scan(model, len(rows), lambda t, _: rows[t])
     return preds[-1], h
 
 
-def _self_feed(model: UPropModel, pending: DistVector, h: list, k: int,
-               feed=None):
-    """The k beliefs of a forecast whose first step is ``pending``.
-
-    Each later step is fed ``feed(j, belief)`` (default: the belief
-    itself). Returns the k - 1 fed inputs and the k beliefs.
-    """
+def _check_horizon(k: int) -> None:
     if k < 1:
         raise ConfigError(f"horizon must be >= 1, got {k}")
+
+
+def _self_feed(model: UPropModel, pending: np.ndarray, h: list, k: int,
+               feed=None):
+    """The k rows of a forecast whose first step is the row ``pending``.
+
+    Each later step is fed ``feed(j, row)`` (default: the row itself).
+    Returns the k - 1 fed inputs and the k rows.
+    """
+    _check_horizon(k)
     inputs, preds, _ = _scan(model, k - 1, feed, pending, h)
     return inputs, [pending] + preds
 
@@ -325,10 +357,11 @@ def rollout(model: UPropModel, context: list, k: int,
     Each prediction's (mu, sigma) is fed directly as the next input — no
     sampling.
     """
+    _check_horizon(k)
     pending, h = _consume(model, context)
-    _, preds = _self_feed(model, pending, h, k)
+    _, rows = _self_feed(model, pending, h, k)
     return Forecast(origin_t=origin_t if origin_t is not None else len(context) - 1,
-                    steps=preds)
+                    steps=[DistVector._of_row(row) for row in rows])
 
 
 def filter_series(model: UPropModel, series: TimeSeries,

@@ -4,11 +4,21 @@ Each GRU cell is stored once, in the fused layout its kernels read
 (:class:`GruCell`: ``w``, ``u`` and ``b_w`` stack the gate blocks
 ``[r; z; n]``). A model holds ``Var`` leaves; :func:`fuse_stack` and
 :func:`freeze_linear` give numpy views of the same arrays for inference,
-which steps the cell (:func:`fused_stack_step`, :func:`linear_forward`)
-on one row or on a batch of rows. Every product goes through
-:func:`matvec`: one gemv for one row, and for a (B, n) batch a stacked
-matmul, which numpy runs as one gemv per row, so each row of a batch is
-bitwise the row stepped alone. A gemm (``X @ W.T``) is not: on the
+which steps the cell (:func:`fused_stack_step`) on one row or on a batch
+of rows. A scan steps it on work buffers made once per scan call
+(:func:`gate_buffers`): the two gate products land there through
+``matmul(..., out=)``, and the gate views are sliced once per scan, not
+once per step. Only the new hidden state is a fresh array, so a state a
+caller keeps is never written again, and the buffers are never kept on
+the model, so concurrent scans of one model share nothing they write.
+At batch of one each temporary or slice costs about as much as its
+arithmetic: with the buffers and ``forecaster.step``'s wire-layout rows,
+a 3x64 filter step went from 92-101 to 78-88 us (three alternating
+runs, 2-vCPU VM, one BLAS thread).
+Every product goes through :func:`matvec`: one gemv for one row, and
+for a (B, n) batch a stacked matmul, which numpy runs as one gemv per
+row, so each row of a batch is bitwise the row stepped alone (with or
+without ``out=``). A gemm (``X @ W.T``) is not: on the
 scipy-openblas 0.3.31 of numpy 2.4 (one BLAS thread) its rows differ
 from the gemv at every B >= 2, and even depend on B (at B = 2-12 for a
 96x32 block, 2-6 for 192x64, and 75 of the 111 sizes up to 112 for a
@@ -145,54 +155,82 @@ def _sigmoid(x):
     return np.reciprocal(x, out=x)
 
 
-def matvec(w, x):
+def matvec(w, x, out=None):
     """``w @ x`` for one vector ``x`` (n,), or for each row of a batch
     (B, n), where numpy runs one gemv per stacked row: each row of the
-    batch is bitwise the product of that row alone."""
+    batch is bitwise the product of that row alone. ``out`` (the shape of
+    the result) receives the product instead of a fresh array."""
     if x.ndim == 1:
-        return w @ x
-    return np.matmul(w, x[..., None])[..., 0]
+        return np.matmul(w, x, out=out)
+    if out is None:
+        return np.matmul(w, x[..., None])[..., 0]
+    np.matmul(w, x[..., None], out=out[..., None])
+    return out
 
 
-def fused_cell_forward(cell: GruCell, x, h_prev):
+def gate_buffers(cells: list, shape: tuple = ()) -> list:
+    """Work buffers of one scan for :func:`fused_stack_step` over
+    ``cells``, for rows of leading ``shape`` (``()`` for one row, ``(B,)``
+    for a batch).
+
+    Per cell: the products ``a = W x + b_w`` and ``b = U h``, each
+    (..., 3h), and the views of their gate blocks that a step reads, laid
+    out once: ``a``'s ``rz``, ``r``, ``z`` and ``n`` blocks, then ``b``'s
+    ``rz`` and ``n`` blocks. A step overwrites every buffer, so one set
+    serves one scan at a time; they are never kept on the model.
+    """
+    bufs = []
+    for cell in cells:
+        h = cell.hidden_size
+        a, b = np.empty(shape + (3 * h,)), np.empty(shape + (3 * h,))
+        bufs.append((a, b, a[..., :2 * h], a[..., :h], a[..., h:2 * h],
+                     a[..., 2 * h:], b[..., :2 * h], b[..., 2 * h:]))
+    return bufs
+
+
+def fused_cell_forward(cell: GruCell, x, h_prev, buf=None):
     """One GRU step, two matvecs on numpy arrays: returns the next hidden
-    state. ``x`` and ``h_prev`` are one row, (in,) and (h,), or a batch,
-    (B, in) and (B, h).
+    state, a fresh array. ``x`` and ``h_prev`` are one row, (in,) and
+    (h,), or a batch, (B, in) and (B, h); ``buf`` is the cell's entry of
+    :func:`gate_buffers` for that shape (made here when None).
 
     r = sig(W_r x + U_r h + b_r)
     z = sig(W_z x + U_z h + b_z)
     n = tanh(W_n x + b_in + r * (U_n h + b_hn))
     h' = (1 - z) * n + z * h
     """
-    h = cell.hidden_size
-    # in place on the two fresh products: at batch of one, each temporary
-    # costs about as much as the arithmetic
-    a = matvec(cell.w, x)
+    if buf is None:
+        buf = gate_buffers([cell], x.shape[:-1])[0]
+    # in place on the scan's buffers: at batch of one, each temporary or
+    # slice costs about as much as the arithmetic
+    a, b, rz, r, z, a_n, b_rz, n = buf
+    matvec(cell.w, x, out=a)
     a += cell.b_w
-    b = matvec(cell.u, h_prev)
-    rz = a[..., : 2 * h]
-    rz += b[..., : 2 * h]
+    matvec(cell.u, h_prev, out=b)
+    rz += b_rz
     _sigmoid(rz)
-    r, z = rz[..., :h], rz[..., h:]
-    n = b[..., 2 * h:]
     n += cell.b_hn
     n *= r
-    n += a[..., 2 * h:]
+    n += a_n
     np.tanh(n, out=n)
-    out = 1.0 - z
+    zh = np.multiply(z, h_prev, out=a_n)
+    out = np.subtract(1.0, z)
     out *= n
-    out += z * h_prev
+    out += zh
     return out
 
 
-def fused_stack_step(stack: GruStackParams, x, h_prev, masks=None):
+def fused_stack_step(stack: GruStackParams, x, h_prev, masks=None, bufs=None):
     """Advance every fused layer one step, for one row or a batch of rows;
-    returns (top output, new hidden)."""
+    returns (top output, new hidden). ``bufs`` is :func:`gate_buffers`
+    for the rows' shape (made here when None)."""
+    if bufs is None:
+        bufs = gate_buffers(stack.layers, x.shape[:-1])
     h_next = []
     inp = x
     last = len(stack.layers) - 1
     for i, cell in enumerate(stack.layers):
-        h = fused_cell_forward(cell, inp, h_prev[i])
+        h = fused_cell_forward(cell, inp, h_prev[i], bufs[i])
         h_next.append(h)
         inp = h
         if masks is not None and i < last:

@@ -118,18 +118,18 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
                 and _same_rows(series.mask[:c + 1], mask)
                 and _same_rows(series.values[:c + 1], values)):
             start, pending, h = c + 1, c_pending, c_h
-    observe = _feed(series.values, series.mask)
+    rows = slice(start, origin + 1)
     _, preds, h = _scan(model, origin + 1 - start,
-                        lambda t, p: observe(start + t, p), pending, h)
+                        _feed(series.values[rows], series.mask[rows]), pending, h)
     if preds:
         pending = preds[-1]
     _, steps = _self_feed(model, pending, h, k)
     # the returned forecast shares ``pending``; the cursor keeps its own copy
     model._cursor = (origin, series.values[:origin + 1].copy(),
-                     series.mask[:origin + 1].copy(),
-                     DistVector._unchecked(pending.mu.copy(), pending.sigma.copy()),
+                     series.mask[:origin + 1].copy(), pending.copy(),
                      h, fstack, floor)
-    return Forecast(origin_t=series.t0 + origin, steps=steps)
+    return Forecast(origin_t=series.t0 + origin,
+                    steps=[DistVector._of_row(row) for row in steps])
 
 
 def _kl_values(model: UPropModel, preds: list, hiddens: list, targets: range,
@@ -143,10 +143,9 @@ def _kl_values(model: UPropModel, preds: list, hiddens: list, targets: range,
     pq = []
     for o in (near_offset, far_offset):
         origins = [t - o for t in targets]
-        pending = DistVector._unchecked(np.stack([preds[i].mu for i in origins]),
-                                        np.stack([preds[i].sigma for i in origins]))
+        pending = np.stack([preds[i] for i in origins])
         h = [np.stack(layer) for layer in zip(*(hiddens[i] for i in origins))]
-        pq.append(_self_feed(model, pending, h, o)[1][-1])
+        pq.append(DistVector._of_row(_self_feed(model, pending, h, o)[1][-1]))
     p, q = pq[::-1] if reverse else pq
     return kl(p, q).tolist()
 
@@ -207,7 +206,7 @@ def score_series(model: UPropModel, series: TimeSeries, kind: str,
                   for t, v in zip(targets, values)]
     else:
         for t in range(1, series.steps):
-            pred = preds[t - 1]
+            pred = DistVector._of_row(preds[t - 1])
             if kind == "volatility":
                 value = float(pred.sigma.mean())
             else:

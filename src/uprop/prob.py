@@ -62,6 +62,13 @@ class DistVector:
         belief.sigma = sigma
         return belief
 
+    @classmethod
+    def _of_row(cls, row: np.ndarray) -> "DistVector":
+        """The unchecked belief whose ``mu`` and ``sigma`` are views of the
+        two halves of a wire-layout row, (2N,) or a batch (B, 2N)."""
+        n = row.shape[-1] // 2
+        return cls._unchecked(row[..., :n], row[..., n:])
+
     @property
     def dims(self) -> int:
         return self.mu.shape[-1]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from uprop import forecaster
 from uprop.baselines import (IMPUTE_CLAMP, ImputePolicy, filter_series_imputed,
                              mc_rollout)
 from uprop.data import TimeSeries
-from uprop.errors import ShapeError
-from uprop.forecaster import DistVector, filter_series, rollout
+from uprop.errors import ConfigError, ShapeError
+from uprop.forecaster import DistVector, filter_series, rollout, step
 
 from test_forecaster import small_model
 
@@ -128,3 +129,19 @@ class TestMcRollout:
             mc_rollout(model, [], k=2, n_samples=4, seed=0)
         with pytest.raises(ValueError, match="horizon"):
             mc_rollout(model, context, k=0, n_samples=4, seed=0)
+
+    def test_bad_horizon_is_refused_before_the_context_runs(self, monkeypatch):
+        model = small_model(seed=29)
+        context = [DistVector.observed(np.zeros(2))] * 5
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(forecaster, "step", counting)
+        with pytest.raises(ConfigError, match="horizon"):
+            mc_rollout(model, context, k=0, n_samples=4, seed=0)
+        with pytest.raises(ConfigError, match="horizon"):
+            rollout(model, context, k=0)
+        assert not calls

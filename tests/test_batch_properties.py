@@ -18,11 +18,11 @@ from uprop.baselines import (IMPUTE_CLAMP, ImputePolicy, filter_series_imputed,
                              impute_noise, mc_rollout)
 from uprop.data import TimeSeries, emulate_missing
 from uprop.evaluate import derive_seed, evaluate_grid
-from uprop.forecaster import _filter_batch, filter_series, step
+from uprop.forecaster import _filter_batch, filter_series
 from uprop.nn import matvec, zero_hidden
 from uprop.prob import DistVector, nll
 
-from test_forecaster import small_model
+from test_forecaster import belief_step, small_model
 
 SETTINGS = settings(max_examples=30, deadline=None)
 KINDS = ("uprop", "mean", "sample")
@@ -111,7 +111,7 @@ def reference_sample_filter(model, series, seed, prior):
             fill = np.clip(rng.normal(fallback.mu, fallback.sigma),
                            -IMPUTE_CLAMP, IMPUTE_CLAMP)
         inp = DistVector(mu=np.where(observed, row, fill), sigma=np.zeros(model.dims))
-        pending, h = step(model, inp, h)
+        pending, h = belief_step(model, inp, h)
         out.append((inp, pending))
     return out
 
@@ -141,7 +141,7 @@ def reference_mc_rollout(model, context, k, n_samples, seed):
     trajectory."""
     h, pending = zero_hidden(model.stack), None
     for inp in context:
-        pending, h = step(model, inp, h)
+        pending, h = belief_step(model, inp, h)
     start = (pending, h)
     trajectories = []
     for child in np.random.SeedSequence(seed).spawn(n_samples):
@@ -151,7 +151,7 @@ def reference_mc_rollout(model, context, k, n_samples, seed):
         for _ in range(k - 1):
             draw = rng.normal(pred.mu, pred.sigma)
             path.append(draw)
-            pred, h = step(model, DistVector.observed(draw), h)
+            pred, h = belief_step(model, DistVector.observed(draw), h)
         path.append(rng.normal(pred.mu, pred.sigma))
         trajectories.append(path)
     trajectories = np.array(trajectories)

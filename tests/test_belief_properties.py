@@ -59,14 +59,15 @@ def emitted_beliefs():
     batched belief ((B, N) arrays) is recorded as its B rows."""
     beliefs, original = [], forecaster.step
 
-    def recording(model, inp, h):
-        belief, h_next = original(model, inp, h)
+    def recording(model, x, h, bufs=None):
+        row, h_next = original(model, x, h, bufs)
+        belief = DistVector._of_row(row)
         if belief.mu.ndim == 1:
             beliefs.append(belief)
         else:
             beliefs.extend(DistVector._unchecked(mu, sigma)
                            for mu, sigma in zip(belief.mu, belief.sigma))
-        return belief, h_next
+        return row, h_next
 
     forecaster.step = recording
     try:

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from uprop import evaluate
 from uprop.data import NormStats, TimeSeries
+from uprop.errors import DataError
 from uprop.evaluate import evaluate_grid
 
 from test_forecaster import small_model
@@ -29,3 +31,13 @@ def test_models_with_equal_stats_share_normalized_windows(monkeypatch):
     for ki, k in enumerate(sorted(models)):
         alone = evaluate_grid({k: models[k]}, windows, rates, seed=3)
         np.testing.assert_array_equal(grid.cells[:, ki], alone.cells[:, 0])
+
+
+@pytest.mark.parametrize("lengths", [[], [1], [1, 1, 1]])
+def test_no_window_of_two_rows_is_a_data_error_before_any_filtering(lengths, monkeypatch):
+    windows = [TimeSeries.complete(np.zeros((n, 2))) for n in lengths]
+    calls = []
+    monkeypatch.setattr(evaluate, "normalize", lambda *a: calls.append(a))
+    with pytest.raises(DataError, match="two rows"):
+        evaluate_grid({2: small_model()}, windows, [0.0, 0.5])
+    assert not calls

@@ -22,6 +22,12 @@ def small_model(dims=2, hidden=6, layers=2, seed=0, floor=1e-3):
     return build_model(dims, cfg, norm, np.random.default_rng(seed))
 
 
+def belief_step(model, inp, h):
+    """``step`` on a belief: its wire-layout row in, the next belief out."""
+    row, h = step(model, inp.flat(), h)
+    return DistVector._of_row(row), h
+
+
 def toy_windows(n_windows=16, length=40, dims=2, seed=0):
     """Strong AR(1): one-step predictable, learnable in a few epochs."""
     rng = np.random.default_rng(seed)
@@ -75,8 +81,8 @@ class TestStep:
         model = small_model()
         inp = DistVector.observed(np.array([0.3, -0.7]))
         h = zero_hidden(model.stack)
-        p1, h1 = step(model, inp, h)
-        p2, h2 = step(model, inp, h)
+        p1, h1 = belief_step(model, inp, h)
+        p2, h2 = belief_step(model, inp, h)
         np.testing.assert_array_equal(p1.mu, p2.mu)
         np.testing.assert_array_equal(p1.sigma, p2.sigma)
         for a, b in zip(h1, h2):
@@ -87,7 +93,7 @@ class TestStep:
         rng = np.random.default_rng(1)
         h = zero_hidden(model.stack)
         for _ in range(20):
-            pred, h = step(model, DistVector.observed(rng.normal(size=2)), h)
+            pred, h = belief_step(model, DistVector.observed(rng.normal(size=2)), h)
             assert np.all(pred.sigma >= 1e-3)
 
     def test_zero_weight_model_emits_readout_bias(self):
@@ -97,8 +103,8 @@ class TestStep:
         bias = model.readout.bias.value
         bias[...] = np.array([0.5, -0.5, 0.2, -3.0])
         model.refresh_frozen()
-        pred, _ = step(model, DistVector.observed(np.array([1.0, 2.0])),
-                       zero_hidden(model.stack))
+        pred, _ = belief_step(model, DistVector.observed(np.array([1.0, 2.0])),
+                              zero_hidden(model.stack))
         np.testing.assert_allclose(pred.mu, [0.5, -0.5])
         np.testing.assert_allclose(
             pred.sigma, np.logaddexp(0, [0.2, -3.0]) + model.squash.floor)
@@ -107,12 +113,12 @@ class TestStep:
         # inference reads views of the weights, not copies
         model = small_model(seed=3)
         inp = DistVector.observed(np.array([0.5, -0.5]))
-        before, _ = step(model, inp, zero_hidden(model.stack))
+        before, _ = belief_step(model, inp, zero_hidden(model.stack))
         for p in model.parameters():
             p.value *= 1.5
-        edited, _ = step(model, inp, zero_hidden(model.stack))
+        edited, _ = belief_step(model, inp, zero_hidden(model.stack))
         model.refresh_frozen()
-        refreshed, _ = step(model, inp, zero_hidden(model.stack))
+        refreshed, _ = belief_step(model, inp, zero_hidden(model.stack))
         assert not np.array_equal(before.mu, edited.mu)
         np.testing.assert_array_equal(edited.mu, refreshed.mu)
         np.testing.assert_array_equal(edited.sigma, refreshed.sigma)
@@ -120,7 +126,7 @@ class TestStep:
     def test_dim_mismatch(self):
         model = small_model(dims=2)
         with pytest.raises(ShapeError):
-            step(model, DistVector.observed(np.zeros(3)), zero_hidden(model.stack))
+            belief_step(model, DistVector.observed(np.zeros(3)), zero_hidden(model.stack))
 
 
 class TestRollout:
@@ -131,7 +137,7 @@ class TestRollout:
         fc = rollout(model, context, k=1)
         h = zero_hidden(model.stack)
         for inp in context:
-            pred, h = step(model, inp, h)
+            pred, h = belief_step(model, inp, h)
         np.testing.assert_array_equal(fc.steps[0].mu, pred.mu)
         np.testing.assert_array_equal(fc.steps[0].sigma, pred.sigma)
 

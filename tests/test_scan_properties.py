@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from uprop.baselines import ImputePolicy, filter_series_imputed
 from uprop.data import TimeSeries
-from uprop.forecaster import encode_input, filter_series, step
+from uprop.forecaster import encode_input, filter_series
 from uprop.nn import zero_hidden
 from uprop.novelty import forecast_from_origin, kl_novelty, score_series
 from uprop.prob import kl
 
-from test_forecaster import small_model
+from test_forecaster import belief_step, small_model
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -47,10 +47,10 @@ def reference_forecast(model, series, origin, k):
     h, pred = zero_hidden(model.stack), None
     for t in range(origin + 1):
         inp = encode_input(series.values[t], pending=pred, mask=series.mask[t])
-        pred, h = step(model, inp, h)
+        pred, h = belief_step(model, inp, h)
     preds = [pred]
     for _ in range(k - 1):
-        pred, h = step(model, pred, h)
+        pred, h = belief_step(model, pred, h)
         preds.append(pred)
     return preds
 
@@ -69,7 +69,7 @@ def test_forecast_from_origin_is_rollout_from_filter_state(ms, data):
     records, h, pred = filter_series(model, head, return_state=True)
     want = [pred]
     for _ in range(k - 1):
-        pred, h = step(model, pred, h)
+        pred, h = belief_step(model, pred, h)
         want.append(pred)
     assert_same_belief(records[-1].forecast.steps[0], want[0])
     for got, a, b in zip(fc.steps, want, reference_forecast(model, series, origin, k)):
