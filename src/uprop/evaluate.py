@@ -69,9 +69,9 @@ def _window_sums(model: UPropModel, truths: list, inputs: list, methods: list,
         mask = np.stack([inputs[wi].mask for _, wi in rows], axis=1)
         noise = np.stack([impute_noise(inputs[wi].mask, sample_seed(wi)) if m == "sample"
                           else np.zeros(inputs[wi].mask.shape) for m, wi in rows], axis=1)
-        mu, sigma = _filter_batch(model, values, mask, [m for m, _ in rows], noise)
+        preds = _filter_batch(model, values, mask, [m for m, _ in rows], noise)
         truth = np.stack([truths[wi].values for _, wi in rows], axis=1)
-        points = nll(DistVector._unchecked(mu[:-1], sigma[:-1]), truth[1:])
+        points = nll(DistVector._of_row(preds[:-1]), truth[1:])
         total = np.zeros(len(rows))
         for row in points:   # step by step, as a running sum would
             total += row

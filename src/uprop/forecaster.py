@@ -43,11 +43,11 @@ import numpy as np
 from . import tensor as tn
 from .data import NormStats, TimeSeries
 from .errors import ConfigError, DataError, ShapeError
-from .nn import (AdamState, GruStackParams, LinearParams,
-                 adam_init, adam_step, dropout_mask, freeze_linear,
-                 fuse_stack, fused_stack_step, gate_buffers, init_gru_stack,
-                 init_linear, matvec, window_batch_backward,
-                 window_batch_forward, zero_grad, zero_hidden)
+from .nn import (GruStackParams, LinearParams, adam_init, adam_step,
+                 dropout_mask, freeze_linear, fuse_stack, fused_stack_step,
+                 gate_buffers, init_gru_stack, init_linear, matvec,
+                 window_batch_backward, window_batch_forward, zero_grad,
+                 zero_hidden)
 from .prob import DistVector, SigmaSquash
 
 
@@ -316,12 +316,11 @@ def _filter_batch(model: UPropModel, values: np.ndarray, mask: np.ndarray,
                   kind="uprop", noise: np.ndarray | None = None):
     """One filter pass over B series of T rows at once: ``values``,
     ``mask`` and ``noise`` are (T, B, N), ``kind`` one method per row (see
-    :func:`_feed`). Returns the one-step forecasts' ``mu`` and ``sigma``,
-    (T, B, N) each; row b is bitwise the pass over series b alone."""
+    :func:`_feed`). Returns the one-step forecasts as wire-layout rows,
+    (T, B, 2N); row b is bitwise the pass over series b alone."""
     _, preds, _ = _scan(model, values.shape[0], _feed(values, mask, kind=kind, noise=noise),
                         h=zero_hidden(model.stack, values.shape[1]))
-    belief = DistVector._of_row(np.stack(preds))
-    return belief.mu, belief.sigma
+    return np.stack(preds)
 
 
 def _consume(model: UPropModel, context: list):
@@ -423,17 +422,6 @@ def _context_masks(stack: GruStackParams, anchor: int, rng: np.random.Generator)
         return None
     return dropout_mask((anchor, n_gaps, stack.layers[0].hidden_size),
                         stack.dropout_rate, rng)
-
-
-def _window_loss(stack: GruStackParams, readout: LinearParams,
-                 squash: SigmaSquash, x: np.ndarray, anchor: int, k: int,
-                 rng: np.random.Generator):
-    """Loss node of one training window: the batch of one of
-    :func:`_batch_loss`, with its dropout masks drawn from ``rng``."""
-    masks = _context_masks(stack, anchor, rng)
-    loss, _ = _batch_loss(stack, readout, squash, x[None], [anchor], k,
-                          None if masks is None else [masks])
-    return loss
 
 
 def train(windows: list, config: TrainConfig, norm: NormStats | None = None):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .prob import LN_2PI
-from .tensor import Var, value_of, zero_grad  # zero_grad is re-exported
+from .tensor import Var, value_of, zero_grad  # noqa: F401  (zero_grad is re-exported)
 
 
 @dataclass
@@ -220,22 +220,17 @@ def fused_cell_forward(cell: GruCell, x, h_prev, buf=None):
     return out
 
 
-def fused_stack_step(stack: GruStackParams, x, h_prev, masks=None, bufs=None):
-    """Advance every fused layer one step, for one row or a batch of rows;
-    returns (top output, new hidden). ``bufs`` is :func:`gate_buffers`
-    for the rows' shape (made here when None)."""
+def fused_stack_step(stack: GruStackParams, x, h_prev, bufs=None):
+    """Advance every fused layer one step (inference: no dropout), for one
+    row or a batch of rows; returns (top output, new hidden). ``bufs`` is
+    :func:`gate_buffers` for the rows' shape (made here when None)."""
     if bufs is None:
         bufs = gate_buffers(stack.layers, x.shape[:-1])
     h_next = []
-    inp = x
-    last = len(stack.layers) - 1
-    for i, cell in enumerate(stack.layers):
-        h = fused_cell_forward(cell, inp, h_prev[i], bufs[i])
-        h_next.append(h)
-        inp = h
-        if masks is not None and i < last:
-            inp = inp * masks[i]
-    return h_next[-1], h_next
+    for cell, h, buf in zip(stack.layers, h_prev, bufs):
+        x = fused_cell_forward(cell, x, h, buf)
+        h_next.append(x)
+    return x, h_next
 
 
 def dropout_mask(size: int, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -249,11 +244,6 @@ def zero_hidden(stack: GruStackParams, rows: int | None = None) -> list:
     """The zero start state: one (h,) array per layer, or (rows, h)."""
     shape = () if rows is None else (rows,)
     return [np.zeros(shape + (c.hidden_size,)) for c in stack.layers]
-
-
-def linear_forward(params: LinearParams, x):
-    """Affine map on numpy arrays, per row of a batch: ``weight @ x + bias``."""
-    return matvec(params.weight, x) + params.bias
 
 
 @dataclass

@@ -79,7 +79,7 @@ def surprise_score(belief: DistVector, x: np.ndarray,
     sigma = belief.sigma[mask]
     if np.any(sigma == 0.0):
         raise ValueError("surprise score needs strictly positive forecast scales")
-    observed = DistVector._unchecked(belief.mu[mask], sigma)
+    observed = DistVector(mu=belief.mu[mask], sigma=sigma)
     return nll(observed, x[mask]) / np.count_nonzero(mask)
 
 

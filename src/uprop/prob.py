@@ -4,9 +4,9 @@ A belief over an N-dimensional observation is a pair of length-N arrays
 (mu, sigma). sigma[i] == 0 encodes a certain (observed) value; model
 outputs always carry sigma >= floor. The flattened wire layout is
 [mu_0..mu_{N-1}, sigma_0..sigma_{N-1}]. The batched inference paths pass
-a batch of B beliefs as one unchecked ``DistVector`` of (B, N) arrays;
-``nll`` and ``kl`` then return one value per row, each bitwise the value
-of that row alone.
+a batch of B beliefs as one unchecked ``DistVector`` of (B, N) arrays
+(``DistVector._of_row`` of their rows); ``nll`` and ``kl`` then return
+one value per row, each bitwise the value of that row alone.
 """
 
 from __future__ import annotations
@@ -53,21 +53,16 @@ class DistVector:
             raise ValueError("sigma entries must be nonnegative")
 
     @classmethod
-    def _unchecked(cls, mu: np.ndarray, sigma: np.ndarray) -> "DistVector":
-        """A belief built without the checks of ``__post_init__``; only for
-        float64 ``mu``/``sigma`` of equal shape, (N,) or a batch (B, N),
-        with ``sigma >= 0`` (or NaN), such as a model's own readout."""
-        belief = cls.__new__(cls)
-        belief.mu = mu
-        belief.sigma = sigma
-        return belief
-
-    @classmethod
     def _of_row(cls, row: np.ndarray) -> "DistVector":
-        """The unchecked belief whose ``mu`` and ``sigma`` are views of the
-        two halves of a wire-layout row, (2N,) or a batch (B, 2N)."""
+        """The belief whose ``mu`` and ``sigma`` are views of the two halves
+        of a float64 wire-layout row, (2N,), or of rows, (..., 2N), built
+        without the checks of ``__post_init__``: only for a row whose
+        sigma half is >= 0 (or NaN), such as a model's own readout."""
         n = row.shape[-1] // 2
-        return cls._unchecked(row[..., :n], row[..., n:])
+        belief = cls.__new__(cls)
+        belief.mu = row[..., :n]
+        belief.sigma = row[..., n:]
+        return belief
 
     @property
     def dims(self) -> int:
@@ -76,14 +71,6 @@ class DistVector:
     def flat(self) -> np.ndarray:
         """Wire layout [mu..., sigma...], length 2N."""
         return np.concatenate([self.mu, self.sigma])
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray) -> "DistVector":
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.ndim != 1 or flat.shape[0] % 2 != 0:
-            raise ShapeError(f"flat belief must have even length, got {flat.shape}")
-        n = flat.shape[0] // 2
-        return cls(mu=flat[:n], sigma=flat[n:])
 
     @classmethod
     def observed(cls, values: np.ndarray) -> "DistVector":

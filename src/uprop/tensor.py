@@ -31,13 +31,13 @@ def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def backward(root: Var, seed=None) -> None:
+def backward(root: Var) -> None:
     """Add d(root)/d(parent) into ``.grad`` of each of the root's parents.
 
     Gradients add onto existing ``.grad`` values, so parameter gradients
     accumulate across calls until cleared with ``zero_grad``.
     """
-    root.grad = np.ones_like(root.value) if seed is None else np.asarray(seed)
+    root.grad = np.ones_like(root.value)
     for parent, vjp in zip(root._parents, root._vjps):
         contrib = vjp(root.grad)
         if parent.grad is None:

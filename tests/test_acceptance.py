@@ -19,7 +19,7 @@ from uprop.checkpoint import load_checkpoint, save_checkpoint
 from uprop.data import (TimeSeries, emulate_missing, load_csv, save_csv,
                         synth_random_walk, window)
 from uprop.evaluate import evaluate_grid
-from uprop.forecaster import (DistVector, TrainConfig, _window_loss,
+from uprop.forecaster import (DistVector, TrainConfig, _batch_loss,
                               build_model, filter_series, rollout, train)
 from uprop.nn import zero_grad
 from uprop.novelty import calibrate_threshold, score_series
@@ -55,13 +55,13 @@ def test_criterion_1_gradient_oracle():
         params = model.parameters()
 
         def loss_value():
-            return float(_window_loss(model.stack, model.readout,
-                                      model.squash, x, anchor, k,
-                                      rng=None).value)
+            return float(_batch_loss(model.stack, model.readout,
+                                     model.squash, x[None], [anchor],
+                                     k)[0].value)
 
         zero_grad(params)
-        loss = _window_loss(model.stack, model.readout,
-                            model.squash, x, anchor, k, rng=None)
+        loss = _batch_loss(model.stack, model.readout,
+                           model.squash, x[None], [anchor], k)[0]
         tn.backward(loss)
         eps = 1e-5
         for p in params:

@@ -2,20 +2,20 @@
 
 Oracles: central finite differences (the tolerance of acceptance
 criterion 1), the batch-of-one calls of the same op, and a loop over the
-inference GRU (``fused_stack_step`` on frozen weights) that scores each
-window on its own.
+unfused reference GRU (``gru_reference.gru_stack_step``, with the same
+dropout masks) that scores each window on its own.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gru_reference import gru_stack_step
 from uprop import tensor as tn
 from uprop.data import NormStats
 from uprop.forecaster import (TrainConfig, _batch_loss, _context_masks,
                               build_model)
-from uprop.nn import (dropout_mask, freeze_linear, fuse_stack, fused_stack_step,
-                      linear_forward, zero_grad, zero_hidden)
+from uprop.nn import dropout_mask, freeze_linear, zero_grad, zero_hidden
 from uprop.prob import LN_2PI, squash_sigma
 
 
@@ -47,23 +47,23 @@ def loss_and_grads(model, X, anchors, k, masks):
 
 
 def loop_losses(model, X, anchors, k, masks):
-    """Each window scored alone by stepping the frozen inference GRU."""
-    stack, readout = fuse_stack(model.stack), freeze_linear(model.readout)
+    """Each window scored alone by stepping the unfused reference GRU."""
+    readout = freeze_linear(model.readout)
     N = model.dims
     out = []
     for b, (x, anchor) in enumerate(zip(X, anchors)):
         h = zero_hidden(model.stack)
         for t in range(anchor):
             row_masks = None if masks is None else list(masks[b][t])
-            top, h = fused_stack_step(stack, np.concatenate([x[t], np.zeros(N)]),
-                                      h, row_masks)
+            top, h = gru_stack_step(model.stack, np.concatenate([x[t], np.zeros(N)]),
+                                    h, row_masks)
         total = 0.0
         for j in range(k):
-            raw = linear_forward(readout, top)
+            raw = readout.weight @ top + readout.bias
             mu, sigma = raw[:N], squash_sigma(raw[N:], model.squash)
             z = (x[anchor + j] - mu) / sigma
             total += np.sum(np.log(sigma)) + 0.5 * np.sum(z * z) + N * 0.5 * LN_2PI
-            top, h = fused_stack_step(stack, np.concatenate([mu, sigma]), h)
+            top, h = gru_stack_step(model.stack, np.concatenate([mu, sigma]), h)
         out.append(total / (k * N))
     return np.array(out)
 

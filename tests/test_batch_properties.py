@@ -88,7 +88,8 @@ def test_batched_filter_equals_each_series_alone(mb):
     mask = np.stack([s.mask for s in series], axis=1)
     noise = np.stack([impute_noise(s.mask, seed) if kind == "sample" else np.zeros(s.mask.shape)
                       for s, kind, seed in zip(series, kinds, seeds)], axis=1)
-    mu, sigma = _filter_batch(model, values, mask, kinds, noise)
+    belief = DistVector._of_row(_filter_batch(model, values, mask, kinds, noise))
+    mu, sigma = belief.mu, belief.sigma
     assert mu.shape == sigma.shape == values.shape
     for b, (s, kind, seed) in enumerate(zip(series, kinds, seeds)):
         if kind == "uprop":

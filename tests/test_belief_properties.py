@@ -65,8 +65,7 @@ def emitted_beliefs():
         if belief.mu.ndim == 1:
             beliefs.append(belief)
         else:
-            beliefs.extend(DistVector._unchecked(mu, sigma)
-                           for mu, sigma in zip(belief.mu, belief.sigma))
+            beliefs.extend(DistVector._of_row(r) for r in row)
         return row, h_next
 
     forecaster.step = recording

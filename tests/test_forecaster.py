@@ -8,8 +8,8 @@ from uprop import tensor as tn
 from uprop.data import NormStats, TimeSeries
 from uprop.errors import ConfigError, DataError, ShapeError
 from uprop.forecaster import (DistVector, TrainConfig, _batch_loss,
-                              _window_loss, build_model, encode_input,
-                              filter_series, rollout, step, train)
+                              build_model, encode_input, filter_series,
+                              rollout, step, train)
 from uprop.nn import window_batch_forward, zero_grad, zero_hidden
 from uprop.novelty import forecast_from_origin
 from uprop.prob import SigmaSquash
@@ -306,12 +306,12 @@ class TestGradientsOfTrainingLoss:
         params = model.parameters()
 
         def loss_value():
-            return float(_window_loss(model.stack, model.readout, model.squash,
-                                      x, anchor, k, rng=None).value)
+            return float(_batch_loss(model.stack, model.readout, model.squash,
+                                     x[None], [anchor], k)[0].value)
 
         zero_grad(params)
-        loss = _window_loss(model.stack, model.readout, model.squash, x, anchor, k,
-                            rng=None)
+        loss = _batch_loss(model.stack, model.readout, model.squash, x[None], [anchor],
+                           k)[0]
         tn.backward(loss)
         eps = 1e-5
         for p in params:
@@ -334,7 +334,7 @@ class TestGradientsOfTrainingLoss:
         x = np.zeros((4, 1))
         params = model.parameters()
         zero_grad(params)
-        loss = _window_loss(model.stack, model.readout, model.squash, x, 2, 1, rng=None)
+        loss = _batch_loss(model.stack, model.readout, model.squash, x[None], [2], 1)[0]
         tn.backward(loss)
         for p in params:
             assert p.grad is not None

