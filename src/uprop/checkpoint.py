@@ -69,11 +69,21 @@ def _weight_arrays(model: UPropModel):
 
 def save_checkpoint(model: UPropModel, path, seed: int,
                     final_loss: float | None = None) -> None:
+    """Write the checkpoint. A non-finite value, which ``load_checkpoint``
+    would refuse, is a ``DataError`` that names its key; nothing is
+    written."""
     config = model.train_config
     if config is None:
         raise ValueError("model has no training configuration to checkpoint")
     weights = {key: array.ravel() for (key, _), array
                in zip(_weight_shapes(model.dims, config), _weight_arrays(model))}
+    if final_loss is not None and not math.isfinite(final_loss):
+        raise DataError(f"{path}: checkpoint key final_loss is not finite: {final_loss!r}")
+    for where, arrays in (("normalization.", {"mean": model.norm.mean, "std": model.norm.std}),
+                          ("weights.", weights)):
+        for key, array in arrays.items():
+            if not np.all(np.isfinite(array)):
+                raise DataError(f"{path}: checkpoint key {where}{key} has non-finite values")
     doc = {
         "format_version": FORMAT_VERSION,
         "dims": model.dims,

@@ -168,10 +168,6 @@ def cmd_train(args) -> int:
     _check_outputs(args.model_out, args.loss_out)
     config = RunConfig.load(args.config)
     dataset = _dataset(config, args.data)
-    for w in dataset.train:
-        if not w.mask.all():
-            raise DataError("training data contains missing values; "
-                            "train on complete data only")
     model, history = train(dataset.train, config.train_config(args.lookahead))
     save_checkpoint(model, args.model_out, seed=config.seed,
                     final_loss=history[-1])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -242,9 +242,11 @@ def emulate_missing(series: TimeSeries, rate: float, seed: int) -> TimeSeries:
 
 def window(series: TimeSeries, length: int, stride: int | None = None) -> list:
     """Contiguous windows of ``length`` rows at ``stride`` (default: disjoint)."""
+    stride = stride if stride is not None else length
+    if length < 1 or stride < 1:
+        raise DataError(f"window length and stride must be >= 1, got {length}, {stride}")
     if length > series.steps:
         raise DataError(f"window length {length} exceeds series length {series.steps}")
-    stride = stride if stride is not None else length
     out = []
     for start in range(0, series.steps - length + 1, stride):
         out.append(TimeSeries(

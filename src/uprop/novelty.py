@@ -19,8 +19,8 @@ import numpy as np
 
 from .data import TimeSeries
 from .errors import ConfigError, DataError
-from .forecaster import (DistVector, Forecast, UPropModel, _feed, _scan,
-                         _self_feed)
+from .forecaster import (DistVector, Forecast, UPropModel, _check_horizon,
+                         _feed, _scan, _self_feed)
 from .prob import kl, nll
 
 SCORE_KINDS = ("volatility", "surprise", "kl")
@@ -110,6 +110,7 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
     """
     if origin < 0 or origin >= series.steps:
         raise ValueError(f"origin {origin} outside series of length {series.steps}")
+    _check_horizon(k)
     cursor, fstack, floor = model._cursor, model._fstack, model.squash.floor
     start, pending, h = 0, None, None
     if cursor is not None:

@@ -11,6 +11,7 @@ from uprop.checkpoint import _HYPER_FIELDS, load_checkpoint, save_checkpoint
 from uprop.cli import main
 from uprop.errors import CheckpointNotFoundError, DataError
 from uprop.forecaster import DistVector, TrainConfig, rollout, train
+from uprop.nn import gate_blocks
 
 from test_forecaster import small_model, toy_windows
 
@@ -156,6 +157,43 @@ def test_missing_key_is_data_error_naming_it(checkpoint_doc, tmp_path, keys):
     path.write_text(json.dumps(doc))
     with pytest.raises(DataError, match=".".join(keys)):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("corrupt, says", [
+    (lambda doc: {**doc, "dims": 0}, "key dims must be >= 1, got 0"),
+    (lambda doc: {**doc, "normalization": {**doc["normalization"],
+                                          "std": [1.0, float("inf")]}},
+     "key normalization.std has non-finite values"),
+    (lambda doc: {**doc, "weights": {**doc["weights"],
+                                     "readout.bias": [float("nan")] * 4}},
+     "key weights.readout.bias has non-finite values"),
+], ids=["dims-0", "inf-std", "nan-bias"])
+def test_out_of_range_value_is_data_error_naming_it(checkpoint_doc, tmp_path, corrupt,
+                                                     says):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(corrupt(json.loads(checkpoint_doc))))
+    with pytest.raises(DataError, match=says):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["final_loss", "normalization.mean", "normalization.std",
+                                 "weights.gru.0.W_r", "weights.gru.1.b_hn",
+                                 "weights.readout.bias"])
+def test_save_refuses_non_finite_value_naming_its_key(tmp_path, key, value):
+    model, final_loss = small_model(seed=58), 1.5
+    arrays = {"normalization.mean": model.norm.mean, "normalization.std": model.norm.std,
+              "weights.gru.0.W_r": gate_blocks(model.stack.layers[0])["W_r"],
+              "weights.gru.1.b_hn": model.stack.layers[1].b_hn.value,
+              "weights.readout.bias": model.readout.bias.value}
+    if key == "final_loss":
+        final_loss = value
+    else:
+        arrays[key].flat[-1] = value
+    path = tmp_path / "m.json"
+    with pytest.raises(DataError, match=f"key {re.escape(key)} "):
+        save_checkpoint(model, path, seed=58, final_loss=final_loss)
+    assert not path.exists()
 
 
 def _write_forecast_data(path, dims=2):

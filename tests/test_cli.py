@@ -86,6 +86,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.load(tmp_path / "absent.json")
 
+    def test_invalid_json(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"hidden": 8,')
+        with pytest.raises(ConfigError, match=f"{path}: invalid JSON"):
+            RunConfig.load(path)
+
+    @pytest.mark.parametrize("fields, says", [
+        ({"dims": 0}, "dims must be >= 1, got 0"),
+        ({"missing_rates": [0.1, 1.0]}, r"missing rate must be in \[0, 1\), got 1.0"),
+        ({"methods": ["uprop", "median"]}, "unknown method 'median'")])
+    def test_invalid_field_rejected(self, fields, says):
+        with pytest.raises(ConfigError, match=says):
+            RunConfig(**fields)
+
 
 class TestSynth:
     def test_writes_loadable_csvs(self, workdir):
@@ -398,6 +412,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2 and not model.exists()
         assert err == "config error: seed must be >= 0, got -1\n"
+
+    def test_data_directory_without_csvs_is_3(self, workdir, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        rc = main(["train", "--data", str(empty), "--config", str(workdir / "config.json"),
+                   "--model-out", str(tmp_path / "m.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: no CSV files in {empty}\n"
+
+    def test_training_data_with_missing_cells_is_3(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("node_000.csv", "node_001.csv"):
+            lines = (workdir / "data" / name).read_text().splitlines()
+            for row in range(11, len(lines), TINY["window"]):   # one per window
+                t, _, rest = lines[row].split(",", 2)
+                lines[row] = f"{t},,{rest}"
+            (data / name).write_text("\n".join(lines) + "\n")
+        model = tmp_path / "m.json"
+        rc = main(["train", "--data", str(data), "--config", str(workdir / "config.json"),
+                   "--model-out", str(model)])
+        err = capsys.readouterr().err
+        assert rc == 3 and not model.exists()
+        assert err == "data error: training data must not contain missing values\n"
 
     def test_missing_model_is_4(self, workdir, tmp_path):
         rc = main(["forecast", "--model", str(tmp_path / "none.json"),

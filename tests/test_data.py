@@ -83,6 +83,29 @@ class TestCsv:
         with pytest.raises(DataError, match="header"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text, says", [
+        ("", "empty file"),
+        ("t,dim_0\n", "no data rows"),
+        ("t,dim_0\n0,1\n1.5,2\n", "row 2 has non-integer t '1.5'"),
+    ], ids=["empty", "header-only", "non-integer-t"])
+    def test_file_without_valid_rows_rejected(self, tmp_path, text, says):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=says):
+            load_csv(path)
+
+
+@pytest.mark.parametrize("make, says", [
+    (lambda: TimeSeries(values=np.zeros((3, 2)), mask=np.ones((3, 1))),
+     r"\(3, 2\) vs \(3, 1\)"),
+    (lambda: TimeSeries(values=np.zeros(3), mask=np.ones(3)), r"\(3,\) vs \(3,\)"),
+    (lambda: NormStats(mean=np.zeros(2), std=np.ones(3)), "1-D and equal length"),
+    (lambda: NormStats(mean=np.zeros(2), std=np.array([1.0, 1e-7])), "must be >= 1e-06"),
+], ids=["series-unequal", "series-1-D", "stats-unequal", "std-below-floor"])
+def test_malformed_series_and_stats_rejected(make, says):
+    with pytest.raises(DataError, match=says):
+        make()
+
 
 class TestNormalize:
     def test_hand_computed_zscores(self):
@@ -117,6 +140,11 @@ class TestNormalize:
         s = TimeSeries.complete(np.zeros((5, 2)))
         with pytest.raises(DataError):
             normalize(s, NormStats(mean=np.zeros(3), std=np.ones(3)))
+
+    def test_denormalize_dims_mismatch(self):
+        s = TimeSeries.complete(np.zeros((5, 2)))
+        with pytest.raises(DataError, match="stats dims 3 != series dims 2"):
+            denormalize(s, NormStats(mean=np.zeros(3), std=np.ones(3)))
 
     def test_overflow_names_first_row_and_column(self):
         # finite values that overflow once normalized used to become inf
@@ -165,6 +193,11 @@ class TestEmulateMissing:
         with pytest.raises(DataError):
             emulate_missing(once, 0.1, seed=2)
 
+    @pytest.mark.parametrize("rate", [-0.1, 1.0])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(DataError, match=rf"\[0, 1\), got {rate}"):
+            emulate_missing(TimeSeries.complete(np.zeros((10, 1))), rate, seed=0)
+
 
 class TestWindowSplit:
     def test_single_window(self):
@@ -181,6 +214,13 @@ class TestWindowSplit:
     def test_window_longer_than_series(self):
         with pytest.raises(DataError):
             window(TimeSeries.complete(np.zeros((50, 1))), 120)
+
+    @pytest.mark.parametrize("length, stride", [(0, None), (-3, None), (5, 0), (5, -1)])
+    def test_length_or_stride_below_one_rejected(self, length, stride):
+        s = TimeSeries.complete(np.zeros((20, 1)))
+        got = f"got {length}, {length if stride is None else stride}"
+        with pytest.raises(DataError, match=f"must be >= 1, {got}"):
+            window(s, length, stride=stride)
 
     def test_split_80_10_10(self):
         windows = [TimeSeries.complete(np.zeros((10, 1))) for _ in range(100)]

@@ -3,7 +3,7 @@ import pytest
 
 from uprop import evaluate
 from uprop.data import NormStats, TimeSeries
-from uprop.errors import DataError
+from uprop.errors import ConfigError, DataError
 from uprop.evaluate import evaluate_grid
 
 from test_forecaster import small_model
@@ -41,3 +41,10 @@ def test_no_window_of_two_rows_is_a_data_error_before_any_filtering(lengths, mon
     with pytest.raises(DataError, match="two rows"):
         evaluate_grid({2: small_model()}, windows, [0.0, 0.5])
     assert not calls
+
+
+@pytest.mark.parametrize("methods", [["bogus"], ["uprop", "median"]])
+def test_unknown_method_is_a_config_error_naming_it(methods):
+    windows = [TimeSeries.complete(np.zeros((5, 2)))]
+    with pytest.raises(ConfigError, match=f"unknown evaluation method {methods[-1]!r}"):
+        evaluate_grid({2: small_model()}, windows, rates=[0.0], methods=methods)

@@ -7,7 +7,7 @@ import gru_reference as ref
 from uprop import tensor as tn
 from uprop.data import NormStats, TimeSeries
 from uprop.errors import ConfigError, DataError, ShapeError
-from uprop.forecaster import (DistVector, TrainConfig, _batch_loss,
+from uprop.forecaster import (DistVector, TrainConfig, UPropModel, _batch_loss,
                               build_model, encode_input, filter_series,
                               rollout, step, train)
 from uprop.nn import window_batch_forward, zero_grad, zero_hidden
@@ -234,6 +234,22 @@ class TestTrainConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.01])
+    def test_learning_rate_positive(self, lr):
+        with pytest.raises(ConfigError, match=f"learning rate must be positive, got {lr}"):
+            TrainConfig(learning_rate=lr)
+
+
+@pytest.mark.parametrize("part, says", [
+    ("stack", "stack input width"), ("readout", "readout output width"),
+    ("norm", "normalization stats")])
+def test_model_parts_of_other_dims_rejected(part, says):
+    two, three = small_model(dims=2), small_model(dims=3)
+    parts = dict(stack=two.stack, readout=two.readout, norm=two.norm)
+    parts[part] = getattr(three, part)
+    with pytest.raises(ShapeError, match=says):
+        UPropModel(dims=2, squash=two.squash, **parts)
 
 
 class TestTrain:

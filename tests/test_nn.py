@@ -185,6 +185,28 @@ def test_adam_shape_mismatch():
         nn.adam_step(state, [p], grads=[np.zeros(4)])
 
 
+@pytest.mark.parametrize("params, grads", [(2, 1), (1, 2)], ids=["grads", "params"])
+def test_adam_length_mismatch(params, grads):
+    ps = [Var(np.zeros(3)) for _ in range(params)]
+    state = nn.adam_init(ps[:1])
+    with pytest.raises(ShapeError, match="length mismatch"):
+        nn.adam_step(state, ps, grads=[np.zeros(3)] * grads)
+
+
+@pytest.mark.parametrize("anchors, k, says", [
+    ([2, 0], 2, r"anchors \[2, 0\], k=2"),
+    ([2, 5], 2, r"anchors \[2, 5\], k=2"),
+    ([2, 3], 0, r"anchors \[2, 3\], k=0"),
+    ([2], 2, r"anchors \[2\], k=2"),
+], ids=["anchor-0", "past-the-end", "k-0", "one-anchor-for-two-windows"])
+def test_window_batch_forward_rejects_bad_anchors(anchors, k, says):
+    rng = np.random.default_rng(19)
+    stack = nn.init_gru_stack(4, 3, 1, 0.0, rng)
+    readout = nn.init_linear(3, 4, rng)
+    with pytest.raises(ShapeError, match=says):
+        nn.window_batch_forward(stack, readout, 1e-3, np.zeros((2, 6, 2)), anchors, k)
+
+
 def test_adam_matches_reference_trajectory():
     # minimize f(w) = 0.5 w^2 for a few steps against a hand-rolled loop
     p = Var(np.array([1.0]))

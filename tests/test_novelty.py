@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from uprop import forecaster
 from uprop.data import TimeSeries
 from uprop.errors import ConfigError, DataError
-from uprop.forecaster import DistVector, rollout
+from uprop.forecaster import DistVector, Forecast, rollout
 from uprop.novelty import (NoveltyScore, Threshold, calibrate_threshold,
                            forecast_from_origin, kl_novelty, score_series,
                            surprise_score, volatility_score)
@@ -123,6 +124,41 @@ class TestForecastFromOrigin:
         series = toy_windows(n_windows=1, seed=42)[0]
         with pytest.raises(ValueError, match="horizon"):
             forecast_from_origin(model, series, 10, k)
+
+    def test_bad_horizon_is_refused_before_any_step(self, monkeypatch):
+        model = small_model(seed=42)
+        series = toy_windows(n_windows=1, seed=42)[0]
+        forecast_from_origin(model, series, 5, 2)
+        cursor, calls = model._cursor, []
+        original = forecaster.step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(forecaster, "step", counting)
+        with pytest.raises(ConfigError, match="horizon must be >= 1, got 0"):
+            forecast_from_origin(model, series, 30, 0)
+        assert calls == [] and model._cursor is cursor
+
+    @pytest.mark.parametrize("origin", [-1, 40])
+    def test_origin_outside_series_rejected(self, origin):
+        model = small_model(seed=42)
+        series = toy_windows(n_windows=1, seed=42)[0]
+        with pytest.raises(ValueError, match=f"origin {origin} outside series of length 40"):
+            forecast_from_origin(model, series, origin, 2)
+
+
+def test_volatility_of_empty_forecast_rejected():
+    with pytest.raises(ValueError, match="forecast has no steps"):
+        volatility_score(Forecast(origin_t=0, steps=[]))
+
+
+def test_kl_novelty_near_origin_past_the_series_rejected():
+    model = small_model(seed=34)
+    series = toy_windows(n_windows=1, seed=34)[0]
+    with pytest.raises(ValueError, match="origin 41 outside series of length 40"):
+        kl_novelty(model, series, target_t=42, near_offset=1, far_offset=8)
 
 
 class TestCalibrateThreshold:

@@ -70,6 +70,14 @@ class TestDistVector:
         with pytest.raises(ValueError):
             DistVector(mu=np.zeros(2), sigma=np.array([0.1, -0.1]))
 
+    @pytest.mark.parametrize("mu, sigma, says", [
+        (np.zeros(2), np.ones(3), r"\(2,\) vs \(3,\)"),
+        (np.zeros((2, 2)), np.ones((2, 2)), r"\(2, 2\) vs \(2, 2\)"),
+    ], ids=["unequal", "2-D"])
+    def test_shape_rejected(self, mu, sigma, says):
+        with pytest.raises(ShapeError, match=says):
+            DistVector(mu=mu, sigma=sigma)
+
 
 class TestNll:
     def test_standard_normal_at_mean(self):
@@ -176,3 +184,7 @@ class TestInterval95:
         d = DistVector(mu=rng.normal(size=10), sigma=rng.uniform(0.01, 5.0, size=10))
         lower, upper = interval95(d)
         assert np.all(lower < d.mu) and np.all(d.mu < upper)
+
+    def test_zero_scale_rejected(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            interval95(DistVector(mu=np.zeros(2), sigma=np.array([1.0, 0.0])))
