@@ -14,11 +14,11 @@ from .forecaster import (Forecast, TrainConfig, UPropModel, encode_input,
 from .novelty import (NoveltyScore, Threshold, calibrate_threshold,
                       forecast_from_origin, kl_novelty, score_series,
                       surprise_score, volatility_score)
-from .prob import DistVector, SigmaSquash, interval95, kl, nll, squash_sigma
+from .prob import DistVector, interval95, kl, nll, squash_sigma
 
 __all__ = [
     "DatasetSplit", "DistVector", "EvalGrid", "Forecast", "ImputePolicy",
-    "NormStats", "NoveltyScore", "SigmaSquash", "Threshold", "TimeSeries",
+    "NormStats", "NoveltyScore", "Threshold", "TimeSeries",
     "TrainConfig", "UPropModel", "calibrate_threshold", "denormalize",
     "emulate_missing", "encode_input", "evaluate_grid", "filter_series",
     "filter_series_imputed", "forecast_from_origin", "interval95", "kl",

@@ -67,16 +67,20 @@ def _weight_arrays(model: UPropModel):
     yield value_of(model.readout.bias)
 
 
-def save_checkpoint(model: UPropModel, path, seed: int,
-                    final_loss: float | None = None) -> None:
-    """Write the checkpoint. A non-finite value, which ``load_checkpoint``
-    would refuse, is a ``DataError`` that names its key; nothing is
-    written."""
+def save_checkpoint(model: UPropModel, path, final_loss: float | None = None) -> None:
+    """Write the checkpoint: the model's ``train_config`` (its seed
+    included), normalization and weights. A weight array of another shape
+    than the config names, or a non-finite value, either of which
+    ``load_checkpoint`` would refuse, is a ``DataError`` that names its
+    key; nothing is written."""
     config = model.train_config
-    if config is None:
-        raise ValueError("model has no training configuration to checkpoint")
-    weights = {key: array.ravel() for (key, _), array
-               in zip(_weight_shapes(model.dims, config), _weight_arrays(model))}
+    weights = {}
+    for (key, shape), array in zip(_weight_shapes(model.dims, config),
+                                   _weight_arrays(model), strict=True):
+        if array.shape != shape:
+            raise DataError(f"{path}: checkpoint key weights.{key} has shape "
+                            f"{array.shape}, but the model's config names {shape}")
+        weights[key] = array.ravel()
     if final_loss is not None and not math.isfinite(final_loss):
         raise DataError(f"{path}: checkpoint key final_loss is not finite: {final_loss!r}")
     for where, arrays in (("normalization.", {"mean": model.norm.mean, "std": model.norm.std}),
@@ -90,7 +94,7 @@ def save_checkpoint(model: UPropModel, path, seed: int,
         "hyperparameters": {name: getattr(config, name) for name in _HYPER_FIELDS},
         "normalization": {"mean": model.norm.mean, "std": model.norm.std},
         "weights": weights,
-        "seed": int(seed),
+        "seed": config.seed,
         "final_loss": final_loss,
     }
     Path(path).write_text(_dump(doc) + "\n")

@@ -28,16 +28,16 @@ class RunConfig:
     """Validated JSON run configuration; unknown keys are rejected."""
 
     dims: int = 3
-    layers: int = 3
-    hidden: int = 64
-    dropout: float = 0.2
-    lookahead: int = 8
-    epochs: int = 20
-    lr: float = 0.001
-    batch_size: int = 32
-    window: int = 120
-    sigma_floor: float = 1e-3
-    seed: int = 0
+    layers: int = TrainConfig.n_layers
+    hidden: int = TrainConfig.hidden_size
+    dropout: float = TrainConfig.dropout
+    lookahead: int = TrainConfig.lookahead
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    window: int = TrainConfig.window_length
+    sigma_floor: float = TrainConfig.sigma_floor
+    seed: int = TrainConfig.seed
     missing_rates: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.5])
     lookaheads: list[int] = field(default_factory=lambda: [2, 4, 8, 16])
     methods: list[str] = field(default_factory=lambda: list(METHODS))
@@ -52,9 +52,15 @@ class RunConfig:
         for rate in self.missing_rates:
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"missing rate must be in [0, 1), got {rate}")
+        for name in ("missing_rates", "lookaheads", "methods"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+        if "uprop" not in self.methods:
+            raise ConfigError(f"methods must include 'uprop', the method the "
+                              f"others are compared with, got {self.methods}")
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -117,8 +123,7 @@ def _dataset(config: RunConfig, data_path) -> DatasetSplit:
     windows = []
     for series in _load_series(data_path, config.dims):
         windows.extend(window(series, config.window))
-    return split(windows, (0.8, 0.1, 0.1), seed=config.seed,
-                 window_length=config.window)
+    return split(windows, (0.8, 0.1, 0.1), seed=config.seed)
 
 
 def _write_table(dest, columns, rows, fmt="csv") -> None:
@@ -169,8 +174,7 @@ def cmd_train(args) -> int:
     config = RunConfig.load(args.config)
     dataset = _dataset(config, args.data)
     model, history = train(dataset.train, config.train_config(args.lookahead))
-    save_checkpoint(model, args.model_out, seed=config.seed,
-                    final_loss=history[-1])
+    save_checkpoint(model, args.model_out, final_loss=history[-1])
     loss_path = args.loss_out or Path(args.model_out).with_suffix(".loss.csv")
     _write_table(loss_path, ["epoch", "loss"], enumerate(history, start=1))
     print(f"checkpoint: {args.model_out}  final loss: {_fmt(history[-1])}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +68,8 @@ class NormStats:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise DataError("NormStats mean/std must be 1-D and equal length")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.std))):
+            raise DataError("NormStats mean/std entries must be finite")
         if np.any(self.std < STD_FLOOR):
             raise DataError(f"NormStats std entries must be >= {STD_FLOOR}")
 
@@ -89,8 +92,6 @@ class DatasetSplit:
     train: list
     val: list
     test: list
-    fractions: tuple = (0.8, 0.1, 0.1)
-    window_length: int = 120
 
 
 def load_csv(path) -> TimeSeries:
@@ -153,12 +154,14 @@ _KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _is_a(value, kind) -> bool:
-    """JSON type check: a bool is no number, and a float field takes any
-    integer or finite float."""
+    """JSON type check: a bool is no number, an integer (numpy's too) is
+    an int or a float, and a float field also takes any finite float."""
     if isinstance(value, bool):
         return False
+    if isinstance(value, numbers.Integral):
+        return kind is int or kind is float
     if kind is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        return isinstance(value, float) and math.isfinite(value)
     return isinstance(value, kind)
 
 
@@ -257,8 +260,7 @@ def window(series: TimeSeries, length: int, stride: int | None = None) -> list:
     return out
 
 
-def split(windows: list, fractions=(0.8, 0.1, 0.1), seed: int = 0,
-          window_length: int | None = None) -> DatasetSplit:
+def split(windows: list, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
     """Shuffle windows with the seed, then partition by fractions."""
     if len(fractions) != 3 or not math.isclose(sum(fractions), 1.0, abs_tol=1e-9):
         raise DataError(f"fractions must be 3 values summing to 1, got {fractions}")
@@ -271,8 +273,6 @@ def split(windows: list, fractions=(0.8, 0.1, 0.1), seed: int = 0,
         train=shuffled[:n_train],
         val=shuffled[n_train:n_train + n_val],
         test=shuffled[n_train + n_val:],
-        fractions=tuple(fractions),
-        window_length=window_length if window_length is not None else windows[0].steps,
     )
 
 

@@ -36,24 +36,26 @@ pass (``nn.window_batch_backward``).
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tn
-from .data import NormStats, TimeSeries
+from .data import _KINDS, NormStats, TimeSeries, _is_a
 from .errors import ConfigError, DataError, ShapeError
 from .nn import (GruStackParams, LinearParams, adam_init, adam_step,
                  dropout_mask, freeze_linear, fuse_stack, fused_stack_step,
                  gate_buffers, init_gru_stack, init_linear, matvec,
                  window_batch_backward, window_batch_forward, zero_grad,
                  zero_hidden)
-from .prob import DistVector, SigmaSquash
+from .prob import DistVector
 
 
 @dataclass
 class TrainConfig:
-    """Training and architecture hyperparameters."""
+    """Training and architecture hyperparameters, each of its annotated
+    type under the JSON rule (``data._is_a``) that checkpoints load by."""
 
     lookahead: int = 8
     epochs: int = 20
@@ -67,6 +69,10 @@ class TrainConfig:
     sigma_floor: float = 1e-3
 
     def __post_init__(self):
+        for name, kind in typing.get_type_hints(TrainConfig).items():
+            value = getattr(self, name)
+            if not _is_a(value, kind):
+                raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
         if not 1 <= self.lookahead < self.window_length:
             raise ConfigError(
                 f"lookahead must satisfy 1 <= k < window_length, got "
@@ -121,14 +127,17 @@ class FilterStep:
 
 @dataclass
 class UPropModel:
-    """GRU stack + affine readout mapping 2N belief inputs to 2N raw outputs."""
+    """GRU stack + affine readout mapping 2N belief inputs to 2N raw outputs.
+
+    ``train_config`` holds every setting of the model, the sigma floor of
+    its outputs among them, and is what a checkpoint saves.
+    """
 
     dims: int
     stack: GruStackParams
     readout: LinearParams
-    squash: SigmaSquash
     norm: NormStats
-    train_config: TrainConfig | None = None
+    train_config: TrainConfig
     _fstack: GruStackParams = field(init=False, repr=False, default=None)
     _freadout: LinearParams = field(init=False, repr=False, default=None)
     # forecast_from_origin's resume point; see that function
@@ -163,8 +172,7 @@ def build_model(dims: int, config: TrainConfig, norm: NormStats,
     # scale channels only gain influence through training
     stack.layers[0].w.value[:, dims:] = 0.0
     readout = init_linear(config.hidden_size, 2 * dims, rng)
-    return UPropModel(dims=dims, stack=stack, readout=readout,
-                      squash=SigmaSquash(config.sigma_floor), norm=norm,
+    return UPropModel(dims=dims, stack=stack, readout=readout, norm=norm,
                       train_config=config)
 
 
@@ -205,9 +213,10 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: list | None = None):
     and (B, hidden) states. ``bufs`` is :func:`nn.gate_buffers` for that
     shape (made when None). The step is bare numpy on the frozen
     arrays. It returns a fresh row in the same layout, the readout with
-    its sigma half squashed in place: ``sigma = softplus(raw) + floor`` is
-    at least the floor (or NaN). ``DistVector._of_row`` views it as a
-    belief without ``DistVector``'s checks.
+    its sigma half squashed in place: ``sigma = softplus(raw) + floor``,
+    with the floor of ``model.train_config``, is at least the floor (or
+    NaN). ``DistVector._of_row`` views it as a belief without
+    ``DistVector``'s checks.
     """
     if x.shape[-1] != 2 * model.dims:
         raise ShapeError(f"input width {x.shape[-1]} != 2 * model dims {model.dims}")
@@ -217,7 +226,7 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: list | None = None):
     row += readout.bias
     sigma = row[..., model.dims:]
     np.logaddexp(0.0, sigma, out=sigma)
-    sigma += model.squash.floor
+    sigma += model.train_config.sigma_floor
     return row, h_next
 
 
@@ -349,17 +358,16 @@ def _self_feed(model: UPropModel, pending: np.ndarray, h: list, k: int,
     return inputs, [pending] + preds
 
 
-def rollout(model: UPropModel, context: list, k: int,
-            origin_t: int | None = None) -> Forecast:
+def rollout(model: UPropModel, context: list, k: int) -> Forecast:
     """Consume ``context`` (DistVectors), then self-feed for ``k`` steps.
 
     Each prediction's (mu, sigma) is fed directly as the next input — no
-    sampling.
+    sampling. The forecast's origin is the last context step.
     """
     _check_horizon(k)
     pending, h = _consume(model, context)
     _, rows = _self_feed(model, pending, h, k)
-    return Forecast(origin_t=origin_t if origin_t is not None else len(context) - 1,
+    return Forecast(origin_t=len(context) - 1,
                     steps=[DistVector._of_row(row) for row in rows])
 
 
@@ -379,8 +387,7 @@ def filter_series(model: UPropModel, series: TimeSeries,
     return steps
 
 
-def _batch_loss(stack: GruStackParams, readout: LinearParams, squash: SigmaSquash,
-                X: np.ndarray, anchors, k: int, masks=None):
+def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks=None):
     """Training loss of a batch of windows as one node over the weights.
 
     ``X`` is the normalized (B, L, N) batch; window b is fed rows
@@ -388,15 +395,15 @@ def _batch_loss(stack: GruStackParams, readout: LinearParams, squash: SigmaSquas
     (anchor_b, gaps, h) array, or None for no dropout), then rolls out k
     steps self-fed and is scored against rows anchor_b..anchor_b+k-1 by
     mean per-point NLL. Returns the batch-mean loss as a ``Var`` whose
-    parents are the ``Var`` leaves among the weights of ``stack`` and
-    ``readout``, and the per-window losses as numpy. The forward is
-    :func:`window_batch_forward`; the gradients come from one
-    :func:`window_batch_backward` pass, run when ``backward`` first asks
-    for them.
+    parents are the model's weights, and the per-window losses as numpy.
+    The forward is :func:`window_batch_forward`; the gradients come from
+    one :func:`window_batch_backward` pass, run when ``backward`` first
+    asks for them.
     """
-    losses, cache = window_batch_forward(stack, readout, squash.floor, X,
+    losses, cache = window_batch_forward(model.stack, model.readout,
+                                         model.train_config.sigma_floor, X,
                                          anchors, k, masks)
-    weights = stack.weights() + readout.weights()
+    weights = model.parameters()
     grads = []
 
     def vjp(i):
@@ -406,9 +413,8 @@ def _batch_loss(stack: GruStackParams, readout: LinearParams, squash: SigmaSquas
             return g * grads[i]
         return apply
 
-    tape = [(p, vjp(i)) for i, p in enumerate(weights) if isinstance(p, tn.Var)]
-    loss = tn.Var(losses.mean(), tuple(p for p, _ in tape),
-                  tuple(f for _, f in tape))
+    loss = tn.Var(losses.mean(), tuple(weights),
+                  tuple(vjp(i) for i in range(len(weights))))
     return loss, losses
 
 
@@ -466,14 +472,13 @@ def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
                 anchors.append(anchor)
                 masks.append(_context_masks(model.stack, anchor, rng))
             batch_loss, losses = _batch_loss(
-                model.stack, model.readout, model.squash, xs[batch], anchors, k,
-                None if masks[0] is None else masks)
+                model, xs[batch], anchors, k, None if masks[0] is None else masks)
             if not np.all(np.isfinite(losses)):
                 raise DataError(f"non-finite training loss in epoch {epoch + 1}, "
                                 f"batch {start // config.batch_size + 1}")
             zero_grad(params)
             tn.backward(batch_loss)
-            adam_step(adam, params)
+            adam_step(adam, params, [p.grad for p in params])
             epoch_losses.extend(losses.tolist())
         loss_history.append(float(np.mean(epoch_losses)))
     model.refresh_frozen()

@@ -444,14 +444,17 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
                     d_raw.sum(axis=0)]
 
 
+# Adam's moment decays and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam with bias correction; moments shape-match the parameter list."""
 
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -465,10 +468,8 @@ def adam_init(params: list, learning_rate: float = 0.001) -> AdamState:
     )
 
 
-def adam_step(state: AdamState, params: list, grads: list | None = None) -> AdamState:
-    """One Adam update, in place on ``params``; ``grads`` defaults to ``p.grad``."""
-    if grads is None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
+def adam_step(state: AdamState, params: list, grads: list) -> AdamState:
+    """One Adam update, in place on ``params``, by one gradient per parameter."""
     if len(grads) != len(params) or len(state.m) != len(params):
         raise ShapeError("adam_step: parameter/gradient/state length mismatch")
     state.step_count += 1
@@ -477,10 +478,10 @@ def adam_step(state: AdamState, params: list, grads: list | None = None) -> Adam
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.value.shape:
             raise ShapeError(f"adam_step: gradient {i} shape {g.shape} != {p.value.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[i] / (1.0 - state.beta2 ** t)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
         # in-place so frozen numpy views stay current
-        p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return state

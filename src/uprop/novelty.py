@@ -111,7 +111,8 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
     if origin < 0 or origin >= series.steps:
         raise ValueError(f"origin {origin} outside series of length {series.steps}")
     _check_horizon(k)
-    cursor, fstack, floor = model._cursor, model._fstack, model.squash.floor
+    cursor, fstack = model._cursor, model._fstack
+    floor = model.train_config.sigma_floor
     start, pending, h = 0, None, None
     if cursor is not None:
         c, values, mask, c_pending, c_h, c_fstack, c_floor = cursor

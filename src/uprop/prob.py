@@ -25,17 +25,6 @@ Z95 = 1.9599640
 
 
 @dataclass
-class SigmaSquash:
-    """Softplus-plus-floor map from raw readout values to valid scales."""
-
-    floor: float = 1e-3
-
-    def __post_init__(self):
-        if not self.floor > 0.0:
-            raise ValueError(f"sigma floor must be positive, got {self.floor}")
-
-
-@dataclass
 class DistVector:
     """Per-dimension (location, scale) pairs; scale 0 means observed."""
 
@@ -82,12 +71,13 @@ class DistVector:
         return cls(mu=np.zeros(dims), sigma=np.ones(dims))
 
 
-def squash_sigma(raw, squash: SigmaSquash):
-    """softplus(raw) + floor; strictly positive and monotone in raw.
+def squash_sigma(raw, floor: float):
+    """softplus(raw) + floor; strictly positive and monotone in raw for a
+    positive floor (a model's ``TrainConfig.sigma_floor``).
 
     Accepts scalars or numpy arrays.
     """
-    return np.logaddexp(0.0, raw) + squash.floor
+    return np.logaddexp(0.0, raw) + floor
 
 
 def _per_row(total):

@@ -122,7 +122,7 @@ def entries():
                 kl_novelty(model, x, t, 2, 6, reverse=r)
                 for t in (6, 100, 239) for r in (False, True)]))
             path = tmp / f"{name}.json"
-            save_checkpoint(model, path, seed=5, final_loss=0.25)
+            save_checkpoint(model, path, final_loss=0.25)
             out.append((f"{name}.checkpoint", path.read_bytes()))
         grid = evaluate_grid({2: models["1x16"], 4: models["3x12"]}, ds.test,
                              rates=[0.0, 0.3], seed=4)

@@ -55,13 +55,10 @@ def test_criterion_1_gradient_oracle():
         params = model.parameters()
 
         def loss_value():
-            return float(_batch_loss(model.stack, model.readout,
-                                     model.squash, x[None], [anchor],
-                                     k)[0].value)
+            return float(_batch_loss(model, x[None], [anchor], k)[0].value)
 
         zero_grad(params)
-        loss = _batch_loss(model.stack, model.readout,
-                           model.squash, x[None], [anchor], k)[0]
+        loss = _batch_loss(model, x[None], [anchor], k)[0]
         tn.backward(loss)
         eps = 1e-5
         for p in params:
@@ -299,8 +296,8 @@ def test_criterion_8_determinism_and_round_trips(desk, tmp_path):
     m1, h1 = train(toy_windows(seed=80), cfg)
     m2, h2 = train(toy_windows(seed=80), cfg)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_checkpoint(m1, p1, seed=80, final_loss=h1[-1])
-    save_checkpoint(m2, p2, seed=80, final_loss=h2[-1])
+    save_checkpoint(m1, p1, final_loss=h1[-1])
+    save_checkpoint(m2, p2, final_loss=h2[-1])
     retrain_ok = p1.read_bytes() == p2.read_bytes()
 
     # checkpoint round trip reproduces forecasts bit-exactly

@@ -40,8 +40,7 @@ def batch(model, B, L, k, anchors, seed):
 def loss_and_grads(model, X, anchors, k, masks):
     params = model.parameters()
     zero_grad(params)
-    loss, losses = _batch_loss(model.stack, model.readout,
-                               model.squash, X, anchors, k, masks)
+    loss, losses = _batch_loss(model, X, anchors, k, masks)
     tn.backward(loss)
     return float(loss.value), losses, [p.grad.copy() for p in params]
 
@@ -60,7 +59,7 @@ def loop_losses(model, X, anchors, k, masks):
         total = 0.0
         for j in range(k):
             raw = readout.weight @ top + readout.bias
-            mu, sigma = raw[:N], squash_sigma(raw[N:], model.squash)
+            mu, sigma = raw[:N], squash_sigma(raw[N:], model.train_config.sigma_floor)
             z = (x[anchor + j] - mu) / sigma
             total += np.sum(np.log(sigma)) + 0.5 * np.sum(z * z) + N * 0.5 * LN_2PI
             top, h = gru_stack_step(model.stack, np.concatenate([mu, sigma]), h)
@@ -76,8 +75,7 @@ def test_gradients_match_finite_differences():
     _, _, grads = loss_and_grads(model, X, anchors, k, masks)
 
     def loss_value():
-        loss, _ = _batch_loss(model.stack, model.readout,
-                              model.squash, X, anchors, k, masks)
+        loss, _ = _batch_loss(model, X, anchors, k, masks)
         return float(loss.value)
 
     eps, worst = 1e-5, 0.0
@@ -143,8 +141,7 @@ def test_no_per_op_tape():
     # the loss is one node over the weights, whatever the window length
     model = make_model(dims=2, hidden=4, layers=2, dropout=0.0, k=3, L=60, seed=2)
     X, _ = batch(model, 4, 60, 3, [50, 40, 30, 57], seed=2)
-    loss, _ = _batch_loss(model.stack, model.readout, model.squash,
-                          X, [50, 40, 30, 57], 3)
+    loss, _ = _batch_loss(model, X, [50, 40, 30, 57], 3)
     seen, stack = {id(loss)}, [loss]
     while stack:
         for parent in stack.pop()._parents:

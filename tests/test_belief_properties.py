@@ -81,7 +81,7 @@ def assert_valid_belief(belief, model):
         assert part.dtype == np.float64
         assert part.shape == (model.dims,)
     sigma = belief.sigma
-    assert np.all((sigma >= model.squash.floor) | np.isnan(sigma)), sigma
+    assert np.all((sigma >= model.train_config.sigma_floor) | np.isnan(sigma)), sigma
 
 
 @SETTINGS

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 
 from uprop.checkpoint import _HYPER_FIELDS, load_checkpoint, save_checkpoint
 from uprop.cli import main
+from uprop.data import TimeSeries, emulate_missing
 from uprop.errors import CheckpointNotFoundError, DataError
 from uprop.forecaster import DistVector, TrainConfig, rollout, train
 from uprop.nn import gate_blocks
+from uprop.novelty import forecast_from_origin
 
 from test_forecaster import small_model, toy_windows
 
@@ -35,9 +39,9 @@ class TestRoundTrip:
         model, hist = tiny_trained_model()
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        save_checkpoint(model, p1, seed=50, final_loss=hist[-1])
+        save_checkpoint(model, p1, final_loss=hist[-1])
         loaded, info = load_checkpoint(p1)
-        save_checkpoint(loaded, p2, seed=info["seed"], final_loss=info["final_loss"])
+        save_checkpoint(loaded, p2, final_loss=info["final_loss"])
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_per_gate_checkpoint_loads_and_resaves_byte_identically(self, tmp_path):
@@ -54,13 +58,13 @@ class TestRoundTrip:
                 np.testing.assert_array_equal(fused.value.ravel(), np.concatenate(
                     [doc["weights"][f"gru.{i}.{name}"] for name in names]))
         path = tmp_path / "resaved.json"
-        save_checkpoint(loaded, path, seed=info["seed"], final_loss=info["final_loss"])
+        save_checkpoint(loaded, path, final_loss=info["final_loss"])
         assert path.read_bytes() == V1_CHECKPOINT.read_bytes()
 
     def test_loaded_model_reproduces_forecasts_bit_exactly(self, tmp_path):
         model, hist = tiny_trained_model(seed=51)
         path = tmp_path / "m.json"
-        save_checkpoint(model, path, seed=51, final_loss=hist[-1])
+        save_checkpoint(model, path, final_loss=hist[-1])
         loaded, _ = load_checkpoint(path)
         rng = np.random.default_rng(51)
         context = [DistVector.observed(rng.normal(size=2)) for _ in range(10)]
@@ -70,10 +74,38 @@ class TestRoundTrip:
             np.testing.assert_array_equal(sa.mu, sb.mu)
             np.testing.assert_array_equal(sa.sigma, sb.sigma)
 
+    def test_a_new_floor_in_the_train_config_moves_forecasts_and_survives(self, tmp_path):
+        model, _ = tiny_trained_model(seed=59)
+        rng = np.random.default_rng(59)
+        context = [DistVector.observed(rng.normal(size=2)) for _ in range(10)]
+        series = emulate_missing(TimeSeries.complete(rng.normal(size=(30, 2))), 0.3, seed=59)
+        old = rollout(model, context, k=1).steps[0].sigma
+        forecast_from_origin(model, series, 20, 4)  # a cursor under the old floor
+        model.train_config = dataclasses.replace(model.train_config, sigma_floor=2.0)
+        forecasts = [rollout(model, context, k=3), forecast_from_origin(model, series, 20, 4)]
+        np.testing.assert_allclose(forecasts[0].steps[0].sigma, old - 1e-3 + 2.0, rtol=1e-12)
+        assert all(np.all(s.sigma >= 2.0) for fc in forecasts for s in fc.steps)
+        path = tmp_path / "m.json"
+        save_checkpoint(model, path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.train_config == model.train_config
+        again = [rollout(loaded, context, k=3), forecast_from_origin(loaded, series, 20, 4)]
+        for want, got in zip(forecasts, again):
+            for a, b in zip(want.steps, got.steps, strict=True):
+                np.testing.assert_array_equal(a.mu, b.mu)
+                np.testing.assert_array_equal(a.sigma, b.sigma)
+
+    def test_the_saved_seed_is_the_train_config_seed(self, tmp_path):
+        assert "seed" not in inspect.signature(save_checkpoint).parameters
+        path = tmp_path / "m.json"
+        save_checkpoint(small_model(seed=60), path)
+        assert json.loads(path.read_text())["seed"] == 60
+        assert load_checkpoint(path)[1]["seed"] == 60
+
     def test_normalization_and_config_survive(self, tmp_path):
         model, _ = tiny_trained_model(seed=52)
         path = tmp_path / "m.json"
-        save_checkpoint(model, path, seed=52)
+        save_checkpoint(model, path)
         loaded, info = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.norm.mean, model.norm.mean)
         np.testing.assert_array_equal(loaded.norm.std, model.norm.std)
@@ -84,8 +116,8 @@ class TestRoundTrip:
         m1, h1 = tiny_trained_model(seed=53)
         m2, h2 = tiny_trained_model(seed=53)
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        save_checkpoint(m1, p1, seed=53, final_loss=h1[-1])
-        save_checkpoint(m2, p2, seed=53, final_loss=h2[-1])
+        save_checkpoint(m1, p1, final_loss=h1[-1])
+        save_checkpoint(m2, p2, final_loss=h2[-1])
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -103,7 +135,7 @@ class TestErrors:
     def test_unsupported_version(self, tmp_path):
         model, _ = tiny_trained_model(seed=54)
         path = tmp_path / "v.json"
-        save_checkpoint(model, path, seed=54)
+        save_checkpoint(model, path)
         doc = path.read_text().replace('"format_version": 1',
                                        '"format_version": 99', 1)
         path.write_text(doc)
@@ -113,19 +145,13 @@ class TestErrors:
     def test_truncated_weights(self, tmp_path):
         model, _ = tiny_trained_model(seed=55)
         path = tmp_path / "t.json"
-        save_checkpoint(model, path, seed=55)
+        save_checkpoint(model, path)
         import json
         doc = json.loads(path.read_text())
         doc["weights"]["readout.bias"] = doc["weights"]["readout.bias"][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="readout.bias"):
             load_checkpoint(path)
-
-    def test_untrained_model_without_config_rejected(self, tmp_path):
-        model = small_model(seed=56)
-        model.train_config = None
-        with pytest.raises(ValueError):
-            save_checkpoint(model, tmp_path / "x.json", seed=0)
 
 
 # every key of a checkpoint of a 2-layer model, top level and nested
@@ -142,7 +168,7 @@ CHECKPOINT_KEYS = (
 @pytest.fixture(scope="module")
 def checkpoint_doc(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "m.json"
-    save_checkpoint(small_model(seed=57), path, seed=57, final_loss=1.5)
+    save_checkpoint(small_model(seed=57), path, final_loss=1.5)
     return path.read_text()
 
 
@@ -192,7 +218,22 @@ def test_save_refuses_non_finite_value_naming_its_key(tmp_path, key, value):
         arrays[key].flat[-1] = value
     path = tmp_path / "m.json"
     with pytest.raises(DataError, match=f"key {re.escape(key)} "):
-        save_checkpoint(model, path, seed=58, final_loss=final_loss)
+        save_checkpoint(model, path, final_loss=final_loss)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"n_layers": 1}, "weights.readout.bias"), ({"n_layers": 3}, "weights.gru.2.W_z"),
+    ({"hidden_size": 5}, "weights.gru.0.W_r")])
+def test_save_refuses_weights_not_of_the_config_shapes_naming_the_key(tmp_path, fields,
+                                                                       key):
+    # a 2-layer stack of width 4 on 2 dims under a config that names
+    # other shapes
+    model = small_model(hidden=4, layers=2, seed=61)
+    model.train_config = dataclasses.replace(model.train_config, **fields)
+    path = tmp_path / "m.json"
+    with pytest.raises(DataError, match=f"key {re.escape(key)} has shape"):
+        save_checkpoint(model, path)
     assert not path.exists()
 
 

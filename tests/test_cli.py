@@ -199,6 +199,22 @@ class TestEvaluate:
         d_m = float((out / "diff_mean.csv").read_text().splitlines()[1].split(",")[1])
         assert d_m == pytest.approx(g_m - g_u, rel=1e-12)
 
+    @pytest.mark.parametrize("fields, says", [
+        ({"lookaheads": []}, "lookaheads must not be empty"),
+        ({"missing_rates": []}, "missing_rates must not be empty"),
+        ({"methods": []}, "methods must not be empty"),
+        ({"methods": ["mean"]}, "methods must include 'uprop'")])
+    def test_config_lists_without_a_uprop_grid_are_2_and_write_nothing(
+            self, workdir, tmp_path, capsys, fields, says):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(TINY, **fields)))
+        out = tmp_path / "grid"
+        rc = main(["evaluate", "--models-dir", str(workdir / "models"),
+                   "--data", str(workdir / "data"), "--config", str(config),
+                   "--out-dir", str(out)])
+        assert rc == 2 and not out.exists()
+        assert says in capsys.readouterr().err
+
     def test_missing_checkpoint_is_exit_4(self, workdir, tmp_path):
         rc = main(["evaluate", "--models-dir", str(tmp_path),
                    "--data", str(workdir / "data"),

@@ -101,7 +101,13 @@ class TestCsv:
     (lambda: TimeSeries(values=np.zeros(3), mask=np.ones(3)), r"\(3,\) vs \(3,\)"),
     (lambda: NormStats(mean=np.zeros(2), std=np.ones(3)), "1-D and equal length"),
     (lambda: NormStats(mean=np.zeros(2), std=np.array([1.0, 1e-7])), "must be >= 1e-06"),
-], ids=["series-unequal", "series-1-D", "stats-unequal", "std-below-floor"])
+    (lambda: NormStats(mean=[0.0], std=[np.nan]), "must be finite"),
+    (lambda: NormStats(mean=[0.0], std=[np.inf]), "must be finite"),
+    (lambda: NormStats(mean=[np.nan], std=[1.0]), "must be finite"),
+    (lambda: NormStats(mean=[np.inf], std=[1.0]), "must be finite"),
+    (lambda: NormStats(mean=[-np.inf], std=[1.0]), "must be finite"),
+], ids=["series-unequal", "series-1-D", "stats-unequal", "std-below-floor", "std-nan",
+        "std-inf", "mean-nan", "mean-inf", "mean-minus-inf"])
 def test_malformed_series_and_stats_rejected(make, says):
     with pytest.raises(DataError, match=says):
         make()

@@ -12,7 +12,6 @@ from uprop.forecaster import (DistVector, TrainConfig, UPropModel, _batch_loss,
                               rollout, step, train)
 from uprop.nn import window_batch_forward, zero_grad, zero_hidden
 from uprop.novelty import forecast_from_origin
-from uprop.prob import SigmaSquash
 
 
 def small_model(dims=2, hidden=6, layers=2, seed=0, floor=1e-3):
@@ -107,7 +106,7 @@ class TestStep:
                               zero_hidden(model.stack))
         np.testing.assert_allclose(pred.mu, [0.5, -0.5])
         np.testing.assert_allclose(
-            pred.sigma, np.logaddexp(0, [0.2, -3.0]) + model.squash.floor)
+            pred.sigma, np.logaddexp(0, [0.2, -3.0]) + model.train_config.sigma_floor)
 
     def test_in_place_weight_edits_are_seen_without_a_refresh(self):
         # inference reads views of the weights, not copies
@@ -231,6 +230,19 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, says", [
+        ("seed", True, "an integer"), ("n_layers", 2.0, "an integer"),
+        ("learning_rate", float("nan"), "a finite number"),
+        ("dropout", "0.2", "a finite number")])
+    def test_field_of_another_type_rejected(self, field, value, says):
+        # a checkpoint would write it, and load_checkpoint refuse it
+        with pytest.raises(ConfigError, match=f"{field} must be {says}, got {value!r}"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = TrainConfig(seed=np.int64(3), hidden_size=np.int32(4), learning_rate=1)
+        assert (cfg.seed, cfg.hidden_size) == (3, 4)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
@@ -249,7 +261,7 @@ def test_model_parts_of_other_dims_rejected(part, says):
     parts = dict(stack=two.stack, readout=two.readout, norm=two.norm)
     parts[part] = getattr(three, part)
     with pytest.raises(ShapeError, match=says):
-        UPropModel(dims=2, squash=two.squash, **parts)
+        UPropModel(dims=2, train_config=two.train_config, **parts)
 
 
 class TestTrain:
@@ -322,12 +334,10 @@ class TestGradientsOfTrainingLoss:
         params = model.parameters()
 
         def loss_value():
-            return float(_batch_loss(model.stack, model.readout, model.squash,
-                                     x[None], [anchor], k)[0].value)
+            return float(_batch_loss(model, x[None], [anchor], k)[0].value)
 
         zero_grad(params)
-        loss = _batch_loss(model.stack, model.readout, model.squash, x[None], [anchor],
-                           k)[0]
+        loss = _batch_loss(model, x[None], [anchor], k)[0]
         tn.backward(loss)
         eps = 1e-5
         for p in params:
@@ -350,7 +360,7 @@ class TestGradientsOfTrainingLoss:
         x = np.zeros((4, 1))
         params = model.parameters()
         zero_grad(params)
-        loss = _batch_loss(model.stack, model.readout, model.squash, x[None], [2], 1)[0]
+        loss = _batch_loss(model, x[None], [2], 1)[0]
         tn.backward(loss)
         for p in params:
             assert p.grad is not None
@@ -383,7 +393,7 @@ class TestSaturatedGates:
             top, h = ref.gru_stack_step(model.stack, np.concatenate([inp.mu, inp.sigma]), h)
             raw = w @ top + b
             pending = DistVector(mu=raw[:2],
-                                 sigma=np.logaddexp(0.0, raw[2:]) + model.squash.floor)
+                                 sigma=np.logaddexp(0.0, raw[2:]) + model.train_config.sigma_floor)
             out.append(pending)
         return out
 
@@ -399,11 +409,10 @@ class TestSaturatedGates:
             records = filter_series(model, series)
             fc = forecast_from_origin(model, series, 20, 4)
             _, cache = window_batch_forward(model.stack, model.readout,
-                                            model.squash.floor, X, [3, 8, 5], 4)
+                                            model.train_config.sigma_floor, X, [3, 8, 5], 4)
             params = model.parameters()
             zero_grad(params)
-            loss, _ = _batch_loss(model.stack, model.readout, model.squash,
-                                  X, [3, 8, 5], 4)
+            loss, _ = _batch_loss(model, X, [3, 8, 5], 4)
             tn.backward(loss)
         for rz in cache.rz:
             assert np.all((rz == 0.0) | (rz == 1.0))
@@ -414,7 +423,7 @@ class TestSaturatedGates:
             return encode_input(values[t], pending) if t <= origin else pending
 
         filtered = [r.forecast.steps[0] for r in records]
-        assert filtered[0].sigma.tolist() == [model.squash.floor] * 2
+        assert filtered[0].sigma.tolist() == [model.train_config.sigma_floor] * 2
         pairs = [(filtered, self.reference_scan(model, 30, observe)),
                  (fc.steps, self.reference_scan(
                      model, 24, lambda t, p: observe(t, p, 20))[20:])]

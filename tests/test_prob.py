@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from uprop import prob
 from uprop.errors import ShapeError
-from uprop.prob import DistVector, SigmaSquash, interval95, kl, nll, squash_sigma
+from uprop.prob import DistVector, interval95, kl, nll, squash_sigma
 
 
 def kl_by_quadrature(mu_p, s_p, mu_q, s_q):
@@ -26,31 +26,27 @@ def kl_by_quadrature(mu_p, s_p, mu_q, s_q):
 
 class TestSquash:
     def test_softplus_closed_form_at_zero(self):
-        got = squash_sigma(0.0, SigmaSquash(floor=1e-12))
+        got = squash_sigma(0.0, 1e-12)
         assert got == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_underflow_hits_floor(self):
-        assert squash_sigma(-40.0, SigmaSquash(floor=1e-3)) == pytest.approx(1e-3, abs=1e-9)
+        assert squash_sigma(-40.0, 1e-3) == pytest.approx(1e-3, abs=1e-9)
 
     def test_monotone(self):
         rng = np.random.default_rng(0)
         raws = np.sort(rng.normal(scale=5.0, size=50))
-        outs = squash_sigma(raws, SigmaSquash())
+        outs = squash_sigma(raws, 1e-3)
         assert np.all(np.diff(outs) > 0)
 
     def test_output_at_least_floor_and_slope_below_one(self):
-        sq = SigmaSquash(floor=1e-3)
+        floor = 1e-3
         rng = np.random.default_rng(1)
         for raw in rng.normal(scale=10.0, size=100):
-            out = squash_sigma(raw, sq)
-            assert out >= sq.floor
+            out = squash_sigma(raw, floor)
+            assert out >= floor
             eps = 1e-6
-            slope = (squash_sigma(raw + eps, sq) - squash_sigma(raw - eps, sq)) / (2 * eps)
+            slope = (squash_sigma(raw + eps, floor) - squash_sigma(raw - eps, floor)) / (2 * eps)
             assert 0.0 < slope < 1.0
-
-    def test_floor_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SigmaSquash(floor=0.0)
 
 
 class TestDistVector:
