@@ -69,11 +69,17 @@ def _weight_arrays(model: UPropModel):
 
 def save_checkpoint(model: UPropModel, path, final_loss: float | None = None) -> None:
     """Write the checkpoint: the model's ``train_config`` (its seed
-    included), normalization and weights. A weight array of another shape
-    than the config names, or a non-finite value, either of which
+    included), normalization and weights. A normalization array of
+    another length than ``model.dims``, a weight array of another shape
+    than the config names, or a non-finite value, any of which
     ``load_checkpoint`` would refuse, is a ``DataError`` that names its
     key; nothing is written."""
     config = model.train_config
+    stats = {"mean": model.norm.mean, "std": model.norm.std}
+    for key, array in stats.items():
+        if array.shape != (model.dims,):
+            raise DataError(f"{path}: checkpoint key normalization.{key} has shape "
+                            f"{array.shape}, but the model has {model.dims} dims")
     weights = {}
     for (key, shape), array in zip(_weight_shapes(model.dims, config),
                                    _weight_arrays(model), strict=True):
@@ -83,8 +89,7 @@ def save_checkpoint(model: UPropModel, path, final_loss: float | None = None) ->
         weights[key] = array.ravel()
     if final_loss is not None and not math.isfinite(final_loss):
         raise DataError(f"{path}: checkpoint key final_loss is not finite: {final_loss!r}")
-    for where, arrays in (("normalization.", {"mean": model.norm.mean, "std": model.norm.std}),
-                          ("weights.", weights)):
+    for where, arrays in (("normalization.", stats), ("weights.", weights)):
         for key, array in arrays.items():
             if not np.all(np.isfinite(array)):
                 raise DataError(f"{path}: checkpoint key {where}{key} has non-finite values")
@@ -92,7 +97,7 @@ def save_checkpoint(model: UPropModel, path, final_loss: float | None = None) ->
         "format_version": FORMAT_VERSION,
         "dims": model.dims,
         "hyperparameters": {name: getattr(config, name) for name in _HYPER_FIELDS},
-        "normalization": {"mean": model.norm.mean, "std": model.norm.std},
+        "normalization": stats,
         "weights": weights,
         "seed": config.seed,
         "final_loss": final_loss,

@@ -13,15 +13,16 @@ rollouts) run batched, the streaming ones one series at a time. Each row
 of a batch is bitwise the row stepped alone; ``nn`` says why.
 
 Inside the scan a belief is one row in the wire layout ``[mu..., sigma...]``
-(``prob``), (2N,) or (B, 2N): the policy builds each input row with one
-``np.where`` against an observed half laid out once per scan, ``step``
-feeds it to the stack as is and returns the readout, a fresh row whose
-sigma half is squashed in place, and the scan feeds that row back. The
-gate products of every step land in work buffers that the scan call
-makes and owns (``nn.gate_buffers``), never the model, so two scans of
-one model in two threads share no array they write. Beliefs the API
-returns are ``DistVector._of_row`` views of the step's own rows, which
-no later step writes.
+(``prob``), (2N,) or (B, 2N): the policy builds each input row as a copy
+of an observed half laid out once per scan, with the belief copied into
+its missing cells (``np.copyto``), ``step`` feeds it to the stack as is
+and returns the readout, a fresh row whose sigma half is squashed in
+place, and the scan feeds that row back. The gate products of every
+step land in work buffers that the scan call makes and owns
+(``nn.gate_buffers``), never the model, so two scans of one model in two
+threads share no array they write. Beliefs the API returns are
+``DistVector._of_row`` views of the step's own rows, which no later
+step writes.
 
 Training runs on complete data only: a window's prefix is fed as observed
 context (dropout on), then the model rolls out ``lookahead`` steps
@@ -52,10 +53,14 @@ from .nn import (GruStackParams, LinearParams, adam_init, adam_step,
 from .prob import DistVector
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Training and architecture hyperparameters, each of its annotated
-    type under the JSON rule (``data._is_a``) that checkpoints load by."""
+    type under the JSON rule (``data._is_a``) that checkpoints load by.
+
+    Frozen, so every value has passed the checks below: a changed setting
+    is a new config (``dataclasses.replace``, which runs them again).
+    """
 
     lookahead: int = 8
     epochs: int = 20
@@ -223,10 +228,10 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: list | None = None):
     top, h_next = fused_stack_step(model._fstack, x, h, bufs=bufs)
     readout = model._freadout
     row = matvec(readout.weight, top)
-    row += readout.bias
+    np.add(row, readout.bias, row)
     sigma = row[..., model.dims:]
-    np.logaddexp(0.0, sigma, out=sigma)
-    sigma += model.train_config.sigma_floor
+    np.logaddexp(0.0, sigma, sigma)
+    np.add(sigma, model.train_config.sigma_floor, sigma)
     return row, h_next
 
 
@@ -278,7 +283,7 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     read on steps with a missing cell only). Imputed values are clamped
     to +-IMPUTE_CLAMP. The prior is checked here, once, and the observed
     halves, ``[mask, mask]`` and ``[values, 0]``, are laid out here, so a
-    "uprop" step is one ``np.where``.
+    "uprop" step is one copy and one ``np.copyto``.
     """
     dims = values.shape[-1]
     if prior is None:
@@ -286,7 +291,7 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     elif prior.dims != dims:
         raise ShapeError(f"prior dims {prior.dims} != model dims {dims}")
     prior = prior.flat()
-    observed = np.concatenate([mask, mask], axis=-1)
+    missing = ~np.concatenate([mask, mask], axis=-1)
     given = np.concatenate([values, np.zeros(values.shape)], axis=-1)
     kind = np.asarray(kind)[..., None]
     imputed, sampled = kind != "uprop", kind == "sample"
@@ -300,7 +305,11 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
                 mu = np.where(sampled, mu + sigma * noise[t], mu)
             mu = np.where(imputed, np.clip(mu, -IMPUTE_CLAMP, IMPUTE_CLAMP), mu)
             fallback = np.concatenate([mu, np.where(imputed, 0.0, sigma)], axis=-1)
-        return np.where(observed[t], given[t], fallback)
+        # the row np.where(~missing, given, fallback) makes, at a third of
+        # its cost; a batch's first step broadcasts the (2N,) prior
+        x = given[t].copy()
+        np.copyto(x, fallback, "same_kind", missing[t])
+        return x
     return policy
 
 
@@ -313,11 +322,10 @@ def _filter(model: UPropModel, series: TimeSeries, prior: DistVector | None = No
         raise ShapeError(f"series dims {series.dims} != model dims {model.dims}")
     inputs, preds, h = _scan(model, series.steps,
                              _feed(series.values, series.mask, prior, kind, noise))
-    t0 = series.t0
-    records = [FilterStep(t=t0 + t, input=DistVector._of_row(x),
-                          forecast=Forecast(origin_t=t0 + t,
-                                            steps=[DistVector._of_row(row)]))
-               for t, (x, row) in enumerate(zip(inputs, preds))]
+    # positional arguments: a record per step, at about 2 us each
+    of_row = DistVector._of_row
+    records = [FilterStep(t, of_row(x), Forecast(t, [of_row(row)]))
+               for t, (x, row) in enumerate(zip(inputs, preds), series.t0)]
     return records, h
 
 

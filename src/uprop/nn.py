@@ -6,19 +6,23 @@ Each GRU cell is stored once, in the fused layout its kernels read
 :func:`freeze_linear` give numpy views of the same arrays for inference,
 which steps the cell (:func:`fused_stack_step`) on one row or on a batch
 of rows. A scan steps it on work buffers made once per scan call
-(:func:`gate_buffers`): the two gate products land there through
-``matmul(..., out=)``, and the gate views are sliced once per scan, not
-once per step. Only the new hidden state is a fresh array, so a state a
+(:func:`gate_buffers`): the two gate products land there, the gate
+views are sliced once per scan, not once per step, and the ones arrays
+of the sigmoid and of ``1 - z`` and the cell's weight arrays are bound
+there too. Only the new hidden state is a fresh array, so a state a
 caller keeps is never written again, and the buffers are never kept on
 the model, so concurrent scans of one model share nothing they write.
-At batch of one each temporary or slice costs about as much as its
-arithmetic: with the buffers and ``forecaster.step``'s wire-layout rows,
-a 3x64 filter step went from 92-101 to 78-88 us (three alternating
-runs, 2-vCPU VM, one BLAS thread).
-Every product goes through :func:`matvec`: one gemv for one row, and
-for a (B, n) batch a stacked matmul, which numpy runs as one gemv per
-row, so each row of a batch is bitwise the row stepped alone (with or
-without ``out=``). A gemm (``X @ W.T``) is not: on the
+At batch of one, numpy's per-call dispatch costs more than the
+arithmetic of a 3x64 step, so the step passes every ``out`` positionally
+and every operand as an array (a keyword or a Python scalar costs
+0.05-0.25 us per call), and reads no attribute: the ``stream``
+benchmark's ``pass_s`` went from 1.43 to 1.24 s (medians of ten
+alternating 20 s pairs, 2-vCPU VM, one BLAS thread).
+Every product goes through :func:`matvec`: one gemv for one row
+(``np.dot``, which dispatches faster than ``matmul`` and gives the same
+bits), and for a (B, n) batch a stacked matmul, which numpy runs as one
+gemv per row, so each row of a batch is bitwise the row stepped alone
+(with or without ``out``). A gemm (``X @ W.T``) is not: on the
 scipy-openblas 0.3.31 of numpy 2.4 (one BLAS thread) its rows differ
 from the gemv at every B >= 2, and even depend on B (at B = 2-12 for a
 96x32 block, 2-6 for 192x64, and 75 of the 111 sizes up to 112 for a
@@ -144,24 +148,29 @@ def fuse_stack(stack: GruStackParams) -> GruStackParams:
         dropout_rate=stack.dropout_rate)
 
 
-def _sigmoid(x):
+def _sigmoid(x, one=1.0):
     """1 / (1 + exp(-x)) in place on ``x``, the one sigmoid of the package.
 
-    Below x = -709, exp(-x) overflows to inf and the result is exactly 0;
-    callers silence that overflow with ``np.errstate(over="ignore")``.
+    ``one`` is the 1 that is added: the scalar, or a ones array of ``x``'s
+    shape, which rounds the same and dispatches faster (the scan's
+    :func:`gate_buffers` hold one). Below x = -709, exp(-x) overflows to
+    inf and the result is exactly 0; callers silence that overflow with
+    ``np.errstate(over="ignore")``.
     """
-    np.exp(np.negative(x, out=x), out=x)
-    x += 1.0
-    return np.reciprocal(x, out=x)
+    np.exp(np.negative(x, x), x)
+    np.add(x, one, x)
+    return np.reciprocal(x, x)
 
 
 def matvec(w, x, out=None):
     """``w @ x`` for one vector ``x`` (n,), or for each row of a batch
     (B, n), where numpy runs one gemv per stacked row: each row of the
     batch is bitwise the product of that row alone. ``out`` (the shape of
-    the result) receives the product instead of a fresh array."""
+    the result) receives the product instead of a fresh array. One row
+    goes through ``np.dot``, the same gemv as ``matmul`` with less call
+    overhead."""
     if x.ndim == 1:
-        return np.matmul(w, x, out=out)
+        return np.dot(w, x, out)
     if out is None:
         return np.matmul(w, x[..., None])[..., 0]
     np.matmul(w, x[..., None], out=out[..., None])
@@ -176,15 +185,21 @@ def gate_buffers(cells: list, shape: tuple = ()) -> list:
     Per cell: the products ``a = W x + b_w`` and ``b = U h``, each
     (..., 3h), and the views of their gate blocks that a step reads, laid
     out once: ``a``'s ``rz``, ``r``, ``z`` and ``n`` blocks, then ``b``'s
-    ``rz`` and ``n`` blocks. A step overwrites every buffer, so one set
-    serves one scan at a time; they are never kept on the model.
+    ``rz`` and ``n`` blocks; a ones array (..., 2h) and its (..., h) half,
+    the 1 of the sigmoid and of ``1 - z``; and the cell's weight arrays
+    ``w``, ``u``, ``b_w`` and ``b_hn`` themselves, not copies, so an
+    in-place weight edit is seen. A step overwrites the products and
+    their views and reads the rest, so one set serves one scan at a time;
+    they are never kept on the model.
     """
     bufs = []
     for cell in cells:
         h = cell.hidden_size
         a, b = np.empty(shape + (3 * h,)), np.empty(shape + (3 * h,))
+        one = np.ones(shape + (2 * h,))
         bufs.append((a, b, a[..., :2 * h], a[..., :h], a[..., h:2 * h],
-                     a[..., 2 * h:], b[..., :2 * h], b[..., 2 * h:]))
+                     a[..., 2 * h:], b[..., :2 * h], b[..., 2 * h:],
+                     one, one[..., h:], *cell.weights()))
     return bufs
 
 
@@ -192,7 +207,8 @@ def fused_cell_forward(cell: GruCell, x, h_prev, buf=None):
     """One GRU step, two matvecs on numpy arrays: returns the next hidden
     state, a fresh array. ``x`` and ``h_prev`` are one row, (in,) and
     (h,), or a batch, (B, in) and (B, h); ``buf`` is the cell's entry of
-    :func:`gate_buffers` for that shape (made here when None).
+    :func:`gate_buffers` for that shape (made here when None), and the
+    step reads the cell's weights from it.
 
     r = sig(W_r x + U_r h + b_r)
     z = sig(W_z x + U_z h + b_z)
@@ -201,22 +217,24 @@ def fused_cell_forward(cell: GruCell, x, h_prev, buf=None):
     """
     if buf is None:
         buf = gate_buffers([cell], x.shape[:-1])[0]
-    # in place on the scan's buffers: at batch of one, each temporary or
-    # slice costs about as much as the arithmetic
-    a, b, rz, r, z, a_n, b_rz, n = buf
-    matvec(cell.w, x, out=a)
-    a += cell.b_w
-    matvec(cell.u, h_prev, out=b)
-    rz += b_rz
-    _sigmoid(rz)
-    n += cell.b_hn
-    n *= r
-    n += a_n
-    np.tanh(n, out=n)
-    zh = np.multiply(z, h_prev, out=a_n)
-    out = np.subtract(1.0, z)
-    out *= n
-    out += zh
+    # in place on the scan's buffers, with positional outputs and array
+    # operands: at batch of one, a temporary, a slice, an attribute read,
+    # a keyword or a scalar operand each costs a fair share of the
+    # arithmetic
+    a, b, rz, r, z, a_n, b_rz, n, one, one_h, w, u, b_w, b_hn = buf
+    matvec(w, x, a)
+    np.add(a, b_w, a)
+    matvec(u, h_prev, b)
+    np.add(rz, b_rz, rz)
+    _sigmoid(rz, one)
+    np.add(n, b_hn, n)
+    np.multiply(n, r, n)
+    np.add(n, a_n, n)
+    np.tanh(n, n)
+    zh = np.multiply(z, h_prev, a_n)
+    out = np.subtract(one_h, z)
+    np.multiply(out, n, out)
+    np.add(out, zh, out)
     return out
 
 

@@ -13,12 +13,13 @@ whose stacked matmul or ``normal`` changes its arithmetic fails here.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uprop.baselines import (IMPUTE_CLAMP, ImputePolicy, filter_series_imputed,
                              impute_noise, mc_rollout)
 from uprop.data import TimeSeries, emulate_missing
 from uprop.evaluate import derive_seed, evaluate_grid
-from uprop.forecaster import _filter_batch, filter_series
+from uprop.forecaster import _feed, _filter_batch, filter_series
 from uprop.nn import matvec, zero_hidden
 from uprop.prob import DistVector, nll
 
@@ -64,6 +65,45 @@ def test_matvec_rows_equal_products_row_by_row(m, n, batch, seed, strided):
     for b in range(batch):
         assert same_bits(got[b], w @ x[b])
     assert same_bits(matvec(w, x[0]), w @ x[0])
+
+
+# (3h, in) and (2N, h) blocks of a cell and a readout, the 3x64 default among them
+CELL_SHAPES = st.sampled_from([(192, 64), (192, 6), (6, 64), (96, 32), (96, 4), (4, 32)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(CELL_SHAPES | st.tuples(st.integers(1, 200), st.integers(1, 70)),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_one_row_matvec_into_a_buffer_equals_matmul(shape, stride, seed):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(m, n))
+    x = rng.normal(size=stride * n)[::stride]
+    out = np.empty(m)
+    assert matvec(w, x, out) is out
+    assert same_bits(out, w @ x)
+    assert same_bits(matvec(w, x), w @ x)
+
+
+@SETTINGS
+@given(st.data())
+def test_feed_rows_equal_np_where_on_one_row_and_on_a_batch(data):
+    # on a batch, the first step broadcasts the (2N,) prior to every row
+    dims = data.draw(st.integers(1, 4))
+    shape = (data.draw(st.integers(1, 6)),) + data.draw(st.sampled_from([(), (1,), (4,)]))
+    mask = data.draw(hnp.arrays(bool, shape + (dims,)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+    values = np.where(mask, rng.normal(size=mask.shape), np.nan)
+    prior = DistVector(mu=rng.normal(size=dims), sigma=rng.uniform(0.0, 2.0, dims))
+    policy = _feed(values, mask, prior)
+    observed = np.concatenate([mask, mask], axis=-1)
+    given_rows = np.concatenate([values, np.zeros(values.shape)], axis=-1)
+    pending = None
+    for t in range(shape[0]):
+        x = policy(t, pending)
+        fallback = prior.flat() if pending is None else pending
+        assert same_bits(x, np.where(observed[t], given_rows[t], fallback))
+        pending = rng.normal(size=x.shape)
 
 
 @st.composite

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from uprop.checkpoint import _HYPER_FIELDS, load_checkpoint, save_checkpoint
 from uprop.cli import main
-from uprop.data import TimeSeries, emulate_missing
+from uprop.data import NormStats, TimeSeries, emulate_missing
 from uprop.errors import CheckpointNotFoundError, DataError
 from uprop.forecaster import DistVector, TrainConfig, rollout, train
 from uprop.nn import gate_blocks
@@ -233,6 +233,16 @@ def test_save_refuses_weights_not_of_the_config_shapes_naming_the_key(tmp_path, 
     model.train_config = dataclasses.replace(model.train_config, **fields)
     path = tmp_path / "m.json"
     with pytest.raises(DataError, match=f"key {re.escape(key)} has shape"):
+        save_checkpoint(model, path)
+    assert not path.exists()
+
+
+def test_save_refuses_normalization_of_other_dims_naming_the_key(tmp_path):
+    model = small_model(dims=2, seed=62)
+    model.norm = NormStats(mean=np.zeros(3), std=np.ones(3))
+    path = tmp_path / "m.json"
+    with pytest.raises(DataError, match=r"key normalization\.mean has shape \(3,\), "
+                                        r"but the model has 2 dims"):
         save_checkpoint(model, path)
     assert not path.exists()
 

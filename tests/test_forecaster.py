@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -251,6 +252,20 @@ class TestTrainConfig:
     def test_learning_rate_positive(self, lr):
         with pytest.raises(ConfigError, match=f"learning rate must be positive, got {lr}"):
             TrainConfig(learning_rate=lr)
+
+    def test_fields_cannot_be_assigned(self):
+        # an assigned value would skip the checks, and a model saves it
+        model = small_model(seed=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.train_config.seed = -1
+        assert model.train_config.seed == 4
+
+    def test_replace_runs_the_checks_again(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            dataclasses.replace(TrainConfig(), seed=-1)
+        with pytest.raises(ConfigError, match="sigma_floor must be positive"):
+            dataclasses.replace(TrainConfig(), sigma_floor=0.0)
+        assert dataclasses.replace(TrainConfig(), seed=5) == TrainConfig(seed=5)
 
 
 @pytest.mark.parametrize("part, says", [

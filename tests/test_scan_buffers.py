@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from uprop.baselines import mc_rollout
 from uprop.data import TimeSeries
 from uprop.forecaster import encode_input, filter_series
-from uprop.nn import zero_hidden
+from uprop.nn import GruCell, fused_cell_forward, gate_buffers, zero_hidden
 from uprop.novelty import forecast_from_origin, score_series
 from uprop.prob import DistVector, kl
 
@@ -85,6 +85,37 @@ def test_writing_into_returned_beliefs_changes_nothing_else(ms, data):
         mean, std = mc_rollout(model, context, k, 3, origin)
         assert same_bits(mean, want_mc[0]) and same_bits(std, want_mc[1])
         scribble(mean, std)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.sampled_from([(), (1,), (3,)]),
+       st.integers(0, 1000))
+def test_a_cell_step_writes_only_its_products_and_returns_a_fresh_state(
+        n_in, hidden, shape, seed):
+    rng = np.random.default_rng(seed)
+    cell = GruCell(n_in, hidden, *(rng.normal(size=size) for size in
+                                   [(3 * hidden, n_in), (3 * hidden, hidden),
+                                    3 * hidden, hidden]))
+    buf = gate_buffers([cell], shape)[0]
+    # the buffers hold the cell's own weight arrays, not copies
+    assert all(any(entry is w for entry in buf) for w in cell.weights())
+    products = buf[:2]
+    read_only = [entry for entry in buf
+                 if not any(np.shares_memory(entry, p) for p in products)]
+    kept = [entry.copy() for entry in read_only]
+    x = rng.normal(size=shape + (n_in,))
+    h = rng.normal(size=shape + (hidden,))
+    for _ in range(3):
+        inputs = (x.copy(), h.copy())
+        h_next = fused_cell_forward(cell, x, h, buf)
+        assert same_bits(h_next, fused_cell_forward(cell, x, h))
+        assert same_bits(x, inputs[0]) and same_bits(h, inputs[1])
+        assert all(same_bits(a, b) for a, b in zip(read_only, kept))
+        assert not any(np.shares_memory(h_next, a) for a in (*buf, x, h))
+        x, h = rng.normal(size=x.shape), h_next
+    # an in-place weight edit is seen by the next step on the same buffers
+    cell.u *= 0.5
+    assert same_bits(fused_cell_forward(cell, x, h, buf), fused_cell_forward(cell, x, h))
 
 
 def test_threads_scanning_one_model_get_the_single_thread_output():
