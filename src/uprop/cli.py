@@ -19,8 +19,9 @@ from .data import (_KINDS, DatasetSplit, _fmt, _is_a, load_csv, normalize,
                    save_csv, split, synth_cloud, window)
 from .errors import CheckpointNotFoundError, ConfigError, DataError
 from .evaluate import METHODS, evaluate_grid
-from .forecaster import TrainConfig, train
-from .novelty import calibrate_threshold, forecast_from_origin, score_series
+from .forecaster import TrainConfig, _check_horizon, train
+from .novelty import (_check_offsets, _check_quantile, calibrate_threshold,
+                      forecast_from_origin, score_series)
 from .prob import interval95
 
 @dataclass
@@ -182,6 +183,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    _check_horizon(args.horizon)
     _check_outputs(args.out)
     model, _ = load_checkpoint(args.model)
     series = _load_series(args.data)[0]
@@ -229,6 +231,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    # refuse bad flags before the checkpoint, the CSVs and both scorings
+    _check_quantile(args.quantile)
+    if args.method == "kl":
+        _check_offsets(args.near, args.far)
     _check_outputs(args.out)
     model, _ = load_checkpoint(args.model)
     calib = normalize(_load_series(args.calibrate_on)[0], model.norm)

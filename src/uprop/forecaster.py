@@ -19,8 +19,9 @@ its missing cells (``np.copyto``), ``step`` feeds it to the stack as is
 and returns the readout, a fresh row whose sigma half is squashed in
 place, and the scan feeds that row back. The gate products of every
 step land in work buffers that the scan call makes and owns
-(``nn.gate_buffers``), never the model, so two scans of one model in two
-threads share no array they write. Beliefs the API returns are
+(``_step_buffers``: ``nn.gate_buffers`` and the squash's zeros and floor
+rows), never the model, so two scans of one model in two threads share
+no array they write. Beliefs the API returns are
 ``DistVector._of_row`` views of the step's own rows, which no later
 step writes.
 
@@ -210,12 +211,24 @@ def encode_input(obs: np.ndarray, pending: DistVector | None = None,
     return DistVector(mu=mu, sigma=sigma)
 
 
-def step(model: UPropModel, x: np.ndarray, h: list, bufs: list | None = None):
+def _step_buffers(model: UPropModel, shape: tuple = ()):
+    """Work buffers of one scan for :func:`step` on rows of leading
+    ``shape``: the stack's gate buffers (:func:`nn.gate_buffers`), then a
+    zeros array and a floor array, each the shape of the readout's sigma
+    half, that the squash reads. The floor is ``model.train_config``'s.
+    Arrays rather than Python scalars round the same and dispatch faster.
+    """
+    sigma = shape + (model.dims,)
+    return (gate_buffers(model._fstack.layers, shape), np.zeros(sigma),
+            np.full(sigma, model.train_config.sigma_floor))
+
+
+def step(model: UPropModel, x: np.ndarray, h: list, bufs: tuple | None = None):
     """One recurrent step (dropout off): returns (row for t+1, new hidden).
 
     ``x`` is one input row in the wire layout ``[mu..., sigma...]``, (2N,),
     with one (hidden,) state per layer in ``h``, or a batch: (B, 2N) rows
-    and (B, hidden) states. ``bufs`` is :func:`nn.gate_buffers` for that
+    and (B, hidden) states. ``bufs`` is :func:`_step_buffers` for that
     shape (made when None). The step is bare numpy on the frozen
     arrays. It returns a fresh row in the same layout, the readout with
     its sigma half squashed in place: ``sigma = softplus(raw) + floor``,
@@ -225,13 +238,16 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: list | None = None):
     """
     if x.shape[-1] != 2 * model.dims:
         raise ShapeError(f"input width {x.shape[-1]} != 2 * model dims {model.dims}")
-    top, h_next = fused_stack_step(model._fstack, x, h, bufs=bufs)
+    if bufs is None:
+        bufs = _step_buffers(model, x.shape[:-1])
+    gates, zero, floor = bufs
+    top, h_next = fused_stack_step(model._fstack, x, h, gates)
     readout = model._freadout
     row = matvec(readout.weight, top)
     np.add(row, readout.bias, row)
     sigma = row[..., model.dims:]
-    np.logaddexp(0.0, sigma, sigma)
-    np.add(sigma, model.train_config.sigma_floor, sigma)
+    np.logaddexp(zero, sigma, sigma)
+    np.add(sigma, floor, sigma)
     return row, h_next
 
 
@@ -245,18 +261,20 @@ def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,
     policy that row is fed back as is. ``pending`` and ``h`` hold one row
     or a batch (``h=None`` is the zero state of one row). Returns the
     per-step input rows and emitted rows, and the final hidden state. It
-    calls :func:`step` once per step, batch or not, on gate buffers made
-    once per call for the shape of ``h``: per call, not per model, so
-    concurrent scans of one model never share them. Each emitted row and
-    each hidden state is a fresh array that no later step writes. The
-    hidden state after each step is appended to ``snapshots`` when one is
-    given; only callers that resume from every row ask, since keeping
-    them all slows the loop.
+    calls :func:`step` once per step, batch or not, on work buffers made
+    once per call for the shape of ``h`` (:func:`_step_buffers`), and none
+    when ``n`` is 0: per call, not per model, so concurrent scans of one
+    model never share them. Each emitted row and each hidden state is a
+    fresh array that no later step writes. The hidden state after each
+    step is appended to ``snapshots`` when one is given; only callers
+    that resume from every row ask, since keeping them all slows the loop.
     """
     if h is None:
         h = zero_hidden(model.stack)
-    bufs = gate_buffers(model._fstack.layers, h[0].shape[:-1])
     inputs, preds = [], []
+    if not n:
+        return inputs, preds, h
+    bufs = _step_buffers(model, h[0].shape[:-1])
     with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
         for t in range(n):
             x = pending if policy is None else policy(t, pending)

@@ -139,15 +139,19 @@ def _kl_values(model: UPropModel, preds: list, hiddens: list, targets: range,
     """KL(p || q) for each row t in ``targets``: p and q are the forecasts
     of row t from the near and the far origin, resumed from the per-row
     (belief, hidden) snapshots of one filter pass, each offset's
-    forecasts stepped as one batch. ``reverse`` swaps p and q."""
+    forecasts stepped as one batch. ``reverse`` swaps p and q. A
+    forecast one step ahead is the pending belief itself, so an offset of
+    1 reads no hidden snapshot and steps nothing."""
     if not targets:
         return []
     pq = []
     for o in (near_offset, far_offset):
         origins = [t - o for t in targets]
-        pending = np.stack([preds[i] for i in origins])
-        h = [np.stack(layer) for layer in zip(*(hiddens[i] for i in origins))]
-        pq.append(DistVector._of_row(_self_feed(model, pending, h, o)[1][-1]))
+        row = np.stack([preds[i] for i in origins])
+        if o > 1:
+            h = [np.stack(layer) for layer in zip(*(hiddens[i] for i in origins))]
+            row = _self_feed(model, row, h, o)[1][-1]
+        pq.append(DistVector._of_row(row))
     p, q = pq[::-1] if reverse else pq
     return kl(p, q).tolist()
 

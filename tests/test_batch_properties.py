@@ -20,7 +20,8 @@ from uprop.baselines import (IMPUTE_CLAMP, ImputePolicy, filter_series_imputed,
 from uprop.data import TimeSeries, emulate_missing
 from uprop.evaluate import derive_seed, evaluate_grid
 from uprop.forecaster import _feed, _filter_batch, filter_series
-from uprop.nn import matvec, zero_hidden
+from uprop.nn import (GruCell, GruStackParams, fused_stack_step, gate_buffers, matvec,
+                      zero_hidden)
 from uprop.prob import DistVector, nll
 
 from test_forecaster import belief_step, small_model
@@ -83,6 +84,53 @@ def test_one_row_matvec_into_a_buffer_equals_matmul(shape, stride, seed):
     assert matvec(w, x, out) is out
     assert same_bits(out, w @ x)
     assert same_bits(matvec(w, x), w @ x)
+
+
+def random_stack(rng, n_in, hidden, layers):
+    """A stack with every weight and bias random, some gates saturating."""
+    cells = []
+    for i in range(layers):
+        width = n_in if i == 0 else hidden
+        cells.append(GruCell(width, hidden, *(rng.normal(scale=1.5, size=size) for size in
+                                              [(3 * hidden, width), (3 * hidden, hidden),
+                                               3 * hidden, hidden])))
+    return GruStackParams(cells)
+
+
+def assert_batched_steps_equal_rows_alone(stack, x, h, steps=2):
+    """``steps`` batched stack steps from the input rows ``x`` and states
+    ``h``, on one set of buffers, against each row stepped alone on its
+    own, on the bytes of every layer's state."""
+    batch = gate_buffers(stack.layers, x.shape[:1])
+    one = gate_buffers(stack.layers)
+    rows = [[layer[b] for layer in h] for b in range(x.shape[0])]
+    with np.errstate(over="ignore"):
+        for _ in range(steps):
+            _, h = fused_stack_step(stack, x, h, batch)
+            rows = [fused_stack_step(stack, x[b], hb, one)[1] for b, hb in enumerate(rows)]
+            for b, hb in enumerate(rows):
+                assert all(same_bits(layer[b], hl) for layer, hl in zip(h, hb))
+
+
+# hidden sizes on both sides of the SIMD widths, which the gate-major
+# blocks of a batch split into other tails than one row's (3h,) buffers
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 31, 32, 33, 64]), st.integers(1, 8),
+       st.integers(1, 2), st.integers(2, 130), st.integers(0, 2**32 - 1))
+def test_batched_cell_steps_equal_each_row_alone(hidden, n_in, layers, batch, seed):
+    rng = np.random.default_rng(seed)
+    stack = random_stack(rng, n_in, hidden, layers)
+    assert_batched_steps_equal_rows_alone(
+        stack, rng.normal(scale=3.0, size=(batch, n_in)),
+        [rng.normal(size=(batch, hidden)) for _ in range(layers)])
+
+
+def test_a_deep_wide_batch_steps_each_row_as_alone():
+    # the default 3x64 stack on a large batch, where the products dominate
+    rng = np.random.default_rng(592)
+    stack = random_stack(rng, 6, 64, 3)
+    assert_batched_steps_equal_rows_alone(
+        stack, rng.normal(size=(592, 6)), [rng.normal(size=(592, 64)) for _ in range(3)])
 
 
 @SETTINGS

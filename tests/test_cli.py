@@ -329,6 +329,26 @@ class TestExitCodes:
         assert err.startswith("config error:") and word in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flags, word", [
+        ("forecast", ["--horizon", "0"], "horizon"),
+        ("detect", ["--quantile", "1.5"], "quantile"),
+        ("detect", ["--near", "5", "--far", "2"], "offsets")])
+    def test_bad_flag_is_2_before_the_checkpoint_or_data_is_read(
+            self, tmp_path, capsys, command, flags, word):
+        # neither the checkpoint nor the CSVs exist: reading either first
+        # would exit 4 or 3
+        absent = [str(tmp_path / name) for name in ("none.json", "a.csv", "b.csv")]
+        argv = {"forecast": ["forecast", "--model", absent[0], "--data", absent[1],
+                             "--at", "5"],
+                "detect": ["detect", "--model", absent[0], "--data", absent[1],
+                           "--calibrate-on", absent[2]]}[command]
+        out = tmp_path / "out.csv"
+        assert main(argv + flags + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and word in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("doc, says", [
         ("5", "JSON object"), ("[1, 2]", "JSON object"),
         ('{"dims": "abc"}', "dims must be"), ('{"lookaheads": 5}', "lookaheads must be"),

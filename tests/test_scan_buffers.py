@@ -88,7 +88,7 @@ def test_writing_into_returned_beliefs_changes_nothing_else(ms, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 6), st.sampled_from([(), (1,), (3,)]),
+@given(st.integers(1, 5), st.integers(1, 6), st.sampled_from([(), (1,), (3,), (17,)]),
        st.integers(0, 1000))
 def test_a_cell_step_writes_only_its_products_and_returns_a_fresh_state(
         n_in, hidden, shape, seed):
@@ -99,9 +99,18 @@ def test_a_cell_step_writes_only_its_products_and_returns_a_fresh_state(
     buf = gate_buffers([cell], shape)[0]
     # the buffers hold the cell's own weight arrays, not copies
     assert all(any(entry is w for entry in buf) for w in cell.weights())
-    products = buf[:2]
-    read_only = [entry for entry in buf
-                 if not any(np.shares_memory(entry, p) for p in products)]
+    # the products, and for a batch their gate-major copies; one row
+    # steps on its products' own contiguous blocks and copies nothing
+    a, b, lay = buf[:3]
+    assert (lay is None) == (shape == ())
+    written = [a, b] if lay is None else [a, b, lay[0], lay[2]]
+    if lay is not None:
+        assert np.shares_memory(lay[1], a) and np.shares_memory(lay[3], b)
+    arrays = [entry for entry in buf if isinstance(entry, np.ndarray)] + list(lay or ())
+    # every gate view a step reads is one contiguous block
+    assert all(view.flags.c_contiguous for view in buf[3:11])
+    read_only = [entry for entry in arrays
+                 if not any(np.shares_memory(entry, w) for w in written)]
     kept = [entry.copy() for entry in read_only]
     x = rng.normal(size=shape + (n_in,))
     h = rng.normal(size=shape + (hidden,))
@@ -111,7 +120,7 @@ def test_a_cell_step_writes_only_its_products_and_returns_a_fresh_state(
         assert same_bits(h_next, fused_cell_forward(cell, x, h))
         assert same_bits(x, inputs[0]) and same_bits(h, inputs[1])
         assert all(same_bits(a, b) for a, b in zip(read_only, kept))
-        assert not any(np.shares_memory(h_next, a) for a in (*buf, x, h))
+        assert not any(np.shares_memory(h_next, a) for a in (*arrays, x, h))
         x, h = rng.normal(size=x.shape), h_next
     # an in-place weight edit is seen by the next step on the same buffers
     cell.u *= 0.5
