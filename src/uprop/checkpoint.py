@@ -34,8 +34,8 @@ def _dump(obj) -> str:
         items = ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
-        # every weight array: _fmt's text per float, without a call per float
-        return "[" + ", ".join([format(v, ".17g") for v in obj.tolist()]) + "]"
+        # every weight array: _fmt's text per float, from one %-format
+        return ("[" + ", ".join(["%.17g"] * obj.size) + "]") % tuple(obj.tolist())
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_dump(v) for v in obj) + "]"
     if isinstance(obj, (bool, np.bool_)):

@@ -173,8 +173,10 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     _check_outputs(args.model_out, args.loss_out)
     config = RunConfig.load(args.config)
+    # every flag is checked before any CSV is read
+    train_config = config.train_config(args.lookahead)
     dataset = _dataset(config, args.data)
-    model, history = train(dataset.train, config.train_config(args.lookahead))
+    model, history = train(dataset.train, train_config)
     save_checkpoint(model, args.model_out, final_loss=history[-1])
     loss_path = args.loss_out or Path(args.model_out).with_suffix(".loss.csv")
     _write_table(loss_path, ["epoch", "loss"], enumerate(history, start=1))

@@ -75,6 +75,8 @@ class NormStats:
 
     @classmethod
     def from_windows(cls, windows) -> "NormStats":
+        if not windows:
+            raise DataError("no windows to take normalization stats from")
         dims = windows[0].dims
         mean = np.empty(dims)
         std = np.empty(dims)

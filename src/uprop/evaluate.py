@@ -1,8 +1,10 @@
 """Evaluation grid: per-point one-step NLL per (missing rate, training
 lookahead, missing-input method), plus difference tables against
 uncertainty propagation.
-Each (rate, lookahead) pair filters its windows under all its methods as
-one batch per window length; the cells equal per-window passes bit for bit.
+Each model (lookahead) filters the windows of every rate under all its
+methods as one batch per window length, so a grid of any number of rates
+is one batched scan per model and window length; the cells equal
+per-window passes bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ def _window_sums(model: UPropModel, truths: list, inputs: list, methods: list,
     1..T-1 against the truth, summed over each row's dimensions and then
     over the rows in order. Windows of one length filter as one batch,
     each method a block of rows; ``sample_seed(wi)`` seeds the draws of
-    window ``wi`` under "sample"."""
+    window ``wi`` under "sample". The lists may repeat a window, as the
+    grid's truths do once per rate."""
     sums = np.zeros((len(methods), len(truths)))
     lengths = {}
     for wi, series in enumerate(inputs):
@@ -104,24 +107,28 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
     stats = {key[k]: models[k].norm for k in lookaheads}
     truths = {s: [normalize(w, norm) for w in test_windows]
               for s, norm in stats.items()}
-    for ri, rate in enumerate(rates):
-        # one degradation per (rate, window), shared across columns
-        degraded = [
-            emulate_missing(w, rate, derive_seed(seed, "missing", rate, wi))
-            if rate > 0 else w
-            for wi, w in enumerate(test_windows)
-        ]
-        normed = {s: [normalize(d, norm) for d in degraded]
-                  for s, norm in stats.items()}
-        for ki, k in enumerate(lookaheads):
-            truth, inputs = truths[key[k]], normed[key[k]]
-            sums = _window_sums(
-                models[k], truth, inputs, methods,
-                lambda wi: derive_seed(seed, "impute", rate, k, "sample", wi))
-            count = sum(t.dims * (t.steps - 1) for t in truth)
+    # one degradation per (rate, window), shared across columns; rate-major
+    degraded = [
+        emulate_missing(w, rate, derive_seed(seed, "missing", rate, wi))
+        if rate > 0 else w
+        for rate in rates for wi, w in enumerate(test_windows)
+    ]
+    normed = {s: [normalize(d, norm) for d in degraded]
+              for s, norm in stats.items()}
+    n_windows = len(test_windows)
+    for ki, k in enumerate(lookaheads):
+        # every (rate, window) of the model in one call: one batch per
+        # window length, whatever the number of rates
+        truth = truths[key[k]]
+        sums = _window_sums(
+            models[k], truth * len(rates), normed[key[k]], methods,
+            lambda j: derive_seed(seed, "impute", rates[j // n_windows], k, "sample",
+                                  j % n_windows))
+        count = sum(t.dims * (t.steps - 1) for t in truth)
+        for ri in range(len(rates)):
             for mi in range(len(methods)):
                 total = 0.0
-                for s in sums[mi]:
+                for s in sums[mi, ri * n_windows:(ri + 1) * n_windows]:
                     total += float(s)
                 cells[ri, ki, mi] = total / count
     return EvalGrid(rates=list(rates), lookaheads=lookaheads,

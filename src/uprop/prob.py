@@ -38,8 +38,10 @@ class DistVector:
             raise ShapeError(
                 f"mu/sigma must be 1-D and equal length, got {self.mu.shape} vs {self.sigma.shape}"
             )
-        if (self.sigma < 0.0).any():
-            raise ValueError("sigma entries must be nonnegative")
+        if not np.isfinite(self.mu).all():
+            raise ValueError("mu entries must be finite")
+        if not (np.isfinite(self.sigma).all() and (self.sigma >= 0.0).all()):
+            raise ValueError("sigma entries must be finite and nonnegative")
 
     @classmethod
     def _of_row(cls, row: np.ndarray) -> "DistVector":

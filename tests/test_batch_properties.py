@@ -303,6 +303,9 @@ def test_evaluate_grid_equals_per_window_passes(data):
     windows = [TimeSeries.complete(rng.normal(size=(n, dims))) for n in lengths]
     methods = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3,
                                  unique=True))
-    rates, seed = [0.0, 0.3, 0.7], data.draw(st.integers(0, 1000))
+    # repeated rates too: each is its own row of the grid, with the same cells
+    rates = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.7]), min_size=1,
+                               max_size=4))
+    seed = data.draw(st.integers(0, 1000))
     got = evaluate_grid(models, windows, rates, methods, seed)
     assert same_bits(got.cells, reference_grid(models, windows, rates, methods, seed))

@@ -349,6 +349,17 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_bad_train_lookahead_is_2_before_the_data_is_read(self, tmp_path, capsys):
+        # the data path does not exist: reading it first would exit 3
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY))
+        rc = main(["train", "--data", str(tmp_path / "absent"), "--config", str(config),
+                   "--model-out", str(tmp_path / "model.json"), "--lookahead", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "lookahead" in captured.err
+        assert list(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize("doc, says", [
         ("5", "JSON object"), ("[1, 2]", "JSON object"),
         ('{"dims": "abc"}', "dims must be"), ('{"lookaheads": 5}', "lookaheads must be"),

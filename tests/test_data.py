@@ -106,8 +106,9 @@ class TestCsv:
     (lambda: NormStats(mean=[np.nan], std=[1.0]), "must be finite"),
     (lambda: NormStats(mean=[np.inf], std=[1.0]), "must be finite"),
     (lambda: NormStats(mean=[-np.inf], std=[1.0]), "must be finite"),
+    (lambda: NormStats.from_windows([]), "no windows"),
 ], ids=["series-unequal", "series-1-D", "stats-unequal", "std-below-floor", "std-nan",
-        "std-inf", "mean-nan", "mean-inf", "mean-minus-inf"])
+        "std-inf", "mean-nan", "mean-inf", "mean-minus-inf", "stats-of-no-windows"])
 def test_malformed_series_and_stats_rejected(make, says):
     with pytest.raises(DataError, match=says):
         make()

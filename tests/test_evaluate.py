@@ -33,6 +33,25 @@ def test_models_with_equal_stats_share_normalized_windows(monkeypatch):
         np.testing.assert_array_equal(grid.cells[:, ki], alone.cells[:, 0])
 
 
+@pytest.mark.parametrize("rates", [[0.0], [0.0, 0.5], [0.1, 0.3, 0.5, 0.5]])
+def test_each_model_filters_its_grid_as_one_batch_per_window_length(rates, monkeypatch):
+    rng = np.random.default_rng(4)
+    # two scored lengths; a one-row window has nothing to score
+    windows = [TimeSeries.complete(rng.normal(size=(n, 2))) for n in (6, 9, 6, 1, 9)]
+    models = {k: small_model(seed=k) for k in (2, 4)}
+    calls, filter_batch = [], evaluate._filter_batch
+
+    def counting(model, values, *args, **kwargs):
+        calls.append((id(model), values.shape))
+        return filter_batch(model, values, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "_filter_batch", counting)
+    evaluate_grid(models, windows, rates, seed=5)
+    rows = len(rates) * len(evaluate.METHODS) * 2   # two windows of each length
+    assert sorted(calls) == sorted((id(m), (n, rows, 2)) for m in models.values()
+                                   for n in (6, 9))
+
+
 @pytest.mark.parametrize("lengths", [[], [1], [1, 1, 1]])
 def test_no_window_of_two_rows_is_a_data_error_before_any_filtering(lengths, monkeypatch):
     windows = [TimeSeries.complete(np.zeros((n, 2))) for n in lengths]

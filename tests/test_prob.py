@@ -67,6 +67,17 @@ class TestDistVector:
             DistVector(mu=np.zeros(2), sigma=np.array([0.1, -0.1]))
 
     @pytest.mark.parametrize("mu, sigma, says", [
+        ([0.0], [np.nan], "sigma"),
+        ([0.0], [np.inf], "sigma"),
+        ([np.nan], [1.0], "mu"),
+        ([np.inf], [1.0], "mu"),
+        ([-np.inf], [0.0], "mu"),
+    ], ids=["sigma-nan", "sigma-inf", "mu-nan", "mu-inf", "mu-minus-inf"])
+    def test_non_finite_entries_rejected(self, mu, sigma, says):
+        with pytest.raises(ValueError, match=says):
+            DistVector(mu=mu, sigma=sigma)
+
+    @pytest.mark.parametrize("mu, sigma, says", [
         (np.zeros(2), np.ones(3), r"\(2,\) vs \(3,\)"),
         (np.zeros((2, 2)), np.ones((2, 2)), r"\(2, 2\) vs \(2, 2\)"),
     ], ids=["unequal", "2-D"])
