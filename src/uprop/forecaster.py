@@ -13,10 +13,9 @@ rollouts) run batched, the streaming ones one series at a time. Each row
 of a batch is bitwise the row stepped alone; ``nn`` says why.
 
 Inside the scan a belief is one row in the wire layout ``[mu..., sigma...]``
-(``prob``), (2N,) or (B, 2N): the policy lays the observed half out once
-per scan and returns its row as is on a step with no missing cell, or
-else a copy of it with the belief copied into its missing cells
-(``np.copyto``); ``step`` feeds it to the stack as is, never writing it,
+(``prob``), (2N,) or (B, 2N): the policy builds each input row as a copy
+of an observed half laid out once per scan, with the belief copied into
+its missing cells (``np.copyto``), ``step`` feeds it to the stack as is
 and returns the readout, a fresh row whose sigma half is squashed in
 place, and the scan feeds that row back. The gate products of every
 step land in work buffers that the scan call makes and owns
@@ -302,9 +301,7 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     read on steps with a missing cell only). Imputed values are clamped
     to +-IMPUTE_CLAMP. The prior is checked here, once, and the observed
     halves, ``[mask, mask]`` and ``[values, 0]``, are laid out here, so a
-    "uprop" step is one copy and one ``np.copyto``, and a step with no
-    missing cell returns the laid-out row ``given[t]`` itself: no step
-    writes its input row.
+    "uprop" step is one copy and one ``np.copyto``.
     """
     dims = values.shape[-1]
     if prior is None:
@@ -314,15 +311,11 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     prior = prior.flat()
     missing = ~np.concatenate([mask, mask], axis=-1)
     given = np.concatenate([values, np.zeros(values.shape)], axis=-1)
-    # per step, whether any cell of any row is missing
-    gaps = missing.any(axis=tuple(range(1, missing.ndim))).tolist()
     kind = np.asarray(kind)[..., None]
     imputed, sampled = kind != "uprop", kind == "sample"
     impute, sample = imputed.any(), sampled.any()
 
     def policy(t, pending):
-        if not gaps[t]:
-            return given[t]
         fallback = prior if pending is None else pending
         if impute:
             mu, sigma = fallback[..., :dims], fallback[..., dims:]
