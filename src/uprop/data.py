@@ -229,13 +229,17 @@ def denormalize(series: TimeSeries, stats: NormStats) -> TimeSeries:
     return TimeSeries(values=values, mask=series.mask.copy(), t0=series.t0)
 
 
+def _check_missing_rate(rate: float) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise DataError(f"missing rate must be in [0, 1), got {rate}")
+
+
 def emulate_missing(series: TimeSeries, rate: float, seed: int) -> TimeSeries:
     """Mask each cell independently with probability ``rate``.
 
     The input must be fully observed; keep it around as ground truth.
     """
-    if not 0.0 <= rate < 1.0:
-        raise DataError(f"missing rate must be in [0, 1), got {rate}")
+    _check_missing_rate(rate)
     if not series.mask.all():
         raise DataError("emulate_missing expects a fully observed series")
     rng = np.random.default_rng(seed)
@@ -264,8 +268,9 @@ def window(series: TimeSeries, length: int, stride: int | None = None) -> list:
 
 def split(windows: list, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:
     """Shuffle windows with the seed, then partition by fractions."""
-    if len(fractions) != 3 or not math.isclose(sum(fractions), 1.0, abs_tol=1e-9):
-        raise DataError(f"fractions must be 3 values summing to 1, got {fractions}")
+    if (len(fractions) != 3 or any(f < 0 for f in fractions)
+            or not math.isclose(sum(fractions), 1.0, abs_tol=1e-9)):
+        raise DataError(f"fractions must be 3 values >= 0 summing to 1, got {fractions}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(windows))
     n_train = int(len(windows) * fractions[0])

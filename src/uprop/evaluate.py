@@ -17,7 +17,7 @@ import numpy as np
 # perfbench/tracer.py wraps filter_series_imputed and nll where this module
 # binds them, and tests/test_bench_hooks.py requires both bindings to stay
 from .baselines import filter_series_imputed, impute_noise  # noqa: F401
-from .data import emulate_missing, normalize
+from .data import _check_missing_rate, emulate_missing, normalize
 from .errors import ConfigError, DataError
 from .forecaster import UPropModel, _filter_batch
 from .prob import DistVector, nll
@@ -89,11 +89,14 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
     Missingness is emulated per (rate, window) with seeds derived from the
     run seed, identically across lookaheads and methods, so cells in a row
     see the same degraded data. A ``DataError`` is raised, before any
-    work, when no test window has the two rows a one-step forecast needs.
+    work, when a rate is outside [0, 1) or no test window has the two
+    rows a one-step forecast needs.
     """
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"unknown evaluation method {method!r}")
+    for rate in rates:
+        _check_missing_rate(rate)
     if not any(w.steps >= 2 for w in test_windows):
         raise DataError("evaluate_grid needs a test window of two rows or more: "
                         "with fewer there is no one-step forecast to score")

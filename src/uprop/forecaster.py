@@ -368,6 +368,8 @@ def _consume(model: UPropModel, context: list):
 
 
 def _check_horizon(k: int) -> None:
+    if not _is_a(k, int):
+        raise ConfigError(f"horizon must be an integer, got {k!r}")
     if k < 1:
         raise ConfigError(f"horizon must be >= 1, got {k}")
 

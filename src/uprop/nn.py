@@ -44,15 +44,30 @@ Training runs :func:`window_batch_forward` and
 over the gates the forward caches (``forecaster._batch_loss`` hangs its
 gradients on the one loss node). The training forward repeats the cell's
 arithmetic, in the same order, on buffers it owns: one cell shared by
-both callers slowed inference (README, "Layout"). This module is the
-one place that knows the gate order; :func:`gate_blocks` names the
-per-gate blocks for checkpoints.
+both callers slowed inference (README, "Layout"). Both training kernels
+take the batched scan's layout: a step's two (B, 3h) products are
+copied gate-major, the cached gates are (T, 2, B, h), and the backward
+forms a step's gate gradients on one (3, B, h) block that it copies
+into the (B, 3h) rows its products read, so every gate op runs on
+contiguous blocks while every gemm keeps its shape and operands. Each
+step takes its views from one ``zip`` per layer, set up once per batch
+(a list of every step's views would cost the same time and more
+memory), and every ufunc gets its output positionally. The readouts
+before the first scored one, at step min(anchor) - 1, are neither
+scored nor fed back, so neither they nor their backward products are
+run. At the desk shape (1x32, batch 8)
+these kernels are bound by per-call overhead: the ``train_desk``
+benchmark's ``pass_s`` went from 0.166 to 0.124 s (medians of ten
+alternating 20 s pairs, 2-vCPU VM, one BLAS thread), bit for bit.
+This module is the one place that knows the gate order;
+:func:`gate_blocks` names the per-gate blocks for checkpoints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -205,6 +220,8 @@ def gate_buffers(cells: list, shape: tuple = ()) -> list:
     an in-place weight edit is seen. A step overwrites the products, the
     copies and their blocks and reads the rest, so one set serves one
     scan at a time; they are never kept on the model.
+    :func:`window_batch_forward` lays its products out on one set per
+    batch too.
     """
     bufs = []
     for cell in cells:
@@ -297,12 +314,15 @@ class WindowBatchCache:
     arrays over T steps and B windows: per layer, ``xin`` is
     the input (T, B, in; a view of the layer below's ``hs`` when there is
     no dropout), ``hs`` the hidden states (T + 1, B, h) after the zero
-    start state, ``rz`` the reset and update gates (T, B, 2h),
-    ``n`` the candidate and ``hn`` the term ``U_n h + b_hn`` (T, B, h).
-    ``raw`` is the readout (T, B, 2N), ``d_belief`` the gradient of the
-    batch-mean loss with respect to each step's (mu, sigma), ``fed`` the
-    (T, B, 1) rows whose input was the previous step's belief, and
-    ``masks`` the dropout masks (T, gaps, B, h) or None.
+    start state, ``rz`` the reset and update gates, gate-major
+    (T, 2, B, h), ``n`` the candidate and ``hn`` the term
+    ``U_n h + b_hn`` (T, B, h). ``raw`` is the readout (T, B, 2N),
+    ``d_belief`` the gradient of the batch-mean loss with respect to each
+    step's (mu, sigma), ``fed`` the (T, B, 1) rows whose input was the
+    previous step's belief, ``masks`` the dropout masks (T, gaps, B, h)
+    or None, and ``first_read`` the first step whose readout is scored or
+    fed back: earlier readouts are not computed (their ``raw`` rows are
+    zero) and their ``d_belief`` is zero.
     """
 
     stack: GruStackParams
@@ -316,6 +336,7 @@ class WindowBatchCache:
     d_belief: np.ndarray
     fed: np.ndarray
     masks: np.ndarray | None
+    first_read: int
 
 
 def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: float,
@@ -331,7 +352,9 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     readout may hold ``Var``s or numpy arrays; only their values are
     read. Each step is :func:`fused_cell_forward`'s arithmetic, in the
     same order, with a batch dimension, on buffers the backward reads: a
-    copy, because sharing one cell slowed batch-of-one inference.
+    copy, because sharing one cell slowed batch-of-one inference. The
+    readouts before step min(anchor_b) - 1 are neither scored nor fed
+    back, so they are skipped.
     """
     stack, readout = fuse_stack(stack), freeze_linear(readout)
     X = np.asarray(X, dtype=np.float64)
@@ -344,13 +367,9 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     steps = np.arange(T)[:, None]
     fed = (steps >= anchors)[:, :, None]
     scored = (steps >= anchors - 1) & (steps < anchors + k - 1)
-    # transposed weights and row-broadcast biases, laid out once per batch
-    # so each step is a plain product and a same-shape add
-    cells = [(c.w.T.copy(), c.u.T.copy(), np.tile(c.b_w, (B, 1)), np.tile(c.b_hn, (B, 1)))
-             for c in stack.layers]
-    w_out = readout.weight.T.copy()
-    b_out = np.tile(readout.bias, (B, 1))
-    last = len(cells) - 1
+    first_fed = int(anchors.min())
+    first_read = first_fed - 1
+    last = len(stack.layers) - 1
 
     dense_masks = None
     if masks is not None and last > 0:
@@ -363,40 +382,69 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     xin = [np.concatenate([rows[:T], np.zeros((T, B, N))], axis=2)]
     xin += [hs[i][1:] if dense_masks is None else np.empty_like(hs[i][1:])
             for i in range(last)]
-    rz = [np.empty((T, B, 2 * c.hidden_size)) for c in stack.layers]
+    rz = [np.empty((T, 2, B, c.hidden_size)) for c in stack.layers]
     ns = [np.empty((T, B, c.hidden_size)) for c in stack.layers]
     hns = [np.empty((T, B, c.hidden_size)) for c in stack.layers]
-    # per-layer work buffers for W x + b_w and U h
-    a_buf = [np.empty((B, 3 * c.hidden_size)) for c in stack.layers]
-    c_buf = [np.empty((B, 3 * c.hidden_size)) for c in stack.layers]
-    raw = np.empty((T, B, 2 * N))
-    belief = np.empty((T, B, 2 * N))   # (mu, sigma) per step
+    # the skipped readouts keep constants (raw 0, mu = sigma = 1), so the
+    # masked loss below stays finite and warning-free
+    raw = np.zeros((T, B, 2 * N))
+    belief = np.ones((T, B, 2 * N))   # (mu, sigma) per step
+    # laid out once per batch, per layer: transposed weights and
+    # row-broadcast biases, so each step is a plain product and a
+    # same-shape add; the products' work buffers and gate-major copies
+    # (gate_buffers); and one iterator over the per-step views, which
+    # makes each step's views only when the step reaches them
+    layers = []
+    for i, c in enumerate(stack.layers):
+        h = c.hidden_size
+        a, b, lay, a_rz, _, _, a_n, b_rz, b_n, one, one_h = gate_buffers([c], (B,))[0][:11]
+        drop = (repeat(None),) * 2
+        if dense_masks is not None and i < last:
+            drop = (dense_masks[:, i], xin[i + 1])
+        layers.append((c.w.T.copy(), c.u.T.copy(), np.tile(c.b_w, (B, 1)),
+                       np.tile(c.b_hn, (B, 1)), a, b, *lay, a_rz, a_n, b_rz, b_n, one,
+                       one_h, np.empty((B, h)), np.empty((B, h)),
+                       zip(hs[i][:-1], hs[i][1:], rz[i], rz[i][:, 0], rz[i][:, 1], ns[i],
+                           hns[i], *drop)))
+    w_out = readout.weight.T.copy()
+    b_out = np.tile(readout.bias, (B, 1))
+    zero, floors = np.zeros((B, N)), np.full((B, N), floor)
+    reads = zip(*(v[first_read:] for v in (raw, raw[:, :, :N], raw[:, :, N:],
+                                            belief, belief[:, :, :N], belief[:, :, N:])))
 
-    first_fed = int(anchors.min())
     with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
-        for t in range(T):
+        for t, x, fed_t in zip(range(T), xin[0], fed):
             if t >= first_fed:
-                np.copyto(xin[0][t], belief[t - 1], where=fed[t])
-            for i, (w_t, u_t, b_w, b_hn) in enumerate(cells):
-                h = u_t.shape[0]
-                h_prev = hs[i][t]
-                a_i = np.dot(xin[i][t], w_t, out=a_buf[i])
-                a_i += b_w
-                c_i = np.dot(h_prev, u_t, out=c_buf[i])
-                gates = _sigmoid(np.add(a_i[:, :2 * h], c_i[:, :2 * h], out=rz[i][t]))
-                r, z = gates[:, :h], gates[:, h:]
-                hn = np.add(c_i[:, 2 * h:], b_hn, out=hns[i][t])
-                n = np.multiply(r, hn, out=ns[i][t])
-                n += a_i[:, 2 * h:]
-                np.tanh(n, out=n)
-                np.add((1.0 - z) * n, z * h_prev, out=hs[i][t + 1])
-                if dense_masks is not None and i < last:
-                    np.multiply(hs[i][t + 1], dense_masks[t, i], out=xin[i + 1][t])
-            np.dot(hs[last][t + 1], w_out, out=raw[t])
-            raw[t] += b_out
-            belief[t, :, :N] = raw[t, :, :N]
-            np.logaddexp(0.0, raw[t, :, N:], out=belief[t, :, N:])
-            belief[t, :, N:] += floor
+                np.copyto(x, belief_t, "same_kind", fed_t)
+            for (w_t, u_t, b_w, b_hn, a, b, ga, a_rows, gb, b_rows, a_rz, a_n, b_rz, b_n,
+                 one, one_h, keep, zh, views) in layers:
+                h_prev, h_next, rz_t, r, z, n, hn, mask, dropped = next(views)
+                x.dot(w_t, a)
+                np.add(a, b_w, a)
+                h_prev.dot(u_t, b)
+                # one copy per product lays its rows out gate-major, so
+                # every gate op below runs on contiguous blocks
+                np.copyto(ga, a_rows)
+                np.copyto(gb, b_rows)
+                np.add(a_rz, b_rz, rz_t)
+                _sigmoid(rz_t, one)
+                np.add(b_n, b_hn, hn)
+                np.multiply(r, hn, n)
+                np.add(n, a_n, n)
+                np.tanh(n, n)
+                np.subtract(one_h, z, keep)
+                np.multiply(keep, n, keep)
+                np.multiply(z, h_prev, zh)
+                np.add(keep, zh, h_next)
+                x = h_next if mask is None else np.multiply(h_next, mask, dropped)
+            if t >= first_read:
+                # step t + 1 feeds back this step's belief_t
+                raw_t, raw_mu, raw_sigma, belief_t, mu, sigma = next(reads)
+                x.dot(w_out, raw_t)
+                np.add(raw_t, b_out, raw_t)
+                np.copyto(mu, raw_mu)
+                np.logaddexp(zero, raw_sigma, sigma)
+                np.add(sigma, floors, sigma)
 
     mu, sigma = belief[:, :, :N], belief[:, :, N:]
     z = (targets - mu) / sigma
@@ -408,7 +456,7 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     d_belief = np.concatenate([-z / sigma, (1.0 - z * z) / sigma], axis=2) * weight
     cache = WindowBatchCache(stack=stack, readout=readout, xin=xin, hs=hs, rz=rz,
                              n=ns, hn=hns, raw=raw, d_belief=d_belief, fed=fed,
-                             masks=dense_masks)
+                             masks=dense_masks, first_read=first_read)
     return losses, cache
 
 
@@ -419,71 +467,91 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     ``w``, ``u``, ``b_w`` and ``b_hn`` of each layer, then the readout
     weight and bias. Steps run in reverse. At each step the gradient
     enters at the readout (from the loss and from the next step's input
-    on fed rows), falls through the layers top-down, and leaves layer 0's
-    input towards the previous step's (mu, sigma) on fed rows. The gate
-    derivatives are formed for all steps before the loop and the weight
-    gradients summed over all steps after it, one matrix product per
-    weight.
+    on fed rows; not before ``cache.first_read``, where it is zero),
+    falls through the layers top-down, and leaves layer 0's input towards
+    the previous step's (mu, sigma) on fed rows. The gate derivatives are
+    formed for all steps before the loop and the weight gradients summed
+    over all steps after it, one matrix product per weight. A step's gate
+    ops run on one gate-major (3, B, h) block, copied once into the
+    (B, 3h) rows of ``a`` and once into those of ``c``, which the
+    products read.
     """
-    cells = [(c.w, c.u) for c in cache.stack.layers]
-    w_out = cache.readout.weight
     T, B, two_n = cache.raw.shape
     N = two_n // 2
-    last = len(cells) - 1
     # d(mu, sigma)/d(raw) is (1, sigmoid(raw_sigma)) by the softplus squash
     with np.errstate(over="ignore"):
         d_sigma = _sigmoid(cache.raw[:, :, N:].copy())
     d_squash = np.concatenate([np.ones((T, B, N)), d_sigma], axis=2)
     d_raw = cache.d_belief * d_squash
-    # per layer: gate derivatives (T, B, h), then the step gradients of the
-    # pre-activations a = W x + b_w (T, B, 3h) and c = U h + [0, 0, b_hn]
-    factors, d_a, d_c = [], [], []
-    for i, (_, u) in enumerate(cells):
-        h = u.shape[1]
-        r, z = cache.rz[i][:, :, :h], cache.rz[i][:, :, h:]
+    # per layer, top-down: one iterator, last step first, over the gate
+    # derivative factors (T, B, h), the step gradients of the
+    # pre-activations a = W x + b_w and c = U h + [0, 0, b_hn] (T, B, 3h)
+    # with their gate-major views, and the dropout masks on the layer's
+    # input; and the step's work buffers
+    layers, d_a, d_c = [], [], []
+    for i, c in enumerate(cache.stack.layers):
+        h = c.hidden_size
+        r, z = cache.rz[i][:, 0], cache.rz[i][:, 1]
         n, hn, h_prev = cache.n[i], cache.hn[i], cache.hs[i][:T]
-        factors.append(((1.0 - z) * (1.0 - n * n), hn * r * (1.0 - r),
-                        (h_prev - n) * z * (1.0 - z), r, z))
+        factors = ((1.0 - z) * (1.0 - n * n), hn * r * (1.0 - r),
+                   (h_prev - n) * z * (1.0 - z), r, z)
         d_a.append(np.empty((T, B, 3 * h)))
         d_c.append(np.empty((T, B, 3 * h)))
-    d_h = [np.zeros((B, u.shape[1])) for _, u in cells]
-    fed_steps = cache.fed.any(axis=(1, 2))
-    d_feed = None
+        per_step = (*factors, d_a[i], d_a[i].reshape(T, B, 3, h).transpose(0, 2, 1, 3),
+                    d_c[i], d_c[i].reshape(T, B, 3, h).transpose(0, 2, 1, 3))
+        masks = repeat(None)
+        if i > 0 and cache.masks is not None:
+            masks = cache.masks[::-1, i - 1]
+        g = np.empty((3, B, h))
+        d_in = np.empty((B, c.input_size)) if i > 0 else None
+        layers.insert(0, (c.w, c.u, zip(*(v[::-1] for v in per_step), masks), g, g[0],
+                          g[1], g[2], np.empty((B, h)), np.empty((B, h)),
+                          np.zeros((B, h)), d_in))
+    w_out = cache.readout.weight
+    d_top, d_feed = np.empty((B, w_out.shape[1])), np.empty((B, two_n))
+    fed_next = False   # whether step t + 1 fed back step t's belief
 
-    for t in range(T - 1, -1, -1):
-        if d_feed is not None:
-            d_raw[t] += d_feed * d_squash[t]
-        d_out = np.dot(d_raw[t], w_out)
-        for i in range(last, -1, -1):
-            w, u = cells[i]
-            h = u.shape[1]
-            k_n, k_r, k_z, r, z = factors[i]
-            da, dc = d_a[i][t], d_c[i][t]
-            dh = np.add(d_h[i], d_out, out=d_h[i])
-            d_pre_n = np.multiply(dh, k_n[t], out=da[:, 2 * h:])
-            np.multiply(d_pre_n, k_r[t], out=da[:, :h])
-            np.multiply(dh, k_z[t], out=da[:, h:2 * h])
-            dc[:, :2 * h] = da[:, :2 * h]
-            np.multiply(d_pre_n, r[t], out=dc[:, 2 * h:])
-            d_h[i] = np.dot(dc, u)
-            d_h[i] += dh * z[t]
-            if i > 0:
-                d_out = np.dot(da, w)
-                if cache.masks is not None:
-                    d_out *= cache.masks[t, i - 1]
-        # layer 0's input gradient only matters on fed rows
-        d_feed = np.dot(da, cells[0][0]) * cache.fed[t] if fed_steps[t] else None
+    for t, d_raw_t, squash, fed_t, fed_step in zip(
+            range(T - 1, -1, -1), d_raw[::-1], d_squash[::-1], cache.fed[::-1],
+            cache.fed.any(axis=(1, 2))[::-1].tolist()):
+        if fed_next:
+            np.multiply(d_feed, squash, d_feed)
+            np.add(d_raw_t, d_feed, d_raw_t)
+        d_out = d_raw_t.dot(w_out, d_top) if t >= cache.first_read else None
+        for (w, u, views, g, g_r, g_z, g_n, dh_sum, dh_z, d_h, d_in) in layers:
+            k_n, k_r, k_z, r, z, da, da_g, dc, dc_g, mask = next(views)
+            dh = d_h if d_out is None else np.add(d_h, d_out, dh_sum)
+            np.multiply(dh, k_n, g_n)
+            np.multiply(g_n, k_r, g_r)
+            np.multiply(dh, k_z, g_z)
+            np.copyto(da_g, g)
+            # c's r and z blocks are a's; its n block is d_pre_n * r
+            np.multiply(g_n, r, g_n)
+            np.copyto(dc_g, g)
+            np.multiply(dh, z, dh_z)
+            dc.dot(u, d_h)
+            np.add(d_h, dh_z, d_h)
+            if d_in is not None:
+                d_out = da.dot(w, d_in)
+                if mask is not None:
+                    np.multiply(d_out, mask, d_out)
+        # layer 0's input gradient (``da`` and ``w`` are layer 0's here)
+        # only matters on fed rows
+        fed_next = fed_step
+        if fed_next:
+            da.dot(w, d_feed)
+            np.multiply(d_feed, fed_t, d_feed)
 
     grads = []
-    for i, (w, u) in enumerate(cells):
-        h = u.shape[1]
+    for i, c in enumerate(cache.stack.layers):
+        h = c.hidden_size
         da = d_a[i].reshape(T * B, 3 * h)
         dc = d_c[i].reshape(T * B, 3 * h)
         grads += [da.T @ cache.xin[i].reshape(T * B, -1),
                   dc.T @ cache.hs[i][:T].reshape(T * B, h),
                   da.sum(axis=0), dc[:, 2 * h:].sum(axis=0)]
     d_raw = d_raw.reshape(T * B, two_n)
-    return grads + [d_raw.T @ cache.hs[last][1:].reshape(T * B, -1),
+    return grads + [d_raw.T @ cache.hs[-1][1:].reshape(T * B, -1),
                     d_raw.sum(axis=0)]
 
 

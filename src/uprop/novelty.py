@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeries
+from .data import TimeSeries, _is_a
 from .errors import ConfigError, DataError
 from .forecaster import (DistVector, Forecast, UPropModel, _check_horizon,
                          _feed, _scan, _self_feed)
@@ -55,6 +55,9 @@ def _check_quantile(quantile: float) -> None:
 
 
 def _check_offsets(near_offset: int, far_offset: int) -> None:
+    if not (_is_a(near_offset, int) and _is_a(far_offset, int)):
+        raise ConfigError("offsets must be integers, "
+                          f"got near={near_offset!r}, far={far_offset!r}")
     if near_offset < 1 or far_offset < near_offset:
         raise ConfigError("offsets must satisfy far_offset >= near_offset >= 1, "
                           f"got near={near_offset}, far={far_offset}")
@@ -187,6 +190,9 @@ def calibrate_threshold(scores, quantile: float = 0.99) -> Threshold:
                         dtype=np.float64)
     if values.size < 100:
         raise DataError(f"calibration needs >= 100 scores, got {values.size}")
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise DataError(f"calibration scores must be finite, got {bad} that are not")
     return Threshold(cutoff=float(np.quantile(values, quantile, method="linear")),
                      quantile=quantile)
 

@@ -6,6 +6,8 @@ unfused reference GRU (``gru_reference.gru_stack_step``, with the same
 dropout masks) that scores each window on its own.
 """
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +128,29 @@ def test_random_shapes_match_batches_of_one_and_the_inference_loop(
     model = make_model(dims, hidden, layers, dropout, k, L, seed)
     X, masks = batch(model, B, L, k, anchors, seed)
     check_against_batches_of_one(model, X, anchors, k, masks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), dims=st.integers(1, 3), hidden=st.integers(1, 6),
+       layers=st.integers(1, 3), dropout=st.sampled_from([0.0, 0.4]),
+       k=st.integers(1, 5), B=st.integers(1, 5), seed=st.integers(0, 2**16),
+       equal=st.booleans())
+def test_late_anchors_match_batches_of_one_and_the_inference_loop(
+        data, dims, hidden, layers, dropout, k, B, seed, equal):
+    # every anchor sits far past step 1, so the readouts before the first
+    # scored one, which the batch skips, form a long prefix; either all
+    # anchors are equal or one sits at L - k
+    L = k + data.draw(st.integers(10, 24))
+    anchor = st.integers((L - k) // 2 + 1, L - k)
+    if equal:
+        anchors = [data.draw(anchor)] * B
+    else:
+        anchors = [L - k] + data.draw(st.lists(anchor, min_size=B - 1, max_size=B - 1))
+    model = make_model(dims, hidden, layers, dropout, k, L, seed)
+    X, masks = batch(model, B, L, k, anchors, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_against_batches_of_one(model, X, anchors, k, masks)
 
 
 def test_context_masks_follow_the_per_row_draw_order():

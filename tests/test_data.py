@@ -244,6 +244,12 @@ class TestWindowSplit:
         with pytest.raises(DataError):
             split([TimeSeries.complete(np.zeros((5, 1)))], (0.5, 0.2, 0.2))
 
+    @pytest.mark.parametrize("fractions", [(1.2, -0.1, -0.1), (0.5, 0.6, -0.1)])
+    def test_negative_fraction_rejected_though_the_sum_is_one(self, fractions):
+        windows = [TimeSeries.complete(np.zeros((5, 1))) for _ in range(8)]
+        with pytest.raises(DataError, match="fractions must be 3 values >= 0"):
+            split(windows, fractions)
+
 
 class TestSynthCloud:
     def test_shapes_and_determinism(self):

@@ -67,3 +67,14 @@ def test_unknown_method_is_a_config_error_naming_it(methods):
     windows = [TimeSeries.complete(np.zeros((5, 2)))]
     with pytest.raises(ConfigError, match=f"unknown evaluation method {methods[-1]!r}"):
         evaluate_grid({2: small_model()}, windows, rates=[0.0], methods=methods)
+
+
+@pytest.mark.parametrize("rates", [[float("nan")], [-0.1], [0.0, 1.0]])
+def test_a_rate_outside_zero_one_is_a_data_error_before_any_work(rates, monkeypatch):
+    # NaN and negative rates would otherwise score undegraded windows
+    windows = [TimeSeries.complete(np.zeros((5, 2)))]
+    calls = []
+    monkeypatch.setattr(evaluate, "normalize", lambda *a: calls.append(a))
+    with pytest.raises(DataError, match=r"missing rate must be in \[0, 1\)"):
+        evaluate_grid({2: small_model()}, windows, rates)
+    assert not calls

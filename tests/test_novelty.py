@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uprop import forecaster
+from uprop.baselines import mc_rollout
 from uprop.data import TimeSeries
 from uprop.errors import ConfigError, DataError
 from uprop.forecaster import DistVector, Forecast, rollout
@@ -185,6 +186,13 @@ class TestCalibrateThreshold:
         with pytest.raises(DataError):
             calibrate_threshold(np.arange(99.0))
 
+    @pytest.mark.parametrize("values", [[np.nan] * 200, [np.inf] * 200,
+                                        [*range(199), -np.inf]])
+    def test_non_finite_scores_rejected(self, values):
+        # a NaN cutoff never flags, and neither does an inf one
+        with pytest.raises(DataError, match="scores must be finite"):
+            calibrate_threshold(values)
+
     def test_flags_about_one_percent_on_calibration_data(self):
         rng = np.random.default_rng(35)
         values = rng.normal(size=1000)
@@ -254,3 +262,19 @@ class TestScoreSeries:
         hot = [s.value for s in scores if 41 <= s.t < 53]
         assert np.mean(hot) > 5 * np.mean(clean)
         assert min(hot) > np.mean(clean)
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda m, s: forecast_from_origin(m, s, 3, 2.5), "horizon must be an integer, got 2.5"),
+    (lambda m, s: forecast_from_origin(m, s, 3, 2.0), "horizon must be an integer, got 2.0"),
+    (lambda m, s: rollout(m, [DistVector.observed(np.zeros(2))], 2.5), "horizon must be an integer"),
+    (lambda m, s: mc_rollout(m, [DistVector.observed(np.zeros(2))], 2.0, 4, 0),
+     "horizon must be an integer"),
+    (lambda m, s: kl_novelty(m, s, 20, 1.5, 8), "offsets must be integers"),
+    (lambda m, s: score_series(m, s, "kl", far_offset=8.0), "offsets must be integers"),
+], ids=["origin-2.5", "origin-2.0", "rollout", "mc_rollout", "kl_novelty", "score_series"])
+def test_non_integer_horizon_or_offset_is_a_config_error(call, says):
+    model = small_model(seed=42)
+    series = toy_windows(n_windows=1, length=30, seed=42)[0]
+    with pytest.raises(ConfigError, match=says):
+        call(model, series)
