@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeries
+from .data import TimeSeries, _is_a
 from .forecaster import (IMPUTE_CLAMP, DistVector, UPropModel,  # noqa: F401
                          _check_horizon, _consume, _filter, _self_feed)
 
@@ -66,6 +66,8 @@ def mc_rollout(model: UPropModel, context: list, k: int, n_samples: int,
     trajectory i drawing its k standard normal rows from the i-th child of
     ``SeedSequence(seed)``, as a loop over ``rng.normal`` would.
     """
+    if not _is_a(n_samples, int):
+        raise ValueError(f"mc_rollout needs an integer n_samples, got {n_samples!r}")
     if n_samples < 2:
         raise ValueError(f"mc_rollout needs n_samples >= 2, got {n_samples}")
     _check_horizon(k)

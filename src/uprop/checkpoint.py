@@ -27,24 +27,20 @@ _HYPER_FIELDS = ("n_layers", "hidden_size", "dropout", "lookahead", "epochs",
 
 
 def _dump(obj) -> str:
-    """Canonical JSON: insertion-ordered keys, 17-significant-digit floats."""
+    """Canonical JSON: insertion-ordered keys, 17-significant-digit floats.
+    ``save_checkpoint`` passes None, dicts, arrays, integers and floats,
+    never a bool, which this would write as 1 or 0."""
     if obj is None:
         return "null"
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
+    if isinstance(obj, np.ndarray):
         # every weight array: _fmt's text per float, from one %-format
         return ("[" + ", ".join(["%.17g"] * obj.size) + "]") % tuple(obj.tolist())
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_dump(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    return json.dumps(obj)
+    return _fmt(obj)
 
 
 def _weight_shapes(dims: int, config: TrainConfig):
@@ -87,8 +83,9 @@ def save_checkpoint(model: UPropModel, path, final_loss: float | None = None) ->
             raise DataError(f"{path}: checkpoint key weights.{key} has shape "
                             f"{array.shape}, but the model's config names {shape}")
         weights[key] = array.ravel()
-    if final_loss is not None and not math.isfinite(final_loss):
-        raise DataError(f"{path}: checkpoint key final_loss is not finite: {final_loss!r}")
+    if final_loss is not None and not _is_a(final_loss, float):
+        raise DataError(f"{path}: checkpoint key final_loss must be {_KINDS[float]} "
+                        f"or None, got {final_loss!r}")
     for where, arrays in (("normalization.", stats), ("weights.", weights)):
         for key, array in arrays.items():
             if not np.all(np.isfinite(array)):

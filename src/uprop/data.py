@@ -252,6 +252,9 @@ def emulate_missing(series: TimeSeries, rate: float, seed: int) -> TimeSeries:
 def window(series: TimeSeries, length: int, stride: int | None = None) -> list:
     """Contiguous windows of ``length`` rows at ``stride`` (default: disjoint)."""
     stride = stride if stride is not None else length
+    if not (_is_a(length, int) and _is_a(stride, int)):
+        raise DataError(f"window length and stride must be integers, "
+                        f"got {length!r}, {stride!r}")
     if length < 1 or stride < 1:
         raise DataError(f"window length and stride must be >= 1, got {length}, {stride}")
     if length > series.steps:
@@ -305,6 +308,9 @@ def synth_cloud(nodes: int, steps: int, seed: int, dims: int = 3,
 
         cpu_t = clip(0.45 + 0.1 s_t + 0.20 l_t + 0.08 u_t, 0, 1)
     """
+    for name, value in (("nodes", nodes), ("steps", steps)):
+        if not _is_a(value, int):
+            raise DataError(f"synth_cloud needs an integer {name}, got {value!r}")
     if steps < 240:
         raise DataError(f"synth_cloud needs steps >= 240, got {steps}")
     if dims < 2:
@@ -338,6 +344,11 @@ def synth_cloud(nodes: int, steps: int, seed: int, dims: int = 3,
 def synth_random_walk(steps: int, seed: int, dims: int = 1,
                       step_sigma: float = 1.0) -> TimeSeries:
     """Gaussian random walk, one independent walk per dimension."""
+    if not (_is_a(step_sigma, float) and step_sigma >= 0.0):
+        raise DataError(f"synth_random_walk needs a finite step_sigma >= 0, "
+                        f"got {step_sigma!r}")
+    if dims < 1:
+        raise DataError(f"synth_random_walk needs dims >= 1, got {dims}")
     rng = np.random.default_rng(seed)
     increments = rng.normal(0.0, step_sigma, size=(steps, dims))
     return TimeSeries.complete(np.cumsum(increments, axis=0))

@@ -34,11 +34,6 @@ class EvalGrid:
     methods: list
     cells: np.ndarray  # (n_rates, n_lookaheads, n_methods)
 
-    def cell(self, rate, lookahead, method) -> float:
-        return float(self.cells[self.rates.index(rate),
-                                self.lookaheads.index(lookahead),
-                                self.methods.index(method)])
-
     def difference(self, method: str) -> np.ndarray:
         """(method - uprop) per-point NLL table, shape (rates, lookaheads)."""
         m = self.methods.index(method)

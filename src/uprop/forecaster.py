@@ -21,7 +21,9 @@ place, and the scan feeds that row back. The gate products of every
 step land in work buffers that the scan call makes and owns
 (``_step_buffers``: ``nn.gate_buffers`` and the squash's zeros and floor
 rows), never the model, so two scans of one model in two threads share
-no array they write. Beliefs the API returns are
+no array they write. The ``nn`` kernels take those buffers on every
+call; only ``step``, the public one-step entry, makes a set when it is
+called without one. Beliefs the API returns are
 ``DistVector._of_row`` views of the step's own rows, which no later
 step writes.
 
@@ -228,13 +230,15 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: tuple | None = None):
 
     ``x`` is one input row in the wire layout ``[mu..., sigma...]``, (2N,),
     with one (hidden,) state per layer in ``h``, or a batch: (B, 2N) rows
-    and (B, hidden) states. ``bufs`` is :func:`_step_buffers` for that
-    shape (made when None). The step is bare numpy on the frozen
-    arrays. It returns a fresh row in the same layout, the readout with
-    its sigma half squashed in place: ``sigma = softplus(raw) + floor``,
-    with the floor of ``model.train_config``, is at least the floor (or
-    NaN). ``DistVector._of_row`` views it as a belief without
-    ``DistVector``'s checks.
+    and (B, hidden) states; a wrong width or number of states is a
+    ``ShapeError``. ``bufs`` is :func:`_step_buffers` for that shape; a
+    call without it makes a set for this step alone. The step is bare
+    numpy on the frozen arrays. It returns a fresh row in the same layout,
+    the readout with its sigma half squashed in place:
+    ``sigma = softplus(raw) + floor``, with the floor of
+    ``model.train_config``, is at least the floor (or NaN).
+    ``DistVector._of_row`` views it as a belief without ``DistVector``'s
+    checks.
     """
     if x.shape[-1] != 2 * model.dims:
         raise ShapeError(f"input width {x.shape[-1]} != 2 * model dims {model.dims}")

@@ -5,9 +5,9 @@ Each GRU cell is stored once, in the fused layout its kernels read
 ``[r; z; n]``). A model holds ``Var`` leaves; :func:`fuse_stack` and
 :func:`freeze_linear` give numpy views of the same arrays for inference,
 which steps the cell (:func:`fused_stack_step`) on one row or on a batch
-of rows. A scan steps it on work buffers made once per scan call
-(:func:`gate_buffers`): the two gate products land there, the gate
-views are sliced once per scan, not once per step, and the ones arrays
+of rows. Every step takes its work buffers (:func:`gate_buffers`), which
+its caller makes once per scan: the two gate products land there, the
+gate views are sliced once per scan, not once per step, and the ones arrays
 of the sigmoid and of ``1 - z`` and the cell's weight arrays are bound
 there too. One row's gate blocks are slices of its (3h,) products, so
 they are contiguous as they are. In a batch they would be column slices
@@ -239,20 +239,18 @@ def gate_buffers(cells: list, shape: tuple = ()) -> list:
     return bufs
 
 
-def fused_cell_forward(cell: GruCell, x, h_prev, buf=None):
+def fused_cell_forward(x, h_prev, buf):
     """One GRU step, two matvecs on numpy arrays: returns the next hidden
     state, a fresh array. ``x`` and ``h_prev`` are one row, (in,) and
-    (h,), or a batch, (B, in) and (B, h); ``buf`` is the cell's entry of
-    :func:`gate_buffers` for that shape (made here when None), and the
-    step reads the cell's weights from it.
+    (h,), or a batch, (B, in) and (B, h); ``buf`` is one cell's entry of
+    :func:`gate_buffers` for that shape, and the step reads the cell's
+    weights from it.
 
     r = sig(W_r x + U_r h + b_r)
     z = sig(W_z x + U_z h + b_z)
     n = tanh(W_n x + b_in + r * (U_n h + b_hn))
     h' = (1 - z) * n + z * h
     """
-    if buf is None:
-        buf = gate_buffers([cell], x.shape[:-1])[0]
     # in place on the scan's buffers, with positional outputs and array
     # operands: at batch of one, a temporary, a slice, an attribute read,
     # a keyword or a scalar operand each costs a fair share of the
@@ -280,23 +278,23 @@ def fused_cell_forward(cell: GruCell, x, h_prev, buf=None):
     return out
 
 
-def fused_stack_step(stack: GruStackParams, x, h_prev, bufs=None):
+def fused_stack_step(stack: GruStackParams, x, h_prev, bufs):
     """Advance every fused layer one step (inference: no dropout), for one
-    row or a batch of rows; returns (top output, new hidden). ``bufs`` is
-    :func:`gate_buffers` for the rows' shape (made here when None)."""
-    if bufs is None:
-        bufs = gate_buffers(stack.layers, x.shape[:-1])
+    row or a batch of rows; returns (top output, new hidden). ``h_prev``
+    holds one state per layer of ``stack``, else ``ShapeError``; ``bufs``
+    is :func:`gate_buffers` over the stack's layers for the rows' shape."""
+    if len(h_prev) != len(stack.layers):
+        raise ShapeError(f"need one hidden state per layer ({len(stack.layers)}), "
+                         f"got {len(h_prev)}")
     h_next = []
-    for cell, h, buf in zip(stack.layers, h_prev, bufs):
-        x = fused_cell_forward(cell, x, h, buf)
+    for h, buf in zip(h_prev, bufs):
+        x = fused_cell_forward(x, h, buf)
         h_next.append(x)
     return x, h_next
 
 
 def dropout_mask(size: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate)."""
-    if rate == 0.0:
-        return np.ones(size)
     return (rng.random(size) >= rate) / (1.0 - rate)
 
 

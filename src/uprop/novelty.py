@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeSeries, _is_a
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .forecaster import (DistVector, Forecast, UPropModel, _check_horizon,
                          _feed, _scan, _self_feed)
 from .prob import kl, nll
@@ -46,6 +46,9 @@ class Threshold:
     quantile: float = 0.99
 
     def __post_init__(self):
+        if not _is_a(self.cutoff, float):
+            raise ConfigError(f"threshold cutoff must be a finite number, "
+                              f"got {self.cutoff!r}")
         _check_quantile(self.quantile)
 
 
@@ -77,6 +80,9 @@ def surprise_score(belief: DistVector, x: np.ndarray,
     if mask is None:
         mask = ~np.isnan(x)
     mask = np.asarray(mask, dtype=bool)
+    if x.shape != (belief.dims,) or mask.shape != x.shape:
+        raise ShapeError(f"surprise score of a {belief.dims}-dim belief needs x and mask "
+                         f"of shape ({belief.dims},), got {x.shape} and {mask.shape}")
     if not mask.any():
         raise ValueError("surprise score undefined: all dimensions missing")
     sigma = belief.sigma[mask]
@@ -111,6 +117,8 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
     changed, so a call racing another on the same model, or one whose
     rows were edited, can only miss it and re-filter.
     """
+    if not _is_a(origin, int):
+        raise ValueError(f"origin must be an integer, got {origin!r}")
     if origin < 0 or origin >= series.steps:
         raise ValueError(f"origin {origin} outside series of length {series.steps}")
     _check_horizon(k)
@@ -169,6 +177,8 @@ def kl_novelty(model: UPropModel, series: TimeSeries, target_t: int,
     target; the origin row itself is consumed before forecasting.
     """
     _check_offsets(near_offset, far_offset)
+    if not _is_a(target_t, int):
+        raise ValueError(f"target_t must be an integer, got {target_t!r}")
     if target_t - far_offset < 0:
         raise ValueError(
             f"insufficient history: target {target_t} needs {far_offset} prior steps"

@@ -23,9 +23,6 @@ class Var:
         self._parents = parents
         self._vjps = vjps
 
-    def __repr__(self):
-        return f"Var({self.value!r})"
-
 
 def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)

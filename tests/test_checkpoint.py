@@ -222,6 +222,15 @@ def test_save_refuses_non_finite_value_naming_its_key(tmp_path, key, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("final_loss", [True, "0.5", [1.5]], ids=["bool", "str", "list"])
+def test_save_refuses_a_final_loss_that_is_not_a_number(tmp_path, final_loss):
+    # a bool would be written as 1, which load_checkpoint would take as a loss
+    path = tmp_path / "m.json"
+    with pytest.raises(DataError, match="key final_loss must be a finite number or None"):
+        save_checkpoint(small_model(seed=58), path, final_loss=final_loss)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("fields, key", [
     ({"n_layers": 1}, "weights.readout.bias"), ({"n_layers": 3}, "weights.gru.2.W_z"),
     ({"hidden_size": 5}, "weights.gru.0.W_r")])

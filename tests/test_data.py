@@ -43,6 +43,14 @@ class TestCsv:
         back = load_csv(path)
         assert np.array_equal(back.values, values)
 
+    def test_sidecar_of_a_path_not_ending_in_csv_appends_its_suffix(self, tmp_path):
+        s = TimeSeries(values=[[1.0, np.nan]], mask=[[True, False]])
+        save_csv(s, tmp_path / "series.txt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.txt",
+                                                             "series.txt.mask.csv"]
+        assert (tmp_path / "series.txt.mask.csv").read_text().splitlines() == [
+            "t,dim_0,dim_1", "0,1,0"]
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_save_refuses_observed_non_finite_value(self, tmp_path, value):
         values = np.arange(6.0).reshape(3, 2)
@@ -107,8 +115,12 @@ class TestCsv:
     (lambda: NormStats(mean=[np.inf], std=[1.0]), "must be finite"),
     (lambda: NormStats(mean=[-np.inf], std=[1.0]), "must be finite"),
     (lambda: NormStats.from_windows([]), "no windows"),
+    (lambda: NormStats.from_windows([
+        TimeSeries(values=[[0.0, np.nan], [1.0, np.nan]], mask=[[1, 0], [1, 0]]),
+        TimeSeries(values=[[2.0, np.nan]], mask=[[1, 0]])]), "dimension 1 has no observed"),
 ], ids=["series-unequal", "series-1-D", "stats-unequal", "std-below-floor", "std-nan",
-        "std-inf", "mean-nan", "mean-inf", "mean-minus-inf", "stats-of-no-windows"])
+        "std-inf", "mean-nan", "mean-inf", "mean-minus-inf", "stats-of-no-windows",
+        "stats-of-an-unobserved-dimension"])
 def test_malformed_series_and_stats_rejected(make, says):
     with pytest.raises(DataError, match=says):
         make()
@@ -229,6 +241,12 @@ class TestWindowSplit:
         with pytest.raises(DataError, match=f"must be >= 1, {got}"):
             window(s, length, stride=stride)
 
+    @pytest.mark.parametrize("length, stride", [(5.0, None), (5, 2.0), (True, 1), (5, True)])
+    def test_non_integer_length_or_stride_rejected(self, length, stride):
+        s = TimeSeries.complete(np.zeros((20, 1)))
+        with pytest.raises(DataError, match="must be integers"):
+            window(s, length, stride=stride)
+
     def test_split_80_10_10(self):
         windows = [TimeSeries.complete(np.zeros((10, 1))) for _ in range(100)]
         ds = split(windows, (0.8, 0.1, 0.1), seed=0)
@@ -286,6 +304,14 @@ class TestSynthCloud:
         with pytest.raises(DataError):
             synth_cloud(nodes=1, steps=100, seed=0)
 
+    @pytest.mark.parametrize("kwargs, says", [
+        ({"nodes": 2.0}, "integer nodes, got 2.0"), ({"nodes": True}, "integer nodes"),
+        ({"steps": 240.0}, "integer steps, got 240.0")],
+        ids=["nodes-float", "nodes-bool", "steps-float"])
+    def test_non_integer_nodes_or_steps_rejected(self, kwargs, says):
+        with pytest.raises(DataError, match=says):
+            synth_cloud(**{"nodes": 2, "steps": 240, "seed": 0, **kwargs})
+
 
 class TestRandomWalk:
     def test_increments_are_gaussian_steps(self):
@@ -297,3 +323,13 @@ class TestRandomWalk:
         a = synth_random_walk(steps=100, seed=10)
         b = synth_random_walk(steps=100, seed=10)
         np.testing.assert_array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("step_sigma", [np.nan, np.inf, -0.5, "1"])
+    def test_step_sigma_not_finite_or_negative_rejected(self, step_sigma):
+        with pytest.raises(DataError, match="finite step_sigma >= 0"):
+            synth_random_walk(steps=10, seed=0, step_sigma=step_sigma)
+
+    @pytest.mark.parametrize("dims", [0, -1])
+    def test_dims_below_one_rejected(self, dims):
+        with pytest.raises(DataError, match="dims >= 1"):
+            synth_random_walk(steps=10, seed=0, dims=dims)

@@ -128,6 +128,15 @@ class TestStep:
         with pytest.raises(ShapeError):
             belief_step(model, DistVector.observed(np.zeros(3)), zero_hidden(model.stack))
 
+    @pytest.mark.parametrize("layers, states", [(3, 1), (3, 2), (2, 3), (1, 0)])
+    def test_one_hidden_state_per_layer(self, layers, states):
+        # fewer states would step fewer layers and read out a lower one
+        model = small_model(layers=layers)
+        h = [np.zeros(6)] * states
+        with pytest.raises(ShapeError,
+                           match=rf"one hidden state per layer \({layers}\), got {states}"):
+            step(model, np.zeros(4), h)
+
 
 class TestRollout:
     def test_k1_equals_one_step_after_context(self):
@@ -294,6 +303,10 @@ class TestTrain:
         _, h1 = train(toy_windows(seed=8), cfg)
         _, h2 = train(toy_windows(seed=8), cfg)
         assert h1 == h2
+
+    def test_rejects_no_windows(self):
+        with pytest.raises(DataError, match="no training windows"):
+            train([], TrainConfig(window_length=40, lookahead=2))
 
     def test_rejects_missing_values(self):
         windows = toy_windows(n_windows=2, seed=9)

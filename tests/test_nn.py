@@ -62,7 +62,7 @@ def test_cell_matches_scalar_oracle():
         got = ref.gru_cell_forward(cell, x, h)
         want = scalar_cell_oracle(cell, x, h)
         np.testing.assert_allclose(got, want, atol=1e-12)
-        fused = nn.fused_cell_forward(cell, x, h)
+        fused = nn.fused_cell_forward(x, h, nn.gate_buffers([cell])[0])
         np.testing.assert_allclose(fused, want, atol=1e-12)
 
 
@@ -70,7 +70,7 @@ def test_fused_cell_matches_plain_cell():
     rng = np.random.default_rng(12)
     cell = make_cell(3, 5, rng)
     x, h = rng.normal(size=3), rng.normal(size=5) * 0.3
-    np.testing.assert_allclose(nn.fused_cell_forward(cell, x, h),
+    np.testing.assert_allclose(nn.fused_cell_forward(x, h, nn.gate_buffers([cell])[0]),
                                ref.gru_cell_forward(cell, x, h), atol=1e-12)
 
 
@@ -81,10 +81,11 @@ def test_fused_stack_step_matches_reference_stack_with_dropout():
     stack = nn.init_gru_stack(3, 5, 3, 0.5, rng)
     fused = nn.fuse_stack(stack)
     h_ref = h_fused = nn.zero_hidden(stack)
+    bufs = nn.gate_buffers(fused.layers)
     for _ in range(8):
         x = rng.normal(size=3)
         top_ref, h_ref = ref.gru_stack_step(stack, x, h_ref)
-        top, h_fused = nn.fused_stack_step(fused, x, h_fused)
+        top, h_fused = nn.fused_stack_step(fused, x, h_fused, bufs)
         np.testing.assert_allclose(top, top_ref, atol=1e-12)
         for a, b in zip(h_fused, h_ref):
             np.testing.assert_allclose(a, b, atol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from uprop import forecaster
 from uprop.baselines import mc_rollout
 from uprop.data import TimeSeries
-from uprop.errors import ConfigError, DataError
+from uprop.errors import ConfigError, DataError, ShapeError
 from uprop.forecaster import DistVector, Forecast, rollout
 from uprop.novelty import (NoveltyScore, Threshold, calibrate_threshold,
                            forecast_from_origin, kl_novelty, score_series,
@@ -28,6 +28,12 @@ class TestScoreRecords:
             Threshold(cutoff=1.0, quantile=0.5)
         with pytest.raises(ValueError):
             Threshold(cutoff=1.0, quantile=1.0)
+
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf, -np.inf, "1.0", True])
+    def test_threshold_cutoff_must_be_a_finite_number(self, cutoff):
+        # a NaN cutoff would flag nothing, an inf one everything or nothing
+        with pytest.raises(ConfigError, match="cutoff must be a finite number"):
+            Threshold(cutoff=cutoff)
 
 
 class TestVolatility:
@@ -74,6 +80,14 @@ class TestSurprise:
         z = (x[keep] - belief.mu[keep]) / belief.sigma[keep]
         terms = 0.5 * LN_2PI + np.log(belief.sigma[keep]) + 0.5 * z * z
         assert surprise_score(belief, x) == float(np.mean(terms))
+
+    @pytest.mark.parametrize("x, mask", [
+        (np.zeros(3), None), (np.zeros(1), None), (np.zeros(2), np.ones(3, bool)),
+        (np.zeros(3), np.ones(3, bool)), (np.zeros((1, 2)), None)],
+        ids=["x-long", "x-short", "mask-long", "both-long", "x-2-D"])
+    def test_x_or_mask_not_of_the_belief_length_is_a_shape_error(self, x, mask):
+        with pytest.raises(ShapeError, match=r"needs x and mask of shape \(2,\)"):
+            surprise_score(DistVector.standard(2), x, mask)
 
     def test_larger_deviation_scores_higher(self):
         belief = DistVector(mu=np.zeros(1), sigma=np.full(1, 0.5))
@@ -277,4 +291,18 @@ def test_non_integer_horizon_or_offset_is_a_config_error(call, says):
     model = small_model(seed=42)
     series = toy_windows(n_windows=1, length=30, seed=42)[0]
     with pytest.raises(ConfigError, match=says):
+        call(model, series)
+
+
+@pytest.mark.parametrize("call, says", [
+    (lambda m, s: forecast_from_origin(m, s, 3.0, 2), "origin must be an integer, got 3.0"),
+    (lambda m, s: forecast_from_origin(m, s, True, 2), "origin must be an integer, got True"),
+    (lambda m, s: kl_novelty(m, s, 20.0), "target_t must be an integer, got 20.0"),
+    (lambda m, s: mc_rollout(m, [DistVector.observed(np.zeros(2))], 2, 4.0, 0),
+     "integer n_samples, got 4.0"),
+], ids=["origin-float", "origin-bool", "kl_novelty", "mc_rollout"])
+def test_non_integer_position_or_count_is_a_value_error(call, says):
+    model = small_model(seed=42)
+    series = toy_windows(n_windows=1, length=30, seed=42)[0]
+    with pytest.raises(ValueError, match=says):
         call(model, series)

@@ -116,15 +116,16 @@ def test_a_cell_step_writes_only_its_products_and_returns_a_fresh_state(
     h = rng.normal(size=shape + (hidden,))
     for _ in range(3):
         inputs = (x.copy(), h.copy())
-        h_next = fused_cell_forward(cell, x, h, buf)
-        assert same_bits(h_next, fused_cell_forward(cell, x, h))
+        h_next = fused_cell_forward(x, h, buf)
+        assert same_bits(h_next, fused_cell_forward(x, h, gate_buffers([cell], shape)[0]))
         assert same_bits(x, inputs[0]) and same_bits(h, inputs[1])
         assert all(same_bits(a, b) for a, b in zip(read_only, kept))
         assert not any(np.shares_memory(h_next, a) for a in (*arrays, x, h))
         x, h = rng.normal(size=x.shape), h_next
     # an in-place weight edit is seen by the next step on the same buffers
     cell.u *= 0.5
-    assert same_bits(fused_cell_forward(cell, x, h, buf), fused_cell_forward(cell, x, h))
+    assert same_bits(fused_cell_forward(x, h, buf),
+                     fused_cell_forward(x, h, gate_buffers([cell], shape)[0]))
 
 
 def test_threads_scanning_one_model_get_the_single_thread_output():

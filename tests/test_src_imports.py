@@ -1,10 +1,13 @@
-"""Every name a package module imports is used there.
+"""Every name a package module imports is used there, and every parameter
+of its functions is read.
 
 A stdlib stand-in for a linter's unused-import rule (F401): it parses each
 module of ``src/uprop`` (the package ``__init__``, which only re-exports,
 aside) and lists the imported names that the module never reads. An
 import kept on purpose, such as a re-export or a binding a tool patches,
-carries ``# noqa: F401`` on one of its lines.
+carries ``# noqa: F401`` on one of its lines. The same parse lists the
+parameters of every ``def`` (``self`` and ``cls`` aside) that its body
+never reads: a parameter left over from an older signature.
 """
 
 import ast
@@ -36,6 +39,26 @@ def unused_imports(path: Path) -> list:
                   if name not in used)
 
 
+def unread_parameters(path: Path) -> list:
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"line {node.lineno}: {node.name}({name})" for name in params
+                   if name not in read and name not in ("self", "cls")]
+    return unread
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path) == []
