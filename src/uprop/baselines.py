@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeries, _is_a
+from .data import TimeSeries, _check_seed, _is_a
 from .forecaster import (IMPUTE_CLAMP, DistVector, UPropModel,  # noqa: F401
                          _check_horizon, _consume, _filter, _self_feed)
 
@@ -27,6 +27,7 @@ class ImputePolicy:
     def __post_init__(self):
         if self.kind not in ("mean", "sample"):
             raise ValueError(f"impute policy must be 'mean' or 'sample', got {self.kind!r}")
+        _check_seed(self.seed, "ImputePolicy")
 
 
 def impute_noise(mask: np.ndarray, seed: int) -> np.ndarray:

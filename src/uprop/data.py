@@ -35,6 +35,8 @@ class TimeSeries:
     t0: int = 0
 
     def __post_init__(self):
+        if not _is_a(self.t0, int):
+            raise DataError(f"t0 must be an integer, got {self.t0!r}")
         self.values = np.asarray(self.values, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.values.shape != self.mask.shape or self.values.ndim != 2:
@@ -167,6 +169,12 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind)
 
 
+def _check_seed(seed, owner: str) -> None:
+    """The one seed rule: an integer >= 0, as numpy's generators take."""
+    if not (_is_a(seed, int) and seed >= 0):
+        raise DataError(f"{owner} needs an integer seed >= 0, got {seed!r}")
+
+
 def save_csv(series: TimeSeries, path) -> None:
     """Write the series; adds a <name>.mask.csv sidecar if cells are missing.
     An observed cell that is not finite is a ``DataError``; nothing is written."""
@@ -240,6 +248,7 @@ def emulate_missing(series: TimeSeries, rate: float, seed: int) -> TimeSeries:
     The input must be fully observed; keep it around as ground truth.
     """
     _check_missing_rate(rate)
+    _check_seed(seed, "emulate_missing")
     if not series.mask.all():
         raise DataError("emulate_missing expects a fully observed series")
     rng = np.random.default_rng(seed)
@@ -274,6 +283,7 @@ def split(windows: list, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSpl
     if (len(fractions) != 3 or any(f < 0 for f in fractions)
             or not math.isclose(sum(fractions), 1.0, abs_tol=1e-9)):
         raise DataError(f"fractions must be 3 values >= 0 summing to 1, got {fractions}")
+    _check_seed(seed, "split")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(windows))
     n_train = int(len(windows) * fractions[0])
@@ -308,9 +318,11 @@ def synth_cloud(nodes: int, steps: int, seed: int, dims: int = 3,
 
         cpu_t = clip(0.45 + 0.1 s_t + 0.20 l_t + 0.08 u_t, 0, 1)
     """
-    for name, value in (("nodes", nodes), ("steps", steps)):
+    for name, value in (("nodes", nodes), ("steps", steps), ("dims", dims),
+                        ("period", period)):
         if not _is_a(value, int):
             raise DataError(f"synth_cloud needs an integer {name}, got {value!r}")
+    _check_seed(seed, "synth_cloud")
     if steps < 240:
         raise DataError(f"synth_cloud needs steps >= 240, got {steps}")
     if dims < 2:
@@ -319,8 +331,6 @@ def synth_cloud(nodes: int, steps: int, seed: int, dims: int = 3,
         raise DataError(f"synth_cloud needs nodes >= 1, got {nodes}")
     if period < 1:
         raise DataError(f"synth_cloud needs period >= 1, got {period}")
-    if seed < 0:
-        raise DataError(f"synth_cloud needs seed >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(nodes)
     series = []
     t = np.arange(steps)
@@ -347,8 +357,12 @@ def synth_random_walk(steps: int, seed: int, dims: int = 1,
     if not (_is_a(step_sigma, float) and step_sigma >= 0.0):
         raise DataError(f"synth_random_walk needs a finite step_sigma >= 0, "
                         f"got {step_sigma!r}")
-    if dims < 1:
-        raise DataError(f"synth_random_walk needs dims >= 1, got {dims}")
+    for name, value in (("steps", steps), ("dims", dims)):
+        if not _is_a(value, int):
+            raise DataError(f"synth_random_walk needs an integer {name}, got {value!r}")
+        if value < 1:
+            raise DataError(f"synth_random_walk needs {name} >= 1, got {value}")
+    _check_seed(seed, "synth_random_walk")
     rng = np.random.default_rng(seed)
     increments = rng.normal(0.0, step_sigma, size=(steps, dims))
     return TimeSeries.complete(np.cumsum(increments, axis=0))

@@ -48,11 +48,11 @@ import numpy as np
 from . import tensor as tn
 from .data import _KINDS, NormStats, TimeSeries, _is_a
 from .errors import ConfigError, DataError, ShapeError
-from .nn import (GruStackParams, LinearParams, adam_init, adam_step,
+from .nn import (GruStackParams, LinearParams, TrainBuffers, adam_init, adam_step,
                  dropout_mask, freeze_linear, fuse_stack, fused_stack_step,
                  gate_buffers, init_gru_stack, init_linear, matvec,
-                 window_batch_backward, window_batch_forward, zero_grad,
-                 zero_hidden)
+                 train_buffers, window_batch_backward, window_batch_forward,
+                 zero_grad, zero_hidden)
 from .prob import DistVector
 
 
@@ -419,7 +419,8 @@ def filter_series(model: UPropModel, series: TimeSeries,
     return steps
 
 
-def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks=None):
+def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks=None,
+                work: TrainBuffers | None = None):
     """Training loss of a batch of windows as one node over the weights.
 
     ``X`` is the normalized (B, L, N) batch; window b is fed rows
@@ -430,19 +431,26 @@ def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks=None):
     parents are the model's weights, and the per-window losses as numpy.
     The forward is :func:`window_batch_forward`; the gradients come from
     one :func:`window_batch_backward` pass, run when ``backward`` first
-    asks for them.
+    asks for them. Both run on ``work`` (:func:`nn.train_buffers`), which
+    the next forward on it overwrites; a call without it makes a set for
+    this batch alone.
     """
+    if work is None:
+        B, L = np.shape(X)[:2]
+        work = train_buffers(model.stack.layers, B, L - 1)
     losses, cache = window_batch_forward(model.stack, model.readout,
                                          model.train_config.sigma_floor, X,
-                                         anchors, k, masks)
+                                         anchors, k, masks, work)
     weights = model.parameters()
     grads = []
 
     def vjp(i):
         def apply(g):
             if not grads:
-                grads.extend(window_batch_backward(cache))
-            return g * grads[i]
+                grads.extend(window_batch_backward(cache, work))
+            # backward's root gradient is exactly 1, so its product would
+            # only copy the fresh array
+            return grads[i] if g == 1.0 else g * grads[i]
         return apply
 
     loss = tn.Var(losses.mean(), tuple(weights),
@@ -492,6 +500,9 @@ def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
 
     anchor_lo = math.ceil(L / 4)
     anchor_hi = L - k
+    # one work set for every batch of this call, sized for the widest
+    # batch and the longest window; its mapping goes when the call returns
+    work = train_buffers(model.stack.layers, min(config.batch_size, len(xs)), L - 1)
     loss_history = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(xs))
@@ -504,7 +515,7 @@ def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
                 anchors.append(anchor)
                 masks.append(_context_masks(model.stack, anchor, rng))
             batch_loss, losses = _batch_loss(
-                model, xs[batch], anchors, k, None if masks[0] is None else masks)
+                model, xs[batch], anchors, k, None if masks[0] is None else masks, work)
             if not np.all(np.isfinite(losses)):
                 raise DataError(f"non-finite training loss in epoch {epoch + 1}, "
                                 f"batch {start // config.batch_size + 1}")

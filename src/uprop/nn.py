@@ -59,6 +59,26 @@ run. At the desk shape (1x32, batch 8)
 these kernels are bound by per-call overhead: the ``train_desk``
 benchmark's ``pass_s`` went from 0.166 to 0.124 s (medians of ten
 alternating 20 s pairs, 2-vCPU VM, one BLAS thread), bit for bit.
+Both training kernels take a work set (:func:`train_buffers`) that holds
+every (T, B, ·) array they use: layer 0's input, the hidden states, the
+dropout masks and masked outputs, the gates, the derivative factors and
+the step gradients. ``forecaster.train`` makes one set per call, for its
+widest batch and its longest window; each batch reshapes prefixes of
+the set's flat regions to its own (T, B, ·), so they stay contiguous
+and a short last batch needs no second set. The set is one anonymous
+memory mapping, unmapped when its last view goes, that is when
+``train`` returns. The backward forms two of its factors in place over
+the cache's ``n`` and ``hn``, so it consumes its cache. Allocated per
+batch, these arrays (about 4 MB at the desk shape) went back to the OS
+after every batch and were faulted in again: 5 693 to 6 172 minor page
+faults per desk ``train()`` call, against 786 with the set, whose pages
+are touched once. One ``np.empty`` per region instead of the mapping
+leaves the set in the heap after ``train`` returns (about 20 MB for the
+``stream`` benchmark's 3x64 set-up): that workload's peak RSS read
+69.6 MB, against 67.3 MB per batch and 64.5 MB with the mapping (one
+10 s run each). The ``train_desk`` benchmark's ``pass_s`` went from
+0.123 to 0.106 s (medians of ten alternating 20 s pairs, 2-vCPU
+VM, one BLAS thread), bit for bit.
 This module is the one place that knows the gate order;
 :func:`gate_blocks` names the per-gate blocks for checkpoints.
 """
@@ -66,6 +86,7 @@ This module is the one place that knows the gate order;
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -305,6 +326,91 @@ def zero_hidden(stack: GruStackParams, rows: int | None = None) -> list:
 
 
 @dataclass
+class TrainBuffers:
+    """The work set of :func:`window_batch_forward` and
+    :func:`window_batch_backward` for batches of up to ``rows`` windows
+    over up to ``steps`` steps on a stack of layer ``sizes``
+    ``(input_size, hidden_size)``. ``flat`` is the whole set, float64;
+    each other field is a flat region of it, or a list of one per layer:
+
+    - ``xin``, layer 0's input; ``hs``, each layer's hidden states;
+    - ``masks``, the dropout masks; ``dropped``, each lower layer's
+      masked output;
+    - ``rz``, ``n`` and ``hn``, each layer's gates;
+    - ``k_z``, each layer's update-gate derivative factor, and
+      ``scratch``, one factor's temporary for every layer;
+    - ``d_a`` and ``d_c``, each layer's pre-activation gradients.
+
+    A batch takes a prefix of each region, reshaped to its own (T, B, ·),
+    so it is contiguous whatever the batch's size.
+    """
+
+    rows: int
+    steps: int
+    sizes: list
+    flat: np.ndarray
+    xin: np.ndarray
+    masks: np.ndarray
+    scratch: np.ndarray
+    hs: list
+    dropped: list
+    rz: list
+    n: list
+    hn: list
+    k_z: list
+    d_a: list
+    d_c: list
+
+    def fit(self, cells: list, rows: int, steps: int) -> None:
+        """``ShapeError`` unless a batch of ``rows`` windows over ``steps``
+        steps on ``cells`` fits the set."""
+        sizes = [(c.input_size, c.hidden_size) for c in cells]
+        if rows > self.rows or steps > self.steps or sizes != self.sizes:
+            raise ShapeError(f"a batch of {rows} windows over {steps} steps on layers "
+                             f"{sizes} does not fit a work set of {self.rows} x "
+                             f"{self.steps} on layers {self.sizes}")
+
+
+def train_buffers(cells: list, rows: int, steps: int) -> TrainBuffers:
+    """One :class:`TrainBuffers` set for batches of up to ``rows`` windows
+    over up to ``steps`` steps on the layers ``cells``.
+
+    The set is carved from one anonymous memory mapping, each region
+    starting on a 64-byte boundary. Its pages are faulted in once, on
+    the first batch that touches them, and the mapping is unmapped when
+    the last array on it is freed; so the set's memory leaves the
+    process with the set, rather than staying in the allocator's heap.
+    A forward overwrites the set and its backward consumes what the
+    forward left, so one set serves one forward-backward pass at a time.
+    """
+    T, B, last = steps, rows, len(cells) - 1
+    hb = [B * c.hidden_size for c in cells]
+    lengths = {"xin": [T * B * cells[0].input_size], "masks": [T * last * hb[0]],
+               "scratch": [T * max(hb)], "hs": [(T + 1) * n for n in hb],
+               "dropped": [T * n for n in hb[:last]], "rz": [2 * T * n for n in hb],
+               "n": [T * n for n in hb], "hn": [T * n for n in hb],
+               "k_z": [T * n for n in hb], "d_a": [3 * T * n for n in hb],
+               "d_c": [3 * T * n for n in hb]}
+    spans, total = {}, 0
+    for name, sizes in lengths.items():
+        spans[name] = []
+        for size in sizes:
+            spans[name].append((total, total + size))
+            total += -(-size // 8) * 8
+    flat = np.frombuffer(mmap.mmap(-1, 8 * total), np.float64)
+    regions = {name: [flat[a:b] for a, b in s] for name, s in spans.items()}
+    return TrainBuffers(rows=rows, steps=steps,
+                        sizes=[(c.input_size, c.hidden_size) for c in cells], flat=flat,
+                        xin=regions.pop("xin")[0], masks=regions.pop("masks")[0],
+                        scratch=regions.pop("scratch")[0], **regions)
+
+
+def _prefix(region: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading entries of a flat region as ``shape``: a contiguous view."""
+    return region[:math.prod(shape)].reshape(shape)
+
+
+@dataclass
 class WindowBatchCache:
     """What :func:`window_batch_backward` needs from the forward pass.
 
@@ -314,13 +420,14 @@ class WindowBatchCache:
     no dropout), ``hs`` the hidden states (T + 1, B, h) after the zero
     start state, ``rz`` the reset and update gates, gate-major
     (T, 2, B, h), ``n`` the candidate and ``hn`` the term
-    ``U_n h + b_hn`` (T, B, h). ``raw`` is the readout (T, B, 2N),
-    ``d_belief`` the gradient of the batch-mean loss with respect to each
-    step's (mu, sigma), ``fed`` the (T, B, 1) rows whose input was the
-    previous step's belief, ``masks`` the dropout masks (T, gaps, B, h)
-    or None, and ``first_read`` the first step whose readout is scored or
-    fed back: earlier readouts are not computed (their ``raw`` rows are
-    zero) and their ``d_belief`` is zero.
+    ``U_n h + b_hn`` (T, B, h), which the backward overwrites. ``raw``
+    is the readout (T, B, 2N), ``d_belief`` the gradient of the
+    batch-mean loss with respect to each step's (mu, sigma), ``fed`` the
+    (T, B, 1) rows whose input was the previous step's belief, ``masks``
+    the dropout masks (T, gaps, B, h) or None, and ``first_read`` the
+    first step whose readout is scored or fed back: earlier readouts are
+    not computed (their ``raw`` rows are zero) and their ``d_belief`` is
+    zero.
     """
 
     stack: GruStackParams
@@ -338,7 +445,7 @@ class WindowBatchCache:
 
 
 def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: float,
-                         X: np.ndarray, anchors, k: int, masks=None):
+                         X: np.ndarray, anchors, k: int, masks, work: TrainBuffers):
     """Training forward over a batch of windows; returns (losses, cache).
 
     ``X`` is (B, L, N). Row b is left-aligned: steps 0..anchor_b-1 take
@@ -352,7 +459,9 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     same order, with a batch dimension, on buffers the backward reads: a
     copy, because sharing one cell slowed batch-of-one inference. The
     readouts before step min(anchor_b) - 1 are neither scored nor fed
-    back, so they are skipped.
+    back, so they are skipped. Every (T, B, ·) array of the cache is a
+    view of ``work`` (:func:`train_buffers`), which the batch must fit
+    (else ``ShapeError``) and which the next forward on it overwrites.
     """
     stack, readout = fuse_stack(stack), freeze_linear(readout)
     X = np.asarray(X, dtype=np.float64)
@@ -368,21 +477,30 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     first_fed = int(anchors.min())
     first_read = first_fed - 1
     last = len(stack.layers) - 1
+    work.fit(stack.layers, B, T)
 
+    # the set's prefixes, with what a fresh array held written afresh:
+    # the masks' ones, the zero start states and the zero sigma half
     dense_masks = None
     if masks is not None and last > 0:
-        dense_masks = np.ones((T, last, B, stack.layers[0].hidden_size))
+        dense_masks = _prefix(work.masks, (T, last, B, stack.layers[0].hidden_size))
+        dense_masks.fill(1.0)
         for b, m in enumerate(masks):
             dense_masks[:m.shape[0], :, b] = m
     rows = X.transpose(1, 0, 2)
     targets = rows[1:T + 1]
-    hs = [np.zeros((T + 1, B, c.hidden_size)) for c in stack.layers]
-    xin = [np.concatenate([rows[:T], np.zeros((T, B, N))], axis=2)]
-    xin += [hs[i][1:] if dense_masks is None else np.empty_like(hs[i][1:])
-            for i in range(last)]
-    rz = [np.empty((T, 2, B, c.hidden_size)) for c in stack.layers]
-    ns = [np.empty((T, B, c.hidden_size)) for c in stack.layers]
-    hns = [np.empty((T, B, c.hidden_size)) for c in stack.layers]
+    hs = [_prefix(r, (T + 1, B, c.hidden_size)) for r, c in zip(work.hs, stack.layers)]
+    for states in hs:
+        states[0].fill(0.0)
+    x0 = _prefix(work.xin, (T, B, 2 * N))
+    np.copyto(x0[:, :, :N], rows[:T])
+    x0[:, :, N:].fill(0.0)
+    xin = [x0] + [hs[i][1:] if dense_masks is None
+                  else _prefix(work.dropped[i], (T, B, stack.layers[i].hidden_size))
+                  for i in range(last)]
+    rz = [_prefix(r, (T, 2, B, c.hidden_size)) for r, c in zip(work.rz, stack.layers)]
+    ns = [_prefix(r, (T, B, c.hidden_size)) for r, c in zip(work.n, stack.layers)]
+    hns = [_prefix(r, (T, B, c.hidden_size)) for r, c in zip(work.hn, stack.layers)]
     # the skipped readouts keep constants (raw 0, mu = sigma = 1), so the
     # masked loss below stays finite and warning-free
     raw = np.zeros((T, B, 2 * N))
@@ -458,12 +576,13 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     return losses, cache
 
 
-def window_batch_backward(cache: WindowBatchCache) -> list:
+def window_batch_backward(cache: WindowBatchCache, work: TrainBuffers) -> list:
     """Gradients of the batch-mean loss: hand-written BPTT over the cache.
 
     Returns one array per weight, in ``UPropModel.parameters()`` order:
     ``w``, ``u``, ``b_w`` and ``b_hn`` of each layer, then the readout
-    weight and bias. Steps run in reverse. At each step the gradient
+    weight and bias; each a fresh array, never a view of ``work``. Steps
+    run in reverse. At each step the gradient
     enters at the readout (from the loss and from the next step's input
     on fed rows; not before ``cache.first_read``, where it is zero),
     falls through the layers top-down, and leaves layer 0's input towards
@@ -472,9 +591,13 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     over all steps after it, one matrix product per weight. A step's gate
     ops run on one gate-major (3, B, h) block, copied once into the
     (B, 3h) rows of ``a`` and once into those of ``c``, which the
-    products read.
+    products read. The step gradients and the update-gate factor are
+    laid out in ``work``, the forward's set, and the candidate and reset
+    factors overwrite the cache's ``n`` and ``hn``: the backward consumes
+    its cache, so a cache serves one backward.
     """
     T, B, two_n = cache.raw.shape
+    work.fit(cache.stack.layers, B, T)
     N = two_n // 2
     # d(mu, sigma)/d(raw) is (1, sigmoid(raw_sigma)) by the softplus squash
     with np.errstate(over="ignore"):
@@ -491,11 +614,23 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
         h = c.hidden_size
         r, z = cache.rz[i][:, 0], cache.rz[i][:, 1]
         n, hn, h_prev = cache.n[i], cache.hn[i], cache.hs[i][:T]
-        factors = ((1.0 - z) * (1.0 - n * n), hn * r * (1.0 - r),
-                   (h_prev - n) * z * (1.0 - z), r, z)
-        d_a.append(np.empty((T, B, 3 * h)))
-        d_c.append(np.empty((T, B, 3 * h)))
-        per_step = (*factors, d_a[i], d_a[i].reshape(T, B, 3, h).transpose(0, 2, 1, 3),
+        # ((h_prev - n) * z) * (1 - z), (1 - z) * (1 - n * n) and
+        # (hn * r) * (1 - r), op for op; k_z first, while n is intact
+        k_z, one_minus = _prefix(work.k_z[i], (T, B, h)), _prefix(work.scratch, (T, B, h))
+        np.subtract(h_prev, n, k_z)
+        np.multiply(k_z, z, k_z)
+        np.subtract(1.0, z, one_minus)
+        np.multiply(k_z, one_minus, k_z)
+        k_n = np.multiply(n, n, n)
+        np.subtract(1.0, k_n, k_n)
+        np.multiply(one_minus, k_n, k_n)
+        k_r = np.multiply(hn, r, hn)
+        np.subtract(1.0, r, one_minus)
+        np.multiply(k_r, one_minus, k_r)
+        d_a.append(_prefix(work.d_a[i], (T, B, 3 * h)))
+        d_c.append(_prefix(work.d_c[i], (T, B, 3 * h)))
+        per_step = (k_n, k_r, k_z, r, z,
+                    d_a[i], d_a[i].reshape(T, B, 3, h).transpose(0, 2, 1, 3),
                     d_c[i], d_c[i].reshape(T, B, 3, h).transpose(0, 2, 1, 3))
         masks = repeat(None)
         if i > 0 and cache.masks is not None:
@@ -578,7 +713,8 @@ def adam_init(params: list, learning_rate: float = 0.001) -> AdamState:
 
 
 def adam_step(state: AdamState, params: list, grads: list) -> AdamState:
-    """One Adam update, in place on ``params``, by one gradient per parameter."""
+    """One Adam update, in place on ``params`` and on the moments, by one
+    gradient per parameter; ``grads`` are read, never written."""
     if len(grads) != len(params) or len(state.m) != len(params):
         raise ShapeError("adam_step: parameter/gradient/state length mismatch")
     state.step_count += 1
@@ -587,10 +723,23 @@ def adam_step(state: AdamState, params: list, grads: list) -> AdamState:
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.value.shape:
             raise ShapeError(f"adam_step: gradient {i} shape {g.shape} != {p.value.shape}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
-        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
-        # in-place so frozen numpy views stay current
-        p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        m, v = state.m[i], state.v[i]
+        # b1 * m + (1 - b1) * g and b2 * v + ((1 - b2) * g) * g, each
+        # product and sum as written, on two temporaries
+        term = np.multiply(g, 1.0 - ADAM_BETA1)
+        np.multiply(m, ADAM_BETA1, m)
+        np.add(m, term, m)
+        np.multiply(g, 1.0 - ADAM_BETA2, term)
+        np.multiply(term, g, term)
+        np.multiply(v, ADAM_BETA2, v)
+        np.add(v, term, v)
+        # (lr * m_hat) / (sqrt(v_hat) + eps), subtracted in place so
+        # frozen numpy views stay current
+        update = np.divide(m, 1.0 - ADAM_BETA1 ** t, term)
+        np.multiply(update, state.learning_rate, update)
+        den = np.divide(v, 1.0 - ADAM_BETA2 ** t)
+        np.sqrt(den, den)
+        np.add(den, ADAM_EPSILON, den)
+        np.divide(update, den, update)
+        np.subtract(p.value, update, p.value)
     return state

@@ -32,13 +32,15 @@ def backward(root: Var) -> None:
     """Add d(root)/d(parent) into ``.grad`` of each of the root's parents.
 
     Gradients add onto existing ``.grad`` values, so parameter gradients
-    accumulate across calls until cleared with ``zero_grad``.
+    accumulate across calls until cleared with ``zero_grad``. A first
+    gradient becomes ``.grad`` as the vjp returns it, without a copy, so
+    a vjp returns an array that nothing else writes.
     """
     root.grad = np.ones_like(root.value)
     for parent, vjp in zip(root._parents, root._vjps):
         contrib = vjp(root.grad)
         if parent.grad is None:
-            parent.grad = np.array(contrib, dtype=np.float64)
+            parent.grad = np.asarray(contrib, dtype=np.float64)
         else:
             parent.grad = parent.grad + contrib
 

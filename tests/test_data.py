@@ -5,6 +5,7 @@ from uprop import data
 from uprop.data import (NormStats, TimeSeries, denormalize, emulate_missing,
                         load_csv, normalize, save_csv, split, synth_cloud,
                         synth_random_walk, window)
+from uprop.baselines import ImputePolicy
 from uprop.errors import DataError
 
 
@@ -107,6 +108,8 @@ class TestCsv:
     (lambda: TimeSeries(values=np.zeros((3, 2)), mask=np.ones((3, 1))),
      r"\(3, 2\) vs \(3, 1\)"),
     (lambda: TimeSeries(values=np.zeros(3), mask=np.ones(3)), r"\(3,\) vs \(3,\)"),
+    (lambda: TimeSeries.complete(np.zeros((2, 1)), t0=1.5), "t0 must be an integer, got 1.5"),
+    (lambda: TimeSeries.complete(np.zeros((2, 1)), t0=True), "t0 must be an integer"),
     (lambda: NormStats(mean=np.zeros(2), std=np.ones(3)), "1-D and equal length"),
     (lambda: NormStats(mean=np.zeros(2), std=np.array([1.0, 1e-7])), "must be >= 1e-06"),
     (lambda: NormStats(mean=[0.0], std=[np.nan]), "must be finite"),
@@ -118,12 +121,27 @@ class TestCsv:
     (lambda: NormStats.from_windows([
         TimeSeries(values=[[0.0, np.nan], [1.0, np.nan]], mask=[[1, 0], [1, 0]]),
         TimeSeries(values=[[2.0, np.nan]], mask=[[1, 0]])]), "dimension 1 has no observed"),
-], ids=["series-unequal", "series-1-D", "stats-unequal", "std-below-floor", "std-nan",
-        "std-inf", "mean-nan", "mean-inf", "mean-minus-inf", "stats-of-no-windows",
+], ids=["series-unequal", "series-1-D", "t0-float", "t0-bool", "stats-unequal",
+        "std-below-floor", "std-nan", "std-inf", "mean-nan", "mean-inf", "mean-minus-inf", "stats-of-no-windows",
         "stats-of-an-unobserved-dimension"])
 def test_malformed_series_and_stats_rejected(make, says):
     with pytest.raises(DataError, match=says):
         make()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None], ids=["negative", "float", "bool",
+                                                            "none"])
+@pytest.mark.parametrize("draw, owner", [
+    (lambda seed: emulate_missing(TimeSeries.complete(np.zeros((4, 2))), 0.1, seed),
+     "emulate_missing"),
+    (lambda seed: split([TimeSeries.complete(np.zeros((4, 2)))] * 3, seed=seed), "split"),
+    (lambda seed: synth_cloud(nodes=1, steps=240, seed=seed), "synth_cloud"),
+    (lambda seed: synth_random_walk(5, seed), "synth_random_walk"),
+    (lambda seed: ImputePolicy("sample", seed=seed), "ImputePolicy"),
+], ids=["emulate_missing", "split", "synth_cloud", "synth_random_walk", "ImputePolicy"])
+def test_every_seed_is_an_integer_at_least_zero(draw, owner, seed):
+    with pytest.raises(DataError, match=f"{owner} needs an integer seed >= 0, got {seed!r}"):
+        draw(seed)
 
 
 class TestNormalize:
@@ -312,6 +330,14 @@ class TestSynthCloud:
         with pytest.raises(DataError, match=says):
             synth_cloud(**{"nodes": 2, "steps": 240, "seed": 0, **kwargs})
 
+    @pytest.mark.parametrize("kwargs, says", [
+        ({"dims": 2.5}, "integer dims, got 2.5"), ({"dims": 3.0}, "integer dims, got 3.0"),
+        ({"period": 24.5}, "integer period, got 24.5")],
+        ids=["dims-fraction", "dims-float", "period-fraction"])
+    def test_non_integer_dims_or_period_rejected(self, kwargs, says):
+        with pytest.raises(DataError, match=says):
+            synth_cloud(**{"nodes": 2, "steps": 240, "seed": 0, **kwargs})
+
 
 class TestRandomWalk:
     def test_increments_are_gaussian_steps(self):
@@ -333,3 +359,15 @@ class TestRandomWalk:
     def test_dims_below_one_rejected(self, dims):
         with pytest.raises(DataError, match="dims >= 1"):
             synth_random_walk(steps=10, seed=0, dims=dims)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(DataError, match=f"steps >= 1, got {steps}"):
+            synth_random_walk(steps=steps, seed=0)
+
+    @pytest.mark.parametrize("kwargs, says", [
+        ({"steps": 2.5}, "integer steps, got 2.5"), ({"dims": 1.5}, "integer dims, got 1.5")],
+        ids=["steps-fraction", "dims-fraction"])
+    def test_non_integer_steps_or_dims_rejected(self, kwargs, says):
+        with pytest.raises(DataError, match=says):
+            synth_random_walk(**{"steps": 5, "seed": 0, **kwargs})

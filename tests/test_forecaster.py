@@ -11,7 +11,7 @@ from uprop.errors import ConfigError, DataError, ShapeError
 from uprop.forecaster import (DistVector, TrainConfig, UPropModel, _batch_loss,
                               build_model, encode_input, filter_series,
                               rollout, step, train)
-from uprop.nn import window_batch_forward, zero_grad, zero_hidden
+from uprop.nn import train_buffers, window_batch_forward, zero_grad, zero_hidden
 from uprop.novelty import forecast_from_origin
 
 
@@ -437,7 +437,8 @@ class TestSaturatedGates:
             records = filter_series(model, series)
             fc = forecast_from_origin(model, series, 20, 4)
             _, cache = window_batch_forward(model.stack, model.readout,
-                                            model.train_config.sigma_floor, X, [3, 8, 5], 4)
+                                            model.train_config.sigma_floor, X, [3, 8, 5], 4,
+                                            None, train_buffers(model.stack.layers, 3, 11))
             params = model.parameters()
             zero_grad(params)
             loss, _ = _batch_loss(model, X, [3, 8, 5], 4)

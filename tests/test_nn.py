@@ -205,7 +205,8 @@ def test_window_batch_forward_rejects_bad_anchors(anchors, k, says):
     stack = nn.init_gru_stack(4, 3, 1, 0.0, rng)
     readout = nn.init_linear(3, 4, rng)
     with pytest.raises(ShapeError, match=says):
-        nn.window_batch_forward(stack, readout, 1e-3, np.zeros((2, 6, 2)), anchors, k)
+        nn.window_batch_forward(stack, readout, 1e-3, np.zeros((2, 6, 2)), anchors, k,
+                                None, nn.train_buffers(stack.layers, 2, 5))
 
 
 def test_adam_matches_reference_trajectory():
