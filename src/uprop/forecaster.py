@@ -432,8 +432,9 @@ def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks=None,
     The forward is :func:`window_batch_forward`; the gradients come from
     one :func:`window_batch_backward` pass, run when ``backward`` first
     asks for them. Both run on ``work`` (:func:`nn.train_buffers`), which
-    the next forward on it overwrites; a call without it makes a set for
-    this batch alone.
+    the next forward on it overwrites, so ``backward`` must run on this
+    loss before the next call on the set (else ``ShapeError``); a call
+    without it makes a set for this batch alone.
     """
     if work is None:
         B, L = np.shape(X)[:2]
@@ -447,10 +448,10 @@ def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks=None,
     def vjp(i):
         def apply(g):
             if not grads:
-                grads.extend(window_batch_backward(cache, work))
-            # backward's root gradient is exactly 1, so its product would
-            # only copy the fresh array
-            return grads[i] if g == 1.0 else g * grads[i]
+                grads.extend(window_batch_backward(cache))
+            # the product in place: the backward's arrays are fresh, so
+            # nothing else reads them and no copy is needed
+            return np.multiply(grads[i], g, grads[i])
         return apply
 
     loss = tn.Var(losses.mean(), tuple(weights),

@@ -68,7 +68,9 @@ the set's flat regions to its own (T, B, ·), so they stay contiguous
 and a short last batch needs no second set. The set is one anonymous
 memory mapping, unmapped when its last view goes, that is when
 ``train`` returns. The backward forms two of its factors in place over
-the cache's ``n`` and ``hn``, so it consumes its cache. Allocated per
+the cache's ``n`` and ``hn``, so it consumes its cache; the set counts
+its passes, so a backward whose cache a later forward overwrote, or a
+second backward on one cache, raises ``ShapeError``. Allocated per
 batch, these arrays (about 4 MB at the desk shape) went back to the OS
 after every batch and were faulted in again: 5 693 to 6 172 minor page
 faults per desk ``train()`` call, against 786 with the set, whose pages
@@ -325,50 +327,74 @@ def zero_hidden(stack: GruStackParams, rows: int | None = None) -> list:
     return [np.zeros(shape + (c.hidden_size,)) for c in stack.layers]
 
 
+def _work_shapes(sizes: list, B: int, T: int) -> dict:
+    """The shapes of every (T, B, ·) array of :func:`window_batch_forward`
+    and :func:`window_batch_backward` on layers of ``sizes``
+    ``(input_size, hidden_size)``, by region name: one shape per layer,
+    per gap between layers, or just one."""
+    h = [hidden for _, hidden in sizes]
+    last = len(sizes) - 1
+    return {"xin": [(T, B, sizes[0][0])], "masks": [(T, last, B, h[0])],
+            "hs": [(T + 1, B, n) for n in h], "dropped": [(T, B, n) for n in h[:last]],
+            "rz": [(T, 2, B, n) for n in h], "n": [(T, B, n) for n in h],
+            "hn": [(T, B, n) for n in h], "k_z": [(T, B, n) for n in h],
+            "d_a": [(T, B, 3 * n) for n in h], "d_c": [(T, B, 3 * n) for n in h]}
+
+
 @dataclass
 class TrainBuffers:
     """The work set of :func:`window_batch_forward` and
     :func:`window_batch_backward` for batches of up to ``rows`` windows
-    over up to ``steps`` steps on a stack of layer ``sizes``
+    over up to ``steps`` steps on layers of ``sizes``
     ``(input_size, hidden_size)``. ``flat`` is the whole set, float64;
-    each other field is a flat region of it, or a list of one per layer:
+    ``regions`` holds, by name, one flat region of it per array of
+    :func:`_work_shapes`:
 
     - ``xin``, layer 0's input; ``hs``, each layer's hidden states;
     - ``masks``, the dropout masks; ``dropped``, each lower layer's
       masked output;
     - ``rz``, ``n`` and ``hn``, each layer's gates;
-    - ``k_z``, each layer's update-gate derivative factor, and
-      ``scratch``, one factor's temporary for every layer;
+    - ``k_z``, each layer's update-gate derivative factor;
     - ``d_a`` and ``d_c``, each layer's pre-activation gradients.
 
     A batch takes a prefix of each region, reshaped to its own (T, B, ·),
-    so it is contiguous whatever the batch's size.
+    so it is contiguous whatever the batch's size. ``passes`` counts the
+    forwards run on the set and the backwards that consumed them.
     """
 
     rows: int
     steps: int
     sizes: list
     flat: np.ndarray
-    xin: np.ndarray
-    masks: np.ndarray
-    scratch: np.ndarray
-    hs: list
-    dropped: list
-    rz: list
-    n: list
-    hn: list
-    k_z: list
-    d_a: list
-    d_c: list
+    regions: dict
+    passes: int = 0
 
-    def fit(self, cells: list, rows: int, steps: int) -> None:
-        """``ShapeError`` unless a batch of ``rows`` windows over ``steps``
-        steps on ``cells`` fits the set."""
+    def views(self, B: int, T: int) -> dict:
+        """Each region's prefix as its array for a batch of ``B`` windows
+        over ``T`` steps, by name as :func:`_work_shapes`."""
+        return {name: [_prefix(r, shape) for r, shape in zip(self.regions[name], shapes)]
+                for name, shapes in _work_shapes(self.sizes, B, T).items()}
+
+    def begin(self, cells: list, B: int, T: int) -> dict:
+        """Start a forward of ``B`` windows over ``T`` steps on ``cells``:
+        its :meth:`views`, or ``ShapeError`` unless the batch fits."""
         sizes = [(c.input_size, c.hidden_size) for c in cells]
-        if rows > self.rows or steps > self.steps or sizes != self.sizes:
-            raise ShapeError(f"a batch of {rows} windows over {steps} steps on layers "
+        if B > self.rows or T > self.steps or sizes != self.sizes:
+            raise ShapeError(f"a batch of {B} windows over {T} steps on layers "
                              f"{sizes} does not fit a work set of {self.rows} x "
                              f"{self.steps} on layers {self.sizes}")
+        self.passes += 1
+        return self.views(B, T)
+
+    def consume(self, begun: int, B: int, T: int) -> dict:
+        """The :meth:`views` of the forward that was pass ``begun``, for
+        its backward, which ends it; ``ShapeError`` if another forward
+        has overwritten the set since, or a backward has consumed it."""
+        if begun != self.passes:
+            raise ShapeError("a work set serves one backward of its latest forward; "
+                             "this cache's was overwritten or already consumed")
+        self.passes += 1
+        return self.views(B, T)
 
 
 def train_buffers(cells: list, rows: int, steps: int) -> TrainBuffers:
@@ -383,26 +409,18 @@ def train_buffers(cells: list, rows: int, steps: int) -> TrainBuffers:
     A forward overwrites the set and its backward consumes what the
     forward left, so one set serves one forward-backward pass at a time.
     """
-    T, B, last = steps, rows, len(cells) - 1
-    hb = [B * c.hidden_size for c in cells]
-    lengths = {"xin": [T * B * cells[0].input_size], "masks": [T * last * hb[0]],
-               "scratch": [T * max(hb)], "hs": [(T + 1) * n for n in hb],
-               "dropped": [T * n for n in hb[:last]], "rz": [2 * T * n for n in hb],
-               "n": [T * n for n in hb], "hn": [T * n for n in hb],
-               "k_z": [T * n for n in hb], "d_a": [3 * T * n for n in hb],
-               "d_c": [3 * T * n for n in hb]}
+    sizes = [(c.input_size, c.hidden_size) for c in cells]
     spans, total = {}, 0
-    for name, sizes in lengths.items():
+    for name, shapes in _work_shapes(sizes, rows, steps).items():
         spans[name] = []
-        for size in sizes:
+        for shape in shapes:
+            size = math.prod(shape)
             spans[name].append((total, total + size))
             total += -(-size // 8) * 8
     flat = np.frombuffer(mmap.mmap(-1, 8 * total), np.float64)
-    regions = {name: [flat[a:b] for a, b in s] for name, s in spans.items()}
-    return TrainBuffers(rows=rows, steps=steps,
-                        sizes=[(c.input_size, c.hidden_size) for c in cells], flat=flat,
-                        xin=regions.pop("xin")[0], masks=regions.pop("masks")[0],
-                        scratch=regions.pop("scratch")[0], **regions)
+    return TrainBuffers(rows=rows, steps=steps, sizes=sizes, flat=flat,
+                        regions={name: [flat[a:b] for a, b in s]
+                                 for name, s in spans.items()})
 
 
 def _prefix(region: np.ndarray, shape: tuple) -> np.ndarray:
@@ -427,7 +445,8 @@ class WindowBatchCache:
     the dropout masks (T, gaps, B, h) or None, and ``first_read`` the
     first step whose readout is scored or fed back: earlier readouts are
     not computed (their ``raw`` rows are zero) and their ``d_belief`` is
-    zero.
+    zero. ``work`` is the set the (T, B, ·) arrays are views of, and
+    ``begun`` the forward's pass on it (:meth:`TrainBuffers.begin`).
     """
 
     stack: GruStackParams
@@ -442,6 +461,8 @@ class WindowBatchCache:
     fed: np.ndarray
     masks: np.ndarray | None
     first_read: int
+    work: TrainBuffers
+    begun: int
 
 
 def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: float,
@@ -477,30 +498,30 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     first_fed = int(anchors.min())
     first_read = first_fed - 1
     last = len(stack.layers) - 1
-    work.fit(stack.layers, B, T)
+    if stack.layers[0].input_size != 2 * N:
+        raise ShapeError(f"the stack takes {stack.layers[0].input_size} inputs, "
+                         f"not the (x, 0) rows of {N} series")
+    view = work.begin(stack.layers, B, T)
 
     # the set's prefixes, with what a fresh array held written afresh:
     # the masks' ones, the zero start states and the zero sigma half
     dense_masks = None
     if masks is not None and last > 0:
-        dense_masks = _prefix(work.masks, (T, last, B, stack.layers[0].hidden_size))
+        dense_masks = view["masks"][0]
         dense_masks.fill(1.0)
         for b, m in enumerate(masks):
             dense_masks[:m.shape[0], :, b] = m
     rows = X.transpose(1, 0, 2)
     targets = rows[1:T + 1]
-    hs = [_prefix(r, (T + 1, B, c.hidden_size)) for r, c in zip(work.hs, stack.layers)]
+    hs = view["hs"]
     for states in hs:
         states[0].fill(0.0)
-    x0 = _prefix(work.xin, (T, B, 2 * N))
+    x0 = view["xin"][0]
     np.copyto(x0[:, :, :N], rows[:T])
     x0[:, :, N:].fill(0.0)
-    xin = [x0] + [hs[i][1:] if dense_masks is None
-                  else _prefix(work.dropped[i], (T, B, stack.layers[i].hidden_size))
-                  for i in range(last)]
-    rz = [_prefix(r, (T, 2, B, c.hidden_size)) for r, c in zip(work.rz, stack.layers)]
-    ns = [_prefix(r, (T, B, c.hidden_size)) for r, c in zip(work.n, stack.layers)]
-    hns = [_prefix(r, (T, B, c.hidden_size)) for r, c in zip(work.hn, stack.layers)]
+    xin = [x0] + (view["dropped"] if dense_masks is not None
+                  else [hs[i][1:] for i in range(last)])
+    rz, ns, hns = view["rz"], view["n"], view["hn"]
     # the skipped readouts keep constants (raw 0, mu = sigma = 1), so the
     # masked loss below stays finite and warning-free
     raw = np.zeros((T, B, 2 * N))
@@ -572,18 +593,18 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     d_belief = np.concatenate([-z / sigma, (1.0 - z * z) / sigma], axis=2) * weight
     cache = WindowBatchCache(stack=stack, readout=readout, xin=xin, hs=hs, rz=rz,
                              n=ns, hn=hns, raw=raw, d_belief=d_belief, fed=fed,
-                             masks=dense_masks, first_read=first_read)
+                             masks=dense_masks, first_read=first_read, work=work,
+                             begun=work.passes)
     return losses, cache
 
 
-def window_batch_backward(cache: WindowBatchCache, work: TrainBuffers) -> list:
+def window_batch_backward(cache: WindowBatchCache) -> list:
     """Gradients of the batch-mean loss: hand-written BPTT over the cache.
 
     Returns one array per weight, in ``UPropModel.parameters()`` order:
     ``w``, ``u``, ``b_w`` and ``b_hn`` of each layer, then the readout
-    weight and bias; each a fresh array, never a view of ``work``. Steps
-    run in reverse. At each step the gradient
-    enters at the readout (from the loss and from the next step's input
+    weight and bias; each a fresh array, never a view of the work set.
+    Steps run in reverse. At each step the gradient enters at the readout (from the loss and from the next step's input
     on fed rows; not before ``cache.first_read``, where it is zero),
     falls through the layers top-down, and leaves layer 0's input towards
     the previous step's (mu, sigma) on fed rows. The gate derivatives are
@@ -592,12 +613,13 @@ def window_batch_backward(cache: WindowBatchCache, work: TrainBuffers) -> list:
     ops run on one gate-major (3, B, h) block, copied once into the
     (B, 3h) rows of ``a`` and once into those of ``c``, which the
     products read. The step gradients and the update-gate factor are
-    laid out in ``work``, the forward's set, and the candidate and reset
-    factors overwrite the cache's ``n`` and ``hn``: the backward consumes
-    its cache, so a cache serves one backward.
+    laid out in ``cache.work``, the forward's set, and the candidate and
+    reset factors overwrite the cache's ``n`` and ``hn``: the backward
+    consumes its cache, so a cache serves one backward, and only while no
+    later forward has run on its set (else ``ShapeError``).
     """
     T, B, two_n = cache.raw.shape
-    work.fit(cache.stack.layers, B, T)
+    view = cache.work.consume(cache.begun, B, T)
     N = two_n // 2
     # d(mu, sigma)/d(raw) is (1, sigmoid(raw_sigma)) by the softplus squash
     with np.errstate(over="ignore"):
@@ -615,8 +637,11 @@ def window_batch_backward(cache: WindowBatchCache, work: TrainBuffers) -> list:
         r, z = cache.rz[i][:, 0], cache.rz[i][:, 1]
         n, hn, h_prev = cache.n[i], cache.hn[i], cache.hs[i][:T]
         # ((h_prev - n) * z) * (1 - z), (1 - z) * (1 - n * n) and
-        # (hn * r) * (1 - r), op for op; k_z first, while n is intact
-        k_z, one_minus = _prefix(work.k_z[i], (T, B, h)), _prefix(work.scratch, (T, B, h))
+        # (hn * r) * (1 - r), op for op; k_z first, while n is intact. The
+        # step loop below writes d_a before it reads it, so until then
+        # d_a's region holds the temporary 1 - z, then 1 - r
+        k_z, da, dc = view["k_z"][i], view["d_a"][i], view["d_c"][i]
+        one_minus = _prefix(da.reshape(-1), k_z.shape)
         np.subtract(h_prev, n, k_z)
         np.multiply(k_z, z, k_z)
         np.subtract(1.0, z, one_minus)
@@ -627,11 +652,10 @@ def window_batch_backward(cache: WindowBatchCache, work: TrainBuffers) -> list:
         k_r = np.multiply(hn, r, hn)
         np.subtract(1.0, r, one_minus)
         np.multiply(k_r, one_minus, k_r)
-        d_a.append(_prefix(work.d_a[i], (T, B, 3 * h)))
-        d_c.append(_prefix(work.d_c[i], (T, B, 3 * h)))
-        per_step = (k_n, k_r, k_z, r, z,
-                    d_a[i], d_a[i].reshape(T, B, 3, h).transpose(0, 2, 1, 3),
-                    d_c[i], d_c[i].reshape(T, B, 3, h).transpose(0, 2, 1, 3))
+        d_a.append(da)
+        d_c.append(dc)
+        per_step = (k_n, k_r, k_z, r, z, da, da.reshape(T, B, 3, h).transpose(0, 2, 1, 3),
+                    dc, dc.reshape(T, B, 3, h).transpose(0, 2, 1, 3))
         masks = repeat(None)
         if i > 0 and cache.masks is not None:
             masks = cache.masks[::-1, i - 1]
@@ -713,8 +737,7 @@ def adam_init(params: list, learning_rate: float = 0.001) -> AdamState:
 
 
 def adam_step(state: AdamState, params: list, grads: list) -> AdamState:
-    """One Adam update, in place on ``params`` and on the moments, by one
-    gradient per parameter; ``grads`` are read, never written."""
+    """One Adam update, in place on ``params``, by one gradient per parameter."""
     if len(grads) != len(params) or len(state.m) != len(params):
         raise ShapeError("adam_step: parameter/gradient/state length mismatch")
     state.step_count += 1
@@ -723,23 +746,10 @@ def adam_step(state: AdamState, params: list, grads: list) -> AdamState:
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.value.shape:
             raise ShapeError(f"adam_step: gradient {i} shape {g.shape} != {p.value.shape}")
-        m, v = state.m[i], state.v[i]
-        # b1 * m + (1 - b1) * g and b2 * v + ((1 - b2) * g) * g, each
-        # product and sum as written, on two temporaries
-        term = np.multiply(g, 1.0 - ADAM_BETA1)
-        np.multiply(m, ADAM_BETA1, m)
-        np.add(m, term, m)
-        np.multiply(g, 1.0 - ADAM_BETA2, term)
-        np.multiply(term, g, term)
-        np.multiply(v, ADAM_BETA2, v)
-        np.add(v, term, v)
-        # (lr * m_hat) / (sqrt(v_hat) + eps), subtracted in place so
-        # frozen numpy views stay current
-        update = np.divide(m, 1.0 - ADAM_BETA1 ** t, term)
-        np.multiply(update, state.learning_rate, update)
-        den = np.divide(v, 1.0 - ADAM_BETA2 ** t)
-        np.sqrt(den, den)
-        np.add(den, ADAM_EPSILON, den)
-        np.divide(update, den, update)
-        np.subtract(p.value, update, p.value)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1.0 - ADAM_BETA2 ** t)
+        # in-place so frozen numpy views stay current
+        p.value -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return state

@@ -21,7 +21,8 @@ from uprop import tensor as tn
 from uprop.data import TimeSeries
 from uprop.errors import ShapeError
 from uprop.forecaster import TrainConfig, _batch_loss
-from uprop.nn import train_buffers, zero_grad
+from uprop.nn import (train_buffers, window_batch_backward, window_batch_forward,
+                      zero_grad)
 
 
 def loss_and_grads(model, X, anchors, k, masks, work=None):
@@ -66,6 +67,41 @@ def test_a_batch_that_does_not_fit_its_set_is_refused(rows, steps, hidden):
     work = train_buffers(other.stack.layers, rows, steps)
     with pytest.raises(ShapeError, match="does not fit a work set"):
         _batch_loss(model, np.zeros((3, 10, 2)), [8, 3, 5], 2, None, work)
+
+
+def test_rows_of_other_series_than_the_stack_takes_are_refused():
+    # layer 0's input region is as wide as the stack's input, so a
+    # narrower (x, 0) row would fill it short and silently
+    model = make_model(dims=2, hidden=3, layers=1, dropout=0.0, k=2, L=10, seed=4)
+    work = train_buffers(model.stack.layers, 3, 9)
+    with pytest.raises(ShapeError, match="takes 4 inputs"):
+        _batch_loss(model, np.zeros((3, 10, 1)), [8, 3, 5], 2, None, work)
+
+
+def test_a_loss_whose_set_a_later_forward_overwrote_is_refused():
+    # the gradients are formed lazily, from a cache of views of the set,
+    # so the first loss's backward would read the second batch's arrays
+    model = make_model(dims=2, hidden=3, layers=2, dropout=0.3, k=2, L=10, seed=8)
+    work = train_buffers(model.stack.layers, 3, 9)
+    X, masks = batch(model, 3, 10, 2, [8, 3, 5], seed=8)
+    first, _ = _batch_loss(model, X, [8, 3, 5], 2, masks, work)
+    second, _ = _batch_loss(model, X[::-1], [5, 3, 8], 2, masks[::-1], work)
+    zero_grad(model.parameters())
+    with pytest.raises(ShapeError, match="one backward of its latest forward"):
+        tn.backward(first)
+    tn.backward(second)
+
+
+def test_a_cache_serves_one_backward():
+    # the backward forms two factors in place over the cache's n and hn
+    model = make_model(dims=2, hidden=3, layers=1, dropout=0.0, k=2, L=10, seed=9)
+    work = train_buffers(model.stack.layers, 3, 9)
+    X, _ = batch(model, 3, 10, 2, [8, 3, 5], seed=9)
+    _, cache = window_batch_forward(model.stack, model.readout, 1e-3, X, [8, 3, 5], 2,
+                                    None, work)
+    window_batch_backward(cache)
+    with pytest.raises(ShapeError, match="one backward of its latest forward"):
+        window_batch_backward(cache)
 
 
 def test_a_warm_set_allocates_no_step_array():
