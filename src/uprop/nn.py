@@ -72,9 +72,9 @@ the cache's ``n`` and ``hn``, so it consumes its cache; the set counts
 its passes, so a backward whose cache a later forward overwrote, or a
 second backward on one cache, raises ``ShapeError``. Allocated per
 batch, these arrays (about 4 MB at the desk shape) went back to the OS
-after every batch and were faulted in again: 5 693 to 6 172 minor page
-faults per desk ``train()`` call, against 786 with the set, whose pages
-are touched once. One ``np.empty`` per region instead of the mapping
+after every batch and were faulted in again: 5 789 to 6 946 minor page
+faults per desk ``train()`` pass, against 726 to 789 with the set, whose
+pages are touched once. One ``np.empty`` per region instead of the mapping
 leaves the set in the heap after ``train`` returns (about 20 MB for the
 ``stream`` benchmark's 3x64 set-up): that workload's peak RSS read
 69.6 MB, against 67.3 MB per batch and 64.5 MB with the mapping (one
@@ -604,7 +604,8 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     Returns one array per weight, in ``UPropModel.parameters()`` order:
     ``w``, ``u``, ``b_w`` and ``b_hn`` of each layer, then the readout
     weight and bias; each a fresh array, never a view of the work set.
-    Steps run in reverse. At each step the gradient enters at the readout (from the loss and from the next step's input
+    Steps run in reverse. At each step the gradient enters at the
+    readout (from the loss and from the next step's input
     on fed rows; not before ``cache.first_read``, where it is zero),
     falls through the layers top-down, and leaves layer 0's input towards
     the previous step's (mu, sigma) on fed rows. The gate derivatives are
