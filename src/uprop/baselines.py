@@ -67,6 +67,7 @@ def mc_rollout(model: UPropModel, context: list, k: int, n_samples: int,
     trajectory i drawing its k standard normal rows from the i-th child of
     ``SeedSequence(seed)``, as a loop over ``rng.normal`` would.
     """
+    _check_seed(seed, "mc_rollout")
     if not _is_a(n_samples, int):
         raise ValueError(f"mc_rollout needs an integer n_samples, got {n_samples!r}")
     if n_samples < 2:

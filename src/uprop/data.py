@@ -27,7 +27,9 @@ class TimeSeries:
     """T x N real matrix with a per-cell observation mask.
 
     ``values`` holds NaN in unobserved cells; ``mask`` is True where
-    observed. Steps are equispaced; ``t0`` is the integer index of row 0.
+    observed, and an observed value that is not finite is a
+    ``DataError``. Steps are equispaced; ``t0`` is the integer index of
+    row 0.
     """
 
     values: np.ndarray
@@ -43,6 +45,7 @@ class TimeSeries:
             raise DataError(
                 f"values/mask must be 2-D and equal shape, got {self.values.shape} vs {self.mask.shape}"
             )
+        _refuse_non_finite(self)
 
     @property
     def steps(self) -> int:
@@ -175,16 +178,22 @@ def _check_seed(seed, owner: str) -> None:
         raise DataError(f"{owner} needs an integer seed >= 0, got {seed!r}")
 
 
-def save_csv(series: TimeSeries, path) -> None:
-    """Write the series; adds a <name>.mask.csv sidecar if cells are missing.
-    An observed cell that is not finite is a ``DataError``; nothing is written."""
-    path = Path(path)
+def _refuse_non_finite(series: TimeSeries, where: str = "") -> None:
+    """``DataError`` naming the first observed cell that is not finite."""
     bad = series.mask & ~np.isfinite(series.values)
     if bad.any():
         i, d = np.argwhere(bad)[0]
         raise DataError(
-            f"{path}: row t={series.t0 + i}, column dim_{d}: observed value "
+            f"{where}row t={series.t0 + i}, column dim_{d}: observed value "
             f"{float(series.values[i, d])!r} is not finite (mark the cell missing instead)")
+
+
+def save_csv(series: TimeSeries, path) -> None:
+    """Write the series; adds a <name>.mask.csv sidecar if cells are missing.
+    An observed cell that is not finite (written into ``values`` after the
+    series was made) is a ``DataError``; nothing is written."""
+    path = Path(path)
+    _refuse_non_finite(series, f"{path}: ")
     header = ["t"] + [f"dim_{d}" for d in range(series.dims)]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -17,7 +17,7 @@ import numpy as np
 # perfbench/tracer.py wraps filter_series_imputed and nll where this module
 # binds them, and tests/test_bench_hooks.py requires both bindings to stay
 from .baselines import filter_series_imputed, impute_noise  # noqa: F401
-from .data import _check_missing_rate, emulate_missing, normalize
+from .data import _check_missing_rate, _check_seed, emulate_missing, normalize
 from .errors import ConfigError, DataError
 from .forecaster import UPropModel, _filter_batch
 from .prob import DistVector, nll
@@ -84,9 +84,10 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
     Missingness is emulated per (rate, window) with seeds derived from the
     run seed, identically across lookaheads and methods, so cells in a row
     see the same degraded data. A ``DataError`` is raised, before any
-    work, when a rate is outside [0, 1) or no test window has the two
-    rows a one-step forecast needs.
+    work, when the seed is not an integer >= 0, a rate is outside [0, 1)
+    or no test window has the two rows a one-step forecast needs.
     """
+    _check_seed(seed, "evaluate_grid")
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"unknown evaluation method {method!r}")
@@ -97,29 +98,20 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
                         "with fewer there is no one-step forecast to score")
     lookaheads = sorted(models)
     cells = np.zeros((len(rates), len(lookaheads), len(methods)))
-    # each window normalized once per distinct NormStats (models trained on
-    # the same windows share them), each degradation once per (rate, stats),
-    # and shared by every model and method that uses those stats
-    key = {k: models[k].norm.mean.tobytes() + models[k].norm.std.tobytes()
-           for k in lookaheads}
-    stats = {key[k]: models[k].norm for k in lookaheads}
-    truths = {s: [normalize(w, norm) for w in test_windows]
-              for s, norm in stats.items()}
     # one degradation per (rate, window), shared across columns; rate-major
     degraded = [
         emulate_missing(w, rate, derive_seed(seed, "missing", rate, wi))
         if rate > 0 else w
         for rate in rates for wi, w in enumerate(test_windows)
     ]
-    normed = {s: [normalize(d, norm) for d in degraded]
-              for s, norm in stats.items()}
     n_windows = len(test_windows)
     for ki, k in enumerate(lookaheads):
         # every (rate, window) of the model in one call: one batch per
         # window length, whatever the number of rates
-        truth = truths[key[k]]
+        norm = models[k].norm
+        truth = [normalize(w, norm) for w in test_windows]
         sums = _window_sums(
-            models[k], truth * len(rates), normed[key[k]], methods,
+            models[k], truth * len(rates), [normalize(d, norm) for d in degraded], methods,
             lambda j: derive_seed(seed, "impute", rates[j // n_windows], k, "sample",
                                   j % n_windows))
         count = sum(t.dims * (t.steps - 1) for t in truth)

@@ -4,37 +4,30 @@ The model takes per-dimension (location, scale) pairs as input: observed
 values enter with scale 0, missing values with the (mu, sigma) predicted
 for them at the previous step. Multi-step forecasts feed each predicted
 belief directly into the next step, with no sampling anywhere, so every
-inference path is deterministic. Every inference path runs on one scan
-(``_scan``); they differ only in the input policy (``_feed``) that turns
-the previous step's belief into the next input. The scan steps one series,
-or a batch of B independent rows at once ((B, N) beliefs, (B, hidden)
-states): the offline paths (the evaluation grid, KL scoring, Monte-Carlo
-rollouts) run batched, the streaming ones one series at a time. Each row
-of a batch is bitwise the row stepped alone; ``nn`` says why.
+inference path is deterministic.
 
-Inside the scan a belief is one row in the wire layout ``[mu..., sigma...]``
-(``prob``), (2N,) or (B, 2N): the policy builds each input row as a copy
-of an observed half laid out once per scan, with the belief copied into
-its missing cells (``np.copyto``), ``step`` feeds it to the stack as is
-and returns the readout, a fresh row whose sigma half is squashed in
-place, and the scan feeds that row back. The gate products of every
-step land in work buffers that the scan call makes and owns
-(``_step_buffers``: ``nn.gate_buffers`` and the squash's zeros and floor
-rows), never the model, so two scans of one model in two threads share
-no array they write. The ``nn`` kernels take those buffers on every
-call; only ``step``, the public one-step entry, makes a set when it is
-called without one. Beliefs the API returns are
-``DistVector._of_row`` views of the step's own rows, which no later
-step writes.
+Every inference path runs on one scan (``_scan``) and differs only in the
+input policy its caller passes: ``_feed`` turns the previous step's
+belief and the observed cells into the next input, and a self-fed
+forecast (``_self_feed``) feeds the belief back. The scan steps one
+series, or a batch of B independent rows at once ((B, N) beliefs,
+(B, hidden) states), each row bitwise the row stepped alone (``nn`` says
+why). Inside the scan a belief is one row in the wire layout
+``[mu..., sigma...]`` (``prob``). Each scan call makes its own work
+buffers (``_step_buffers``), never the model, so two scans of one model
+share no array they write: the stack's gate buffers, the readout's
+weight arrays themselves, bound per scan as each cell's are, and the
+squash's zeros and floor rows. Beliefs the API returns are
+``DistVector._of_row`` views of the step's own rows, which no later step
+writes.
 
 Training runs on complete data only: a window's prefix is fed as observed
-context (dropout on), then the model rolls out ``lookahead`` steps
-self-fed (dropout off) and is scored by the mean per-point Gaussian NLL
-against the ground truth. A batch of windows is one loss node over the
-model's weights (``_batch_loss``): all windows step together, a per-row
-mask picks the observation before each window's anchor and the fed-back
-belief after it, and the gradients come from a hand-written backward
-pass (``nn.window_batch_backward``).
+context (dropout on, at ``TrainConfig.dropout``), then the model rolls
+out ``lookahead`` steps self-fed (dropout off) and is scored by the mean
+per-point Gaussian NLL against the ground truth. A batch of windows is
+one loss node over the model's weights (``_batch_loss``), whose
+gradients come from a hand-written backward pass
+(``nn.window_batch_backward``).
 """
 
 from __future__ import annotations
@@ -49,10 +42,10 @@ from . import tensor as tn
 from .data import _KINDS, NormStats, TimeSeries, _is_a
 from .errors import ConfigError, DataError, ShapeError
 from .nn import (GruStackParams, LinearParams, TrainBuffers, adam_init, adam_step,
-                 dropout_mask, freeze_linear, fuse_stack, fused_stack_step,
-                 gate_buffers, init_gru_stack, init_linear, matvec,
-                 train_buffers, window_batch_backward, window_batch_forward,
-                 zero_grad, zero_hidden)
+                 dropout_mask, fuse_stack, fused_stack_step, gate_buffers,
+                 init_gru_stack, init_linear, matvec, train_buffers,
+                 window_batch_backward, window_batch_forward, zero_grad,
+                 zero_hidden)
 from .prob import DistVector
 
 
@@ -147,7 +140,6 @@ class UPropModel:
     norm: NormStats
     train_config: TrainConfig
     _fstack: GruStackParams = field(init=False, repr=False, default=None)
-    _freadout: LinearParams = field(init=False, repr=False, default=None)
     # forecast_from_origin's resume point; see that function
     _cursor: tuple = field(init=False, repr=False, compare=False, default=None)
 
@@ -161,10 +153,9 @@ class UPropModel:
         self.refresh_frozen()
 
     def refresh_frozen(self) -> None:
-        """Rebind the numpy inference views to the current parameter arrays,
-        and drop the filter state kept under the old ones."""
+        """Rebind the stack's numpy inference views to the current parameter
+        arrays, and drop the filter state kept under the old ones."""
         self._fstack = fuse_stack(self.stack)
-        self._freadout = freeze_linear(self.readout)
         self._cursor = None
 
     def parameters(self) -> list:
@@ -173,8 +164,7 @@ class UPropModel:
 
 def build_model(dims: int, config: TrainConfig, norm: NormStats,
                 rng: np.random.Generator) -> UPropModel:
-    stack = init_gru_stack(2 * dims, config.hidden_size, config.n_layers,
-                           config.dropout, rng)
+    stack = init_gru_stack(2 * dims, config.hidden_size, config.n_layers, rng)
     # the scale half of the input starts with zero weight: an untrained
     # model treats a belief input exactly like an observation, and the
     # scale channels only gain influence through training
@@ -213,15 +203,18 @@ def encode_input(obs: np.ndarray, pending: DistVector | None = None,
     return DistVector(mu=mu, sigma=sigma)
 
 
-def _step_buffers(model: UPropModel, shape: tuple = ()):
+def _step_buffers(model: UPropModel, shape: tuple):
     """Work buffers of one scan for :func:`step` on rows of leading
-    ``shape``: the stack's gate buffers (:func:`nn.gate_buffers`), then a
-    zeros array and a floor array, each the shape of the readout's sigma
-    half, that the squash reads. The floor is ``model.train_config``'s.
-    Arrays rather than Python scalars round the same and dispatch faster.
+    ``shape``: the stack's gate buffers (:func:`nn.gate_buffers`), the
+    readout's weight and bias arrays themselves (not copies, as the gate
+    buffers bind each cell's), then a zeros array and a floor array, each
+    the shape of the readout's sigma half, that the squash reads. The
+    floor is ``model.train_config``'s. Arrays rather than Python scalars
+    round the same and dispatch faster.
     """
     sigma = shape + (model.dims,)
-    return (gate_buffers(model._fstack.layers, shape), np.zeros(sigma),
+    return (gate_buffers(model._fstack.layers, shape), tn.value_of(model.readout.weight),
+            tn.value_of(model.readout.bias), np.zeros(sigma),
             np.full(sigma, model.train_config.sigma_floor))
 
 
@@ -244,44 +237,41 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: tuple | None = None):
         raise ShapeError(f"input width {x.shape[-1]} != 2 * model dims {model.dims}")
     if bufs is None:
         bufs = _step_buffers(model, x.shape[:-1])
-    gates, zero, floor = bufs
+    gates, weight, bias, zero, floor = bufs
     top, h_next = fused_stack_step(model._fstack, x, h, gates)
-    readout = model._freadout
-    row = matvec(readout.weight, top)
-    np.add(row, readout.bias, row)
+    row = matvec(weight, top)
+    np.add(row, bias, row)
     sigma = row[..., model.dims:]
     np.logaddexp(zero, sigma, sigma)
     np.add(sigma, floor, sigma)
     return row, h_next
 
 
-def _scan(model: UPropModel, n: int, policy=None, pending=None, h=None,
+def _scan(model: UPropModel, n: int, policy, pending=None, h=None,
           snapshots: list | None = None):
     """The recurrence loop of inference: ``n`` steps from ``(pending, h)``.
 
     Every input and output is a row in the wire layout ``[mu..., sigma...]``.
     Step t's input is ``policy(t, pending)``, where ``pending`` is the row
-    the previous step emitted (None before the first step); with no
-    policy that row is fed back as is. ``pending`` and ``h`` hold one row
-    or a batch (``h=None`` is the zero state of one row). Returns the
-    per-step input rows and emitted rows, and the final hidden state. It
-    calls :func:`step` once per step, batch or not, on work buffers made
-    once per call for the shape of ``h`` (:func:`_step_buffers`), and none
-    when ``n`` is 0: per call, not per model, so concurrent scans of one
-    model never share them. Each emitted row and each hidden state is a
-    fresh array that no later step writes. The hidden state after each
-    step is appended to ``snapshots`` when one is given; only callers
-    that resume from every row ask, since keeping them all slows the loop.
+    the previous step emitted (None before the first step). ``pending``
+    and ``h`` hold one row or a batch (``h=None`` is the zero state of
+    one row). Returns the per-step input rows and emitted rows, and the
+    final hidden state. It calls :func:`step` once per step, batch or
+    not, on work buffers made once per call for the shape of ``h``
+    (:func:`_step_buffers`): per call, not per model, so concurrent scans
+    of one model never share them. Each emitted row and each hidden state
+    is a fresh array that no later step writes. The hidden state after
+    each step is appended to ``snapshots`` when one is given; only
+    callers that resume from every row ask, since keeping them all slows
+    the loop.
     """
     if h is None:
         h = zero_hidden(model.stack)
     inputs, preds = [], []
-    if not n:
-        return inputs, preds, h
     bufs = _step_buffers(model, h[0].shape[:-1])
     with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
         for t in range(n):
-            x = pending if policy is None else policy(t, pending)
+            x = policy(t, pending)
             pending, h = step(model, x, h, bufs)
             inputs.append(x)
             preds.append(pending)
@@ -351,8 +341,8 @@ def _filter(model: UPropModel, series: TimeSeries, prior: DistVector | None = No
     return records, h
 
 
-def _filter_batch(model: UPropModel, values: np.ndarray, mask: np.ndarray,
-                  kind="uprop", noise: np.ndarray | None = None):
+def _filter_batch(model: UPropModel, values: np.ndarray, mask: np.ndarray, kind,
+                  noise: np.ndarray):
     """One filter pass over B series of T rows at once: ``values``,
     ``mask`` and ``noise`` are (T, B, N), ``kind`` one method per row (see
     :func:`_feed`). Returns the one-step forecasts as wire-layout rows,
@@ -379,7 +369,7 @@ def _check_horizon(k: int) -> None:
 
 
 def _self_feed(model: UPropModel, pending: np.ndarray, h: list, k: int,
-               feed=None):
+               feed=lambda _, row: row):
     """The k rows of a forecast whose first step is the row ``pending``.
 
     Each later step is fed ``feed(j, row)`` (default: the row itself).
@@ -459,16 +449,16 @@ def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks=None,
     return loss, losses
 
 
-def _context_masks(stack: GruStackParams, anchor: int, rng: np.random.Generator):
+def _context_masks(model: UPropModel, anchor: int, rng: np.random.Generator):
     """Dropout masks of a window's context rows, (anchor, gaps, h), or None.
 
-    Drawn row by row, gap by gap, from ``rng``.
+    Drawn row by row, gap by gap, from ``rng``, at the rate of
+    ``model.train_config``.
     """
-    n_gaps = len(stack.layers) - 1
-    if stack.dropout_rate == 0.0 or n_gaps == 0:
+    rate, layers = model.train_config.dropout, model.stack.layers
+    if rate == 0.0 or len(layers) == 1:
         return None
-    return dropout_mask((anchor, n_gaps, stack.layers[0].hidden_size),
-                        stack.dropout_rate, rng)
+    return dropout_mask((anchor, len(layers) - 1, layers[0].hidden_size), rate, rng)
 
 
 def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
@@ -492,6 +482,9 @@ def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
             raise DataError(f"training window dims {w.dims} != first window's {dims}")
     if norm is None:
         norm = NormStats.from_windows(windows)
+    elif norm.mean.shape[0] != dims:
+        raise DataError(f"normalization stats of {norm.mean.shape[0]} dims do not fit "
+                        f"training windows of {dims} dims")
     xs = np.stack([(w.values - norm.mean) / norm.std for w in windows])
 
     rng = np.random.default_rng(config.seed)
@@ -514,7 +507,7 @@ def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
             for _ in batch:
                 anchor = int(rng.integers(anchor_lo, anchor_hi + 1))
                 anchors.append(anchor)
-                masks.append(_context_masks(model.stack, anchor, rng))
+                masks.append(_context_masks(model, anchor, rng))
             batch_loss, losses = _batch_loss(
                 model, xs[batch], anchors, k, None if masks[0] is None else masks, work)
             if not np.all(np.isfinite(losses)):

@@ -2,85 +2,51 @@
 
 Each GRU cell is stored once, in the fused layout its kernels read
 (:class:`GruCell`: ``w``, ``u`` and ``b_w`` stack the gate blocks
-``[r; z; n]``). A model holds ``Var`` leaves; :func:`fuse_stack` and
-:func:`freeze_linear` give numpy views of the same arrays for inference,
-which steps the cell (:func:`fused_stack_step`) on one row or on a batch
-of rows. Every step takes its work buffers (:func:`gate_buffers`), which
-its caller makes once per scan: the two gate products land there, the
-gate views are sliced once per scan, not once per step, and the ones arrays
-of the sigmoid and of ``1 - z`` and the cell's weight arrays are bound
-there too. One row's gate blocks are slices of its (3h,) products, so
-they are contiguous as they are. In a batch they would be column slices
+``[r; z; n]``), and its input and hidden sizes are read from those
+arrays. A model holds ``Var`` leaves; :func:`fuse_stack` and
+:func:`freeze_linear` give numpy views of the same arrays, so an
+in-place weight edit is seen everywhere. The dropout rate is a training
+setting (``forecaster.TrainConfig.dropout``): inference never drops out.
+
+Inference steps the cell (:func:`fused_stack_step`) on one row or on a
+batch of rows, on the work buffers its caller makes once per scan
+(:func:`gate_buffers`): the gate products land there, and the gate
+views, the ones arrays and the cell's weight arrays are bound there
+once per scan, not once per step. Only the new hidden state is a fresh
+array, so a state a caller keeps is never written again, and the
+buffers are never kept on the model, so concurrent scans of one model
+share nothing they write. A batch's gate blocks would be column slices
 of (B, 3h) products, on which numpy runs its inner loop once per row, so
-after the products one copy each lays the rows out gate-major, (3, B, h),
-and every later gate op runs on contiguous (B, h) or (2, B, h) blocks:
-the ``offline_eval`` benchmark's ``pass_s`` went from 0.446 to 0.378 s
-(medians of ten alternating 20 s pairs, 2-vCPU VM, one BLAS thread).
-Only the new hidden state is a fresh array, so a state a
-caller keeps is never written again, and the buffers are never kept on
-the model, so concurrent scans of one model share nothing they write.
-At batch of one, numpy's per-call dispatch costs more than the
-arithmetic of a 3x64 step, so the step passes every ``out`` positionally
-and every operand as an array (a keyword or a Python scalar costs
-0.05-0.25 us per call), and reads no attribute: the ``stream``
-benchmark's ``pass_s`` went from 1.43 to 1.24 s (medians of ten
-alternating 20 s pairs, 2-vCPU VM, one BLAS thread).
-Every product goes through :func:`matvec`: one gemv for one row
-(the array method ``ndarray.dot``: the C function of ``np.dot`` without
-its Python-level ``__array_function__`` dispatch, so the same bits as
-``np.dot`` and ``matmul`` at about 0.2 us less per call than ``np.dot``:
-1.84 against 2.00 us for 192x64, 0.43 against 0.64 us for 6x64, timeit
-on a 2-vCPU VM), and for a (B, n) batch a stacked matmul, which numpy
-runs as one gemv per row, so each row of a batch is bitwise the row
-stepped alone (with or without ``out``). A gemm (``X @ W.T``) is not: on
-the scipy-openblas 0.3.31 of numpy 2.4 (one BLAS thread) its rows differ
-from the gemv at every B >= 2, and even depend on B (at B = 2-12 for a
-96x32 block, 2-6 for 192x64, and 75 of the 111 sizes up to 112 for a
-6x32 readout). Padding one row to two, to keep a single series on gemm
-too, costs 10.7 against 4.8 us per 192x64 product. One series stays
-1-D: a (1, n) batch costs about 0.9 us more per product.
+one copy per product lays the rows out gate-major, (3, B, h), and every
+gate op runs on contiguous blocks. At batch of one, numpy's per-call
+dispatch outweighs a step's arithmetic, so the step passes every ``out``
+positionally and every operand as an array, and reads no attribute.
+Every product goes through :func:`matvec`: one gemv per row, through
+``ndarray.dot`` (``np.dot``'s C function without its Python-level
+dispatch) for one row and a stacked matmul for a batch, so each row of a
+batch is bitwise the row stepped alone. A gemm (``X @ W.T``) is not: on
+the scipy-openblas of numpy 2.4 its rows differ from the gemv at every
+B >= 2, and even depend on B. One series stays 1-D, because a (1, n)
+batch costs more per product.
+
 Training runs :func:`window_batch_forward` and
 :func:`window_batch_backward`, a hand-written backward pass through time
 over the gates the forward caches (``forecaster._batch_loss`` hangs its
 gradients on the one loss node). The training forward repeats the cell's
-arithmetic, in the same order, on buffers it owns: one cell shared by
-both callers slowed inference (README, "Layout"). Both training kernels
-take the batched scan's layout: a step's two (B, 3h) products are
-copied gate-major, the cached gates are (T, 2, B, h), and the backward
-forms a step's gate gradients on one (3, B, h) block that it copies
-into the (B, 3h) rows its products read, so every gate op runs on
-contiguous blocks while every gemm keeps its shape and operands. Each
-step takes its views from one ``zip`` per layer, set up once per batch
-(a list of every step's views would cost the same time and more
-memory), and every ufunc gets its output positionally. The readouts
-before the first scored one, at step min(anchor) - 1, are neither
-scored nor fed back, so neither they nor their backward products are
-run. At the desk shape (1x32, batch 8)
-these kernels are bound by per-call overhead: the ``train_desk``
-benchmark's ``pass_s`` went from 0.166 to 0.124 s (medians of ten
-alternating 20 s pairs, 2-vCPU VM, one BLAS thread), bit for bit.
-Both training kernels take a work set (:func:`train_buffers`) that holds
-every (T, B, ·) array they use: layer 0's input, the hidden states, the
-dropout masks and masked outputs, the gates, the derivative factors and
-the step gradients. ``forecaster.train`` makes one set per call, for its
-widest batch and its longest window; each batch reshapes prefixes of
-the set's flat regions to its own (T, B, ·), so they stay contiguous
-and a short last batch needs no second set. The set is one anonymous
-memory mapping, unmapped when its last view goes, that is when
-``train`` returns. The backward forms two of its factors in place over
-the cache's ``n`` and ``hn``, so it consumes its cache; the set counts
-its passes, so a backward whose cache a later forward overwrote, or a
-second backward on one cache, raises ``ShapeError``. Allocated per
-batch, these arrays (about 4 MB at the desk shape) went back to the OS
-after every batch and were faulted in again: 5 789 to 6 946 minor page
-faults per desk ``train()`` pass, against 726 to 789 with the set, whose
-pages are touched once. One ``np.empty`` per region instead of the mapping
-leaves the set in the heap after ``train`` returns (about 20 MB for the
-``stream`` benchmark's 3x64 set-up): that workload's peak RSS read
-69.6 MB, against 67.3 MB per batch and 64.5 MB with the mapping (one
-10 s run each). The ``train_desk`` benchmark's ``pass_s`` went from
-0.123 to 0.106 s (medians of ten alternating 20 s pairs, 2-vCPU
-VM, one BLAS thread), bit for bit.
+arithmetic, in the same order, on buffers it owns, because one cell
+shared by both callers slowed inference. Both kernels take the batched
+scan's gate-major layout, take each step's views from one ``zip`` per
+layer, set up once per batch, and pass every ufunc its output
+positionally; the readouts before step min(anchor) - 1 are neither
+scored nor fed back, so they are not run. Both run on a work set
+(:func:`train_buffers`) that holds every (T, B, ·) array they use,
+made once per ``train`` call as one anonymous memory mapping: its pages
+are faulted in once, not once per batch, and they leave the process
+when ``train`` returns. The backward consumes its cache, and the set
+counts its passes, so a backward whose cache a later forward
+overwrote, or a second backward on one cache, raises ``ShapeError``.
+CHANGES.md records the benchmark runs behind these choices.
+
 This module is the one place that knows the gate order;
 :func:`gate_blocks` names the per-gate blocks for checkpoints.
 """
@@ -89,7 +55,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -106,15 +72,22 @@ class GruCell:
     w = [W_r; W_z; W_n] (3h x in), u = [U_r; U_z; U_n] (3h x h),
     b_w = [b_r, b_z, b_in] (3h) and b_hn (h): ``Var`` leaves in a model,
     numpy arrays in :func:`fuse_stack`'s views. Stacked gate blocks make
-    a step two matrix products.
+    a step two matrix products. The cell's sizes are read from its
+    arrays, so they cannot disagree with them.
     """
 
-    input_size: int
-    hidden_size: int
     w: object
     u: object
     b_w: object
     b_hn: object
+
+    @property
+    def input_size(self) -> int:
+        return value_of(self.w).shape[1]
+
+    @property
+    def hidden_size(self) -> int:
+        return value_of(self.b_hn).shape[0]
 
     def weights(self):
         return [self.w, self.u, self.b_w, self.b_hn]
@@ -123,7 +96,6 @@ class GruCell:
 @dataclass
 class GruStackParams:
     layers: list
-    dropout_rate: float = 0.2
 
     def weights(self):
         return [w for layer in self.layers for w in layer.weights()]
@@ -157,8 +129,6 @@ def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -
     bound = 1.0 / math.sqrt(hidden_size)
     rows = 3 * hidden_size
     return GruCell(
-        input_size=input_size,
-        hidden_size=hidden_size,
         w=Var(rng.uniform(-bound, bound, size=(rows, input_size))),
         u=Var(rng.uniform(-bound, bound, size=(rows, hidden_size))),
         b_w=Var(np.zeros(rows)),
@@ -167,12 +137,12 @@ def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -
 
 
 def init_gru_stack(input_size: int, hidden_size: int, n_layers: int,
-                   dropout_rate: float, rng: np.random.Generator) -> GruStackParams:
+                   rng: np.random.Generator) -> GruStackParams:
     layers = []
     for i in range(n_layers):
         in_size = input_size if i == 0 else hidden_size
         layers.append(init_gru_cell(in_size, hidden_size, rng))
-    return GruStackParams(layers=layers, dropout_rate=dropout_rate)
+    return GruStackParams(layers=layers)
 
 
 def init_linear(in_size: int, out_size: int, rng: np.random.Generator) -> LinearParams:
@@ -190,10 +160,7 @@ def freeze_linear(lin: LinearParams) -> LinearParams:
 
 def fuse_stack(stack: GruStackParams) -> GruStackParams:
     """Numpy views of the stack's weights: the same arrays, no copies."""
-    return GruStackParams(
-        layers=[GruCell(c.input_size, c.hidden_size, *map(value_of, c.weights()))
-                for c in stack.layers],
-        dropout_rate=stack.dropout_rate)
+    return GruStackParams(layers=[GruCell(*map(value_of, c.weights())) for c in stack.layers])
 
 
 def _sigmoid(x, one=1.0):
@@ -226,7 +193,7 @@ def matvec(w, x, out=None):
     return out
 
 
-def gate_buffers(cells: list, shape: tuple = ()) -> list:
+def gate_buffers(cells: list, shape: tuple) -> list:
     """Work buffers of one scan for :func:`fused_stack_step` over
     ``cells``, for rows of leading ``shape`` (``()`` for one row, ``(B,)``
     for a batch).
@@ -723,13 +690,13 @@ ADAM_EPSILON = 1e-8
 class AdamState:
     """Adam with bias correction; moments shape-match the parameter list."""
 
-    learning_rate: float = 0.001
+    learning_rate: float
+    m: list
+    v: list
     step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
 
-def adam_init(params: list, learning_rate: float = 0.001) -> AdamState:
+def adam_init(params: list, learning_rate: float) -> AdamState:
     return AdamState(
         learning_rate=learning_rate,
         m=[np.zeros_like(p.value) for p in params],

@@ -75,7 +75,8 @@ def volatility_score(forecast: Forecast) -> float:
 
 def surprise_score(belief: DistVector, x: np.ndarray,
                    mask: np.ndarray | None = None) -> float:
-    """Per-point NLL of the realized values, averaged over observed dims."""
+    """Per-point NLL of the realized values, averaged over observed dims.
+    An observed value that is not finite is a ``DataError``."""
     x = np.asarray(x, dtype=np.float64)
     if mask is None:
         mask = ~np.isnan(x)
@@ -85,6 +86,8 @@ def surprise_score(belief: DistVector, x: np.ndarray,
                          f"of shape ({belief.dims},), got {x.shape} and {mask.shape}")
     if not mask.any():
         raise ValueError("surprise score undefined: all dimensions missing")
+    if not np.all(np.isfinite(x[mask])):
+        raise DataError(f"surprise score needs finite observed values, got {x[mask]}")
     sigma = belief.sigma[mask]
     if np.any(sigma == 0.0):
         raise ValueError("surprise score needs strictly positive forecast scales")
@@ -150,18 +153,14 @@ def _kl_values(model: UPropModel, preds: list, hiddens: list, targets: range,
     """KL(p || q) for each row t in ``targets``: p and q are the forecasts
     of row t from the near and the far origin, resumed from the per-row
     (belief, hidden) snapshots of one filter pass, each offset's
-    forecasts stepped as one batch. ``reverse`` swaps p and q. A
-    forecast one step ahead is the pending belief itself, so an offset of
-    1 reads no hidden snapshot and steps nothing."""
+    forecasts stepped as one batch. ``reverse`` swaps p and q."""
     if not targets:
         return []
     pq = []
     for o in (near_offset, far_offset):
         origins = [t - o for t in targets]
-        row = np.stack([preds[i] for i in origins])
-        if o > 1:
-            h = [np.stack(layer) for layer in zip(*(hiddens[i] for i in origins))]
-            row = _self_feed(model, row, h, o)[1][-1]
+        h = [np.stack(layer) for layer in zip(*(hiddens[i] for i in origins))]
+        row = _self_feed(model, np.stack([preds[i] for i in origins]), h, o)[1][-1]
         pq.append(DistVector._of_row(row))
     p, q = pq[::-1] if reverse else pq
     return kl(p, q).tolist()

@@ -61,26 +61,28 @@ def gru_stack_step(stack: GruStackParams, x, h_prev, masks=None):
     return h_next[-1], h_next
 
 
-def gru_stack_forward(stack: GruStackParams, x_seq, h0=None, dropout_on=False,
+def gru_stack_forward(stack: GruStackParams, x_seq, h0=None,
+                      dropout_rate: float | None = None,
                       rng: np.random.Generator | None = None):
     """Run the stack over a (T, input) sequence.
 
     Returns the (T, hidden) matrix of top-layer outputs and the final
-    per-layer hidden states. Dropout masks, when enabled, are drawn fresh
-    per step and per inter-layer gap.
+    per-layer hidden states. With a ``dropout_rate`` (0 included), masks
+    at that rate are drawn fresh per step and per inter-layer gap; None
+    disables dropout.
     """
     x_seq = np.asarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 2 or x_seq.shape[1] != stack.layers[0].input_size:
         raise ShapeError(f"expected (T, {stack.layers[0].input_size}) input, got {x_seq.shape}")
-    if dropout_on and stack.dropout_rate > 0.0 and rng is None:
+    if dropout_rate is not None and dropout_rate > 0.0 and rng is None:
         raise ValueError("dropout requires a seeded generator")
     h = list(h0) if h0 is not None else zero_hidden(stack)
     n_gaps = len(stack.layers) - 1
     outputs = []
     for x in x_seq:
         masks = None
-        if dropout_on:
-            masks = [dropout_mask(stack.layers[i].hidden_size, stack.dropout_rate, rng)
+        if dropout_rate is not None:
+            masks = [dropout_mask(stack.layers[i].hidden_size, dropout_rate, rng)
                      for i in range(n_gaps)]
         top, h = gru_stack_step(stack, x, h, masks)
         outputs.append(top)

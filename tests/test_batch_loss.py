@@ -35,7 +35,7 @@ def make_model(dims, hidden, layers, dropout, k, L, seed):
 def batch(model, B, L, k, anchors, seed):
     rng = np.random.default_rng(seed + 1)
     X = rng.normal(size=(B, L, model.dims))
-    masks = [_context_masks(model.stack, a, rng) for a in anchors]
+    masks = [_context_masks(model, a, rng) for a in anchors]
     return X, None if masks[0] is None else masks
 
 
@@ -156,7 +156,7 @@ def test_late_anchors_match_batches_of_one_and_the_inference_loop(
 def test_context_masks_follow_the_per_row_draw_order():
     # training draws a window's masks row by row, gap by gap
     model = make_model(dims=2, hidden=5, layers=3, dropout=0.25, k=2, L=10, seed=1)
-    got = _context_masks(model.stack, 4, np.random.default_rng(9))
+    got = _context_masks(model, 4, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     want = [[dropout_mask(5, 0.25, rng) for _ in range(2)] for _ in range(4)]
     np.testing.assert_array_equal(got, np.array(want))

@@ -91,9 +91,9 @@ def random_stack(rng, n_in, hidden, layers):
     cells = []
     for i in range(layers):
         width = n_in if i == 0 else hidden
-        cells.append(GruCell(width, hidden, *(rng.normal(scale=1.5, size=size) for size in
-                                              [(3 * hidden, width), (3 * hidden, hidden),
-                                               3 * hidden, hidden])))
+        cells.append(GruCell(*(rng.normal(scale=1.5, size=size) for size in
+                              [(3 * hidden, width), (3 * hidden, hidden),
+                               3 * hidden, hidden])))
     return GruStackParams(cells)
 
 
@@ -102,7 +102,7 @@ def assert_batched_steps_equal_rows_alone(stack, x, h, steps=2):
     ``h``, on one set of buffers, against each row stepped alone on its
     own, on the bytes of every layer's state."""
     batch = gate_buffers(stack.layers, x.shape[:1])
-    one = gate_buffers(stack.layers)
+    one = gate_buffers(stack.layers, ())
     rows = [[layer[b] for layer in h] for b in range(x.shape[0])]
     with np.errstate(over="ignore"):
         for _ in range(steps):

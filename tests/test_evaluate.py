@@ -9,7 +9,7 @@ from uprop.evaluate import evaluate_grid
 from test_forecaster import small_model
 
 
-def test_models_with_equal_stats_share_normalized_windows(monkeypatch):
+def test_each_model_normalizes_under_its_own_stats(monkeypatch):
     rng = np.random.default_rng(8)
     windows = [TimeSeries.complete(rng.normal(size=(12, 2))) for _ in range(3)]
     shared = NormStats(mean=np.array([0.5, -1.0]), std=np.array([2.0, 0.5]))
@@ -26,8 +26,12 @@ def test_models_with_equal_stats_share_normalized_windows(monkeypatch):
 
     monkeypatch.setattr(evaluate, "normalize", counting)
     grid = evaluate_grid(models, windows, rates, seed=3)
-    # truths once and each rate's degradations once, per distinct stats
-    assert len(calls) == 2 * (1 + len(rates)) * len(windows)
+    # truths once and each rate's degradations once, per model, each under
+    # that model's own stats
+    assert len(calls) == len(models) * (1 + len(rates)) * len(windows)
+    per_model = (1 + len(rates)) * len(windows)
+    for i, k in enumerate(sorted(models)):
+        assert all(s is models[k].norm for s in calls[i * per_model:(i + 1) * per_model])
     for ki, k in enumerate(sorted(models)):
         alone = evaluate_grid({k: models[k]}, windows, rates, seed=3)
         np.testing.assert_array_equal(grid.cells[:, ki], alone.cells[:, 0])

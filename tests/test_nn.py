@@ -14,10 +14,9 @@ def make_cell(input_size, hidden_size, rng=None):
     """A numpy cell: all zeros, or the initialisation drawn from ``rng``."""
     if rng is None:
         rows = 3 * hidden_size
-        return nn.GruCell(input_size, hidden_size, np.zeros((rows, input_size)),
-                          np.zeros((rows, hidden_size)), np.zeros(rows),
-                          np.zeros(hidden_size))
-    return nn.fuse_stack(nn.init_gru_stack(input_size, hidden_size, 1, 0.0, rng)).layers[0]
+        return nn.GruCell(np.zeros((rows, input_size)), np.zeros((rows, hidden_size)),
+                          np.zeros(rows), np.zeros(hidden_size))
+    return nn.fuse_stack(nn.init_gru_stack(input_size, hidden_size, 1, rng)).layers[0]
 
 
 def scalar_cell_oracle(cell, x, h):
@@ -62,7 +61,7 @@ def test_cell_matches_scalar_oracle():
         got = ref.gru_cell_forward(cell, x, h)
         want = scalar_cell_oracle(cell, x, h)
         np.testing.assert_allclose(got, want, atol=1e-12)
-        fused = nn.fused_cell_forward(x, h, nn.gate_buffers([cell])[0])
+        fused = nn.fused_cell_forward(x, h, nn.gate_buffers([cell], ())[0])
         np.testing.assert_allclose(fused, want, atol=1e-12)
 
 
@@ -70,18 +69,18 @@ def test_fused_cell_matches_plain_cell():
     rng = np.random.default_rng(12)
     cell = make_cell(3, 5, rng)
     x, h = rng.normal(size=3), rng.normal(size=5) * 0.3
-    np.testing.assert_allclose(nn.fused_cell_forward(x, h, nn.gate_buffers([cell])[0]),
+    np.testing.assert_allclose(nn.fused_cell_forward(x, h, nn.gate_buffers([cell], ())[0]),
                                ref.gru_cell_forward(cell, x, h), atol=1e-12)
 
 
 def test_fused_stack_step_matches_reference_stack_with_dropout():
-    # a stack built with dropout steps without it at inference; the
+    # inference never drops out, whatever the model's dropout rate; the
     # training forward's masked arithmetic is checked in test_batch_loss
     rng = np.random.default_rng(18)
-    stack = nn.init_gru_stack(3, 5, 3, 0.5, rng)
+    stack = nn.init_gru_stack(3, 5, 3, rng)
     fused = nn.fuse_stack(stack)
     h_ref = h_fused = nn.zero_hidden(stack)
-    bufs = nn.gate_buffers(fused.layers)
+    bufs = nn.gate_buffers(fused.layers, ())
     for _ in range(8):
         x = rng.normal(size=3)
         top_ref, h_ref = ref.gru_stack_step(stack, x, h_ref)
@@ -101,7 +100,7 @@ def test_cell_shape_errors():
 
 def test_hidden_state_stays_bounded():
     rng = np.random.default_rng(13)
-    stack = nn.fuse_stack(nn.init_gru_stack(2, 8, 2, 0.0, rng))
+    stack = nn.fuse_stack(nn.init_gru_stack(2, 8, 2, rng))
     x_seq = rng.normal(size=(200, 2)) * 5.0
     outputs, h = ref.gru_stack_forward(stack, x_seq)
     assert np.all(np.abs(outputs) < 1.0)
@@ -111,7 +110,7 @@ def test_hidden_state_stays_bounded():
 
 def test_stack_of_one_equals_repeated_cell():
     rng = np.random.default_rng(14)
-    stack = nn.fuse_stack(nn.init_gru_stack(3, 5, 1, 0.0, rng))
+    stack = nn.fuse_stack(nn.init_gru_stack(3, 5, 1, rng))
     x_seq = rng.normal(size=(10, 3))
     outputs, _ = ref.gru_stack_forward(stack, x_seq)
     h = np.zeros(5)
@@ -122,19 +121,19 @@ def test_stack_of_one_equals_repeated_cell():
 
 def test_stack_forward_deterministic():
     rng = np.random.default_rng(15)
-    stack = nn.fuse_stack(nn.init_gru_stack(2, 4, 3, 0.0, rng))
+    stack = nn.fuse_stack(nn.init_gru_stack(2, 4, 3, rng))
     x_seq = rng.normal(size=(20, 2))
-    out1, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
-    out2, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
+    out1, _ = ref.gru_stack_forward(stack, x_seq, dropout_rate=None)
+    out2, _ = ref.gru_stack_forward(stack, x_seq, dropout_rate=None)
     np.testing.assert_array_equal(out1, out2)
 
 
 def test_zero_rate_dropout_is_noop():
     rng = np.random.default_rng(16)
-    stack = nn.fuse_stack(nn.init_gru_stack(2, 4, 2, 0.0, rng))
+    stack = nn.fuse_stack(nn.init_gru_stack(2, 4, 2, rng))
     x_seq = rng.normal(size=(15, 2))
-    off, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=False)
-    on, _ = ref.gru_stack_forward(stack, x_seq, dropout_on=True,
+    off, _ = ref.gru_stack_forward(stack, x_seq, dropout_rate=None)
+    on, _ = ref.gru_stack_forward(stack, x_seq, dropout_rate=0.0,
                                  rng=np.random.default_rng(0))
     np.testing.assert_array_equal(off, on)
 
@@ -163,7 +162,7 @@ def test_adam_first_step_delta():
 
 def test_adam_zero_gradient_keeps_parameters():
     p = Var(np.array([2.0, -3.0]))
-    state = nn.adam_init([p])
+    state = nn.adam_init([p], 0.001)
     nn.adam_step(state, [p], grads=[np.zeros(2)])
     np.testing.assert_array_equal(p.value, [2.0, -3.0])
 
@@ -174,14 +173,14 @@ def test_adam_first_step_descends_every_coordinate():
     before = p.value.copy()
     g = rng.normal(size=10)
     g[g == 0.0] = 1.0
-    state = nn.adam_init([p])
+    state = nn.adam_init([p], 0.001)
     nn.adam_step(state, [p], grads=[g])
     np.testing.assert_array_equal(np.sign(p.value - before), -np.sign(g))
 
 
 def test_adam_shape_mismatch():
     p = Var(np.zeros(3))
-    state = nn.adam_init([p])
+    state = nn.adam_init([p], 0.001)
     with pytest.raises(ShapeError):
         nn.adam_step(state, [p], grads=[np.zeros(4)])
 
@@ -189,7 +188,7 @@ def test_adam_shape_mismatch():
 @pytest.mark.parametrize("params, grads", [(2, 1), (1, 2)], ids=["grads", "params"])
 def test_adam_length_mismatch(params, grads):
     ps = [Var(np.zeros(3)) for _ in range(params)]
-    state = nn.adam_init(ps[:1])
+    state = nn.adam_init(ps[:1], 0.001)
     with pytest.raises(ShapeError, match="length mismatch"):
         nn.adam_step(state, ps, grads=[np.zeros(3)] * grads)
 
@@ -202,7 +201,7 @@ def test_adam_length_mismatch(params, grads):
 ], ids=["anchor-0", "past-the-end", "k-0", "one-anchor-for-two-windows"])
 def test_window_batch_forward_rejects_bad_anchors(anchors, k, says):
     rng = np.random.default_rng(19)
-    stack = nn.init_gru_stack(4, 3, 1, 0.0, rng)
+    stack = nn.init_gru_stack(4, 3, 1, rng)
     readout = nn.init_linear(3, 4, rng)
     with pytest.raises(ShapeError, match=says):
         nn.window_batch_forward(stack, readout, 1e-3, np.zeros((2, 6, 2)), anchors, k,

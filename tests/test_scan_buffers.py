@@ -93,9 +93,9 @@ def test_writing_into_returned_beliefs_changes_nothing_else(ms, data):
 def test_a_cell_step_writes_only_its_products_and_returns_a_fresh_state(
         n_in, hidden, shape, seed):
     rng = np.random.default_rng(seed)
-    cell = GruCell(n_in, hidden, *(rng.normal(size=size) for size in
-                                   [(3 * hidden, n_in), (3 * hidden, hidden),
-                                    3 * hidden, hidden]))
+    cell = GruCell(*(rng.normal(size=size) for size in
+                      [(3 * hidden, n_in), (3 * hidden, hidden),
+                       3 * hidden, hidden]))
     buf = gate_buffers([cell], shape)[0]
     # the buffers hold the cell's own weight arrays, not copies
     assert all(any(entry is w for entry in buf) for w in cell.weights())
