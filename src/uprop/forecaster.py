@@ -295,8 +295,14 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     read on steps with a missing cell only). Imputed values are clamped
     to +-IMPUTE_CLAMP. The prior is checked here, once, and the observed
     halves, ``[mask, mask]`` and ``[values, 0]``, are laid out here, so a
-    "uprop" step is one copy and one ``np.copyto``.
+    "uprop" step is one copy and one ``np.copyto``. An observed value that
+    is not finite is a ``DataError``, checked here too: a series' values
+    are checked when it is made, but its array can be written after.
     """
+    observed = values[mask]
+    if not np.all(np.isfinite(observed)):
+        raise DataError(f"observed value {float(observed[~np.isfinite(observed)][0])!r} "
+                        "is not finite (mark the cell missing instead)")
     dims = values.shape[-1]
     if prior is None:
         prior = DistVector.standard(dims)
@@ -325,7 +331,7 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     return policy
 
 
-def _filter(model: UPropModel, series: TimeSeries, prior: DistVector | None = None,
+def _filter(model: UPropModel, series: TimeSeries, prior: DistVector | None,
             kind: str = "uprop", noise: np.ndarray | None = None):
     """FilterStep records of one pass over ``series`` under the input
     policy of :func:`_feed`, and the final hidden state. Each record's
@@ -409,8 +415,8 @@ def filter_series(model: UPropModel, series: TimeSeries,
     return steps
 
 
-def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks=None,
-                work: TrainBuffers | None = None):
+def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks,
+                work: TrainBuffers):
     """Training loss of a batch of windows as one node over the weights.
 
     ``X`` is the normalized (B, L, N) batch; window b is fed rows
@@ -423,12 +429,8 @@ def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks=None,
     one :func:`window_batch_backward` pass, run when ``backward`` first
     asks for them. Both run on ``work`` (:func:`nn.train_buffers`), which
     the next forward on it overwrites, so ``backward`` must run on this
-    loss before the next call on the set (else ``ShapeError``); a call
-    without it makes a set for this batch alone.
+    loss before the next call on the set (else ``ShapeError``).
     """
-    if work is None:
-        B, L = np.shape(X)[:2]
-        work = train_buffers(model.stack.layers, B, L - 1)
     losses, cache = window_batch_forward(model.stack, model.readout,
                                          model.train_config.sigma_floor, X,
                                          anchors, k, masks, work)

@@ -149,11 +149,11 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
 
 
 def _kl_values(model: UPropModel, preds: list, hiddens: list, targets: range,
-               near_offset: int, far_offset: int, reverse: bool = False) -> list:
+               near_offset: int, far_offset: int) -> list:
     """KL(p || q) for each row t in ``targets``: p and q are the forecasts
     of row t from the near and the far origin, resumed from the per-row
     (belief, hidden) snapshots of one filter pass, each offset's
-    forecasts stepped as one batch. ``reverse`` swaps p and q."""
+    forecasts stepped as one batch."""
     if not targets:
         return []
     pq = []
@@ -162,34 +162,7 @@ def _kl_values(model: UPropModel, preds: list, hiddens: list, targets: range,
         h = [np.stack(layer) for layer in zip(*(hiddens[i] for i in origins))]
         row = _self_feed(model, np.stack([preds[i] for i in origins]), h, o)[1][-1]
         pq.append(DistVector._of_row(row))
-    p, q = pq[::-1] if reverse else pq
-    return kl(p, q).tolist()
-
-
-def kl_novelty(model: UPropModel, series: TimeSeries, target_t: int,
-               near_offset: int = 1, far_offset: int = 8,
-               reverse: bool = False) -> float:
-    """KL between forecasts of row ``target_t`` from two past origins.
-
-    p is the near-origin (better informed) forecast, q the far-origin one;
-    ``reverse`` swaps the direction. Offsets count steps back from the
-    target; the origin row itself is consumed before forecasting.
-    """
-    _check_offsets(near_offset, far_offset)
-    if not _is_a(target_t, int):
-        raise ValueError(f"target_t must be an integer, got {target_t!r}")
-    if target_t - far_offset < 0:
-        raise ValueError(
-            f"insufficient history: target {target_t} needs {far_offset} prior steps"
-        )
-    if target_t - near_offset >= series.steps:
-        raise ValueError(f"origin {target_t - near_offset} outside series of "
-                         f"length {series.steps}")
-    hiddens = []
-    _, preds, _ = _scan(model, target_t - near_offset + 1,
-                        _feed(series.values, series.mask), snapshots=hiddens)
-    return _kl_values(model, preds, hiddens, [target_t], near_offset, far_offset,
-                      reverse)[0]
+    return kl(*pq).tolist()
 
 
 def calibrate_threshold(scores, quantile: float = 0.99) -> Threshold:

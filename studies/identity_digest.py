@@ -3,13 +3,12 @@
 Hashes the outputs of every inference entry point (``filter_series`` with
 and without a prior and with its state, both imputed policies,
 ``forecast_from_origin``, a backtest sweep of it with a repeated origin,
-a step back and in-place edits, ``rollout``, ``mc_rollout``, the three
-``score_series`` kinds and ``kl_novelty`` in both directions) for a 1x16
-and a 3x12 model on a series with 30% of its cells missing, then
-``evaluate_grid``, the bytes of both models' checkpoints, and every file
-written by the ``synth``, ``train``, ``forecast``, ``detect`` and
-``evaluate`` CLI commands. A change that claims bit-identical outputs
-prints the same digest as its parent.
+a step back and in-place edits, ``rollout``, ``mc_rollout`` and the
+three ``score_series`` kinds) for a 1x16 and a 3x12 model on a series
+with 30% of its cells missing, then ``evaluate_grid``, the bytes of both
+models' checkpoints, and every file written by the ``synth``, ``train``,
+``forecast``, ``detect`` and ``evaluate`` CLI commands. A change that
+claims bit-identical outputs prints the same digest as its parent.
 
 Run from a checkout (a few seconds on one core):
 
@@ -75,9 +74,9 @@ def entries():
     """(name, sha256 hex) of every output, in a fixed order."""
     from uprop import (ImputePolicy, TrainConfig, emulate_missing,
                        evaluate_grid, filter_series, filter_series_imputed,
-                       forecast_from_origin, kl_novelty, mc_rollout,
-                       normalize, rollout, save_checkpoint, score_series,
-                       split, synth_cloud, train, window)
+                       forecast_from_origin, mc_rollout, normalize,
+                       rollout, save_checkpoint, score_series, split,
+                       synth_cloud, train, window)
     from uprop.cli import main
     from uprop.prob import DistVector
 
@@ -118,9 +117,6 @@ def entries():
             for kind in ("volatility", "surprise", "kl"):
                 out.append((f"{name}.score_series.{kind}",
                             score_series(model, x, kind, 2, 6)))
-            out.append((f"{name}.kl_novelty", [
-                kl_novelty(model, x, t, 2, 6, reverse=r)
-                for t in (6, 100, 239) for r in (False, True)]))
             path = tmp / f"{name}.json"
             save_checkpoint(model, path, final_loss=0.25)
             out.append((f"{name}.checkpoint", path.read_bytes()))

@@ -19,12 +19,13 @@ from uprop.checkpoint import load_checkpoint, save_checkpoint
 from uprop.data import (TimeSeries, emulate_missing, load_csv, save_csv,
                         synth_random_walk, window)
 from uprop.evaluate import evaluate_grid
-from uprop.forecaster import (DistVector, TrainConfig, _batch_loss,
-                              build_model, filter_series, rollout, train)
+from uprop.forecaster import (DistVector, TrainConfig, build_model,
+                              filter_series, rollout, train)
 from uprop.nn import zero_grad
 from uprop.novelty import calibrate_threshold, score_series
 from uprop.prob import interval95, kl, nll
 
+from test_batch_loss import fresh_batch_loss
 from test_forecaster import toy_windows
 
 
@@ -55,10 +56,10 @@ def test_criterion_1_gradient_oracle():
         params = model.parameters()
 
         def loss_value():
-            return float(_batch_loss(model, x[None], [anchor], k)[0].value)
+            return float(fresh_batch_loss(model, x[None], [anchor], k, None)[0].value)
 
         zero_grad(params)
-        loss = _batch_loss(model, x[None], [anchor], k)[0]
+        loss = fresh_batch_loss(model, x[None], [anchor], k, None)[0]
         tn.backward(loss)
         eps = 1e-5
         for p in params:

@@ -17,7 +17,8 @@ from uprop import tensor as tn
 from uprop.data import NormStats
 from uprop.forecaster import (TrainConfig, _batch_loss, _context_masks,
                               build_model)
-from uprop.nn import dropout_mask, freeze_linear, zero_grad, zero_hidden
+from uprop.nn import (dropout_mask, freeze_linear, train_buffers, zero_grad,
+                      zero_hidden)
 from uprop.prob import LN_2PI, squash_sigma
 
 
@@ -39,10 +40,17 @@ def batch(model, B, L, k, anchors, seed):
     return X, None if masks[0] is None else masks
 
 
+def fresh_batch_loss(model, X, anchors, k, masks):
+    """``_batch_loss`` on a fresh work set sized for this batch alone."""
+    B, L = np.shape(X)[:2]
+    return _batch_loss(model, X, anchors, k, masks,
+                       train_buffers(model.stack.layers, B, L - 1))
+
+
 def loss_and_grads(model, X, anchors, k, masks):
     params = model.parameters()
     zero_grad(params)
-    loss, losses = _batch_loss(model, X, anchors, k, masks)
+    loss, losses = fresh_batch_loss(model, X, anchors, k, masks)
     tn.backward(loss)
     return float(loss.value), losses, [p.grad.copy() for p in params]
 
@@ -77,7 +85,7 @@ def test_gradients_match_finite_differences():
     _, _, grads = loss_and_grads(model, X, anchors, k, masks)
 
     def loss_value():
-        loss, _ = _batch_loss(model, X, anchors, k, masks)
+        loss, _ = fresh_batch_loss(model, X, anchors, k, masks)
         return float(loss.value)
 
     eps, worst = 1e-5, 0.0
@@ -166,7 +174,7 @@ def test_no_per_op_tape():
     # the loss is one node over the weights, whatever the window length
     model = make_model(dims=2, hidden=4, layers=2, dropout=0.0, k=3, L=60, seed=2)
     X, _ = batch(model, 4, 60, 3, [50, 40, 30, 57], seed=2)
-    loss, _ = _batch_loss(model, X, [50, 40, 30, 57], 3)
+    loss, _ = fresh_batch_loss(model, X, [50, 40, 30, 57], 3, None)
     seen, stack = {id(loss)}, [loss]
     while stack:
         for parent in stack.pop()._parents:

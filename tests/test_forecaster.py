@@ -8,11 +8,12 @@ import gru_reference as ref
 from uprop import tensor as tn
 from uprop.data import NormStats, TimeSeries
 from uprop.errors import ConfigError, DataError, ShapeError
-from uprop.forecaster import (DistVector, TrainConfig, UPropModel, _batch_loss,
-                              build_model, encode_input, filter_series,
-                              rollout, step, train)
+from uprop.forecaster import (DistVector, TrainConfig, UPropModel, build_model,
+                              encode_input, filter_series, rollout, step, train)
 from uprop.nn import train_buffers, window_batch_forward, zero_grad, zero_hidden
 from uprop.novelty import forecast_from_origin
+
+from test_batch_loss import fresh_batch_loss
 
 
 def small_model(dims=2, hidden=6, layers=2, seed=0, floor=1e-3):
@@ -362,10 +363,10 @@ class TestGradientsOfTrainingLoss:
         params = model.parameters()
 
         def loss_value():
-            return float(_batch_loss(model, x[None], [anchor], k)[0].value)
+            return float(fresh_batch_loss(model, x[None], [anchor], k, None)[0].value)
 
         zero_grad(params)
-        loss = _batch_loss(model, x[None], [anchor], k)[0]
+        loss = fresh_batch_loss(model, x[None], [anchor], k, None)[0]
         tn.backward(loss)
         eps = 1e-5
         for p in params:
@@ -388,7 +389,7 @@ class TestGradientsOfTrainingLoss:
         x = np.zeros((4, 1))
         params = model.parameters()
         zero_grad(params)
-        loss = _batch_loss(model, x[None], [2], 1)[0]
+        loss = fresh_batch_loss(model, x[None], [2], 1, None)[0]
         tn.backward(loss)
         for p in params:
             assert p.grad is not None
@@ -441,7 +442,7 @@ class TestSaturatedGates:
                                             None, train_buffers(model.stack.layers, 3, 11))
             params = model.parameters()
             zero_grad(params)
-            loss, _ = _batch_loss(model, X, [3, 8, 5], 4)
+            loss, _ = fresh_batch_loss(model, X, [3, 8, 5], 4, None)
             tn.backward(loss)
         for rz in cache.rz:
             assert np.all((rz == 0.0) | (rz == 1.0))

@@ -3,8 +3,12 @@
 One table row per rule: an observed value that is not finite, a
 normalization of other dims than the training windows, and one seed rule
 (an integer >= 0, no bool) for every public function that takes a seed;
-each seed error names the function.
+each seed error names the function. A value that is not finite written
+into a series' ``values`` after the series is made is refused by every
+path that reads it, before any step, so no ``RuntimeWarning`` is raised.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +52,35 @@ REFUSED = {
 def test_refused_where_it_enters(call, says):
     with pytest.raises(DataError, match=says):
         call()
+
+
+WRITTEN_AFTER = {
+    # name: (call, whether the model holds a cursor before the write)
+    "filter_series": (lambda m, s: U.filter_series(m, s), False),
+    "filter_series_imputed": (
+        lambda m, s: U.filter_series_imputed(m, s, U.ImputePolicy("mean")), False),
+    "forecast_from_origin": (lambda m, s: U.forecast_from_origin(m, s, 4, 2), False),
+    "forecast_from_origin-resumed": (
+        lambda m, s: U.forecast_from_origin(m, s, 4, 2), True),
+    "score_series-volatility": (lambda m, s: U.score_series(m, s, "volatility"), False),
+    "score_series-surprise": (lambda m, s: U.score_series(m, s, "surprise"), False),
+    "score_series-kl": (lambda m, s: U.score_series(m, s, "kl", 1, 2), False),
+}
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", WRITTEN_AFTER)
+def test_an_observed_value_written_after_the_series_is_made_is_refused(name, value):
+    call, resumed = WRITTEN_AFTER[name]
+    model = tiny_model()
+    series = U.TimeSeries.complete(np.linspace(-1.0, 1.0, 12).reshape(6, 2))
+    if resumed:
+        U.forecast_from_origin(model, series, 2, 1)   # the cursor: rows 0..2
+    series.values[3, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DataError, match=rf"observed value {value} is not finite"):
+            call(model, series)
 
 
 def test_a_non_finite_cell_that_is_not_observed_is_accepted():

@@ -7,9 +7,9 @@ from uprop.data import TimeSeries
 from uprop.errors import ConfigError, DataError, ShapeError
 from uprop.forecaster import DistVector, Forecast, rollout
 from uprop.novelty import (NoveltyScore, Threshold, calibrate_threshold,
-                           forecast_from_origin, kl_novelty, score_series,
-                           surprise_score, volatility_score)
-from uprop.prob import LN_2PI
+                           forecast_from_origin, score_series, surprise_score,
+                           volatility_score)
+from uprop.prob import LN_2PI, kl
 
 from test_forecaster import small_model, toy_windows
 
@@ -96,39 +96,28 @@ class TestSurprise:
 
 
 class TestKlNovelty:
+    """KL novelty: ``score_series`` of kind "kl"."""
+
     def test_same_origin_offsets_give_zero(self):
         model = small_model(seed=31)
         series = toy_windows(n_windows=1, seed=31)[0]
-        v = kl_novelty(model, series, target_t=20, near_offset=3, far_offset=3)
-        assert v == 0.0
+        scores = score_series(model, series, "kl", near_offset=3, far_offset=3)
+        assert [s.value for s in scores] == [0.0] * (series.steps - 3)
 
     def test_matches_explicit_two_pass_forecasts(self):
         model = small_model(seed=32)
         series = toy_windows(n_windows=1, seed=32)[0]
-        from uprop.prob import kl
         near = forecast_from_origin(model, series, 19, 1)
         far = forecast_from_origin(model, series, 12, 8)
         want = kl(near.steps[-1], far.steps[-1])
-        assert kl_novelty(model, series, target_t=20) == pytest.approx(want, rel=1e-12)
-
-    def test_reverse_swaps_direction(self):
-        model = small_model(seed=33)
-        series = toy_windows(n_windows=1, seed=33)[0]
-        fwd = kl_novelty(model, series, 25)
-        rev = kl_novelty(model, series, 25, reverse=True)
-        assert fwd != rev
-
-    def test_insufficient_history(self):
-        model = small_model(seed=34)
-        series = toy_windows(n_windows=1, seed=34)[0]
-        with pytest.raises(ValueError):
-            kl_novelty(model, series, target_t=5, far_offset=8)
+        value = {s.t: s.value for s in score_series(model, series, "kl")}[20]
+        assert value == pytest.approx(want, rel=1e-12)
 
     def test_bad_offsets(self):
         model = small_model(seed=34)
         series = toy_windows(n_windows=1, seed=34)[0]
-        with pytest.raises(ValueError):
-            kl_novelty(model, series, 20, near_offset=4, far_offset=2)
+        with pytest.raises(ConfigError):
+            score_series(model, series, "kl", near_offset=4, far_offset=2)
 
 
 class TestForecastFromOrigin:
@@ -167,13 +156,6 @@ class TestForecastFromOrigin:
 def test_volatility_of_empty_forecast_rejected():
     with pytest.raises(ValueError, match="forecast has no steps"):
         volatility_score(Forecast(origin_t=0, steps=[]))
-
-
-def test_kl_novelty_near_origin_past_the_series_rejected():
-    model = small_model(seed=34)
-    series = toy_windows(n_windows=1, seed=34)[0]
-    with pytest.raises(ValueError, match="origin 41 outside series of length 40"):
-        kl_novelty(model, series, target_t=42, near_offset=1, far_offset=8)
 
 
 class TestCalibrateThreshold:
@@ -221,7 +203,9 @@ class TestScoreSeries:
         scores = score_series(model, series, "kl", near_offset=1, far_offset=8)
         assert [s.t for s in scores] == list(range(8, 30))
         for s in scores[:5]:
-            want = kl_novelty(model, series, s.t)
+            near = forecast_from_origin(model, series, s.t - 1, 1)
+            far = forecast_from_origin(model, series, s.t - 8, 8)
+            want = kl(near.steps[-1], far.steps[-1])
             assert s.value == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("near, far", [(5, 2), (0, 8), (-1, 3)])
@@ -232,8 +216,6 @@ class TestScoreSeries:
         series = toy_windows(n_windows=1, length=30, seed=36)[0]
         with pytest.raises(ConfigError, match="offsets"):
             score_series(model, series, "kl", near_offset=near, far_offset=far)
-        with pytest.raises(ConfigError, match="offsets"):
-            kl_novelty(model, series, 20, near_offset=near, far_offset=far)
 
     def test_surprise_skips_all_missing_rows(self):
         model = small_model(seed=37)
@@ -284,9 +266,8 @@ class TestScoreSeries:
     (lambda m, s: rollout(m, [DistVector.observed(np.zeros(2))], 2.5), "horizon must be an integer"),
     (lambda m, s: mc_rollout(m, [DistVector.observed(np.zeros(2))], 2.0, 4, 0),
      "horizon must be an integer"),
-    (lambda m, s: kl_novelty(m, s, 20, 1.5, 8), "offsets must be integers"),
     (lambda m, s: score_series(m, s, "kl", far_offset=8.0), "offsets must be integers"),
-], ids=["origin-2.5", "origin-2.0", "rollout", "mc_rollout", "kl_novelty", "score_series"])
+], ids=["origin-2.5", "origin-2.0", "rollout", "mc_rollout", "score_series"])
 def test_non_integer_horizon_or_offset_is_a_config_error(call, says):
     model = small_model(seed=42)
     series = toy_windows(n_windows=1, length=30, seed=42)[0]
@@ -297,10 +278,9 @@ def test_non_integer_horizon_or_offset_is_a_config_error(call, says):
 @pytest.mark.parametrize("call, says", [
     (lambda m, s: forecast_from_origin(m, s, 3.0, 2), "origin must be an integer, got 3.0"),
     (lambda m, s: forecast_from_origin(m, s, True, 2), "origin must be an integer, got True"),
-    (lambda m, s: kl_novelty(m, s, 20.0), "target_t must be an integer, got 20.0"),
     (lambda m, s: mc_rollout(m, [DistVector.observed(np.zeros(2))], 2, 4.0, 0),
      "integer n_samples, got 4.0"),
-], ids=["origin-float", "origin-bool", "kl_novelty", "mc_rollout"])
+], ids=["origin-float", "origin-bool", "mc_rollout"])
 def test_non_integer_position_or_count_is_a_value_error(call, says):
     model = small_model(seed=42)
     series = toy_windows(n_windows=1, length=30, seed=42)[0]

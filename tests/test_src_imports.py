@@ -7,7 +7,10 @@ aside) and lists the imported names that the module never reads. An
 import kept on purpose, such as a re-export or a binding a tool patches,
 carries ``# noqa: F401`` on one of its lines. The same parse lists the
 parameters of every ``def`` (``self`` and ``cls`` aside) that its body
-never reads: a parameter left over from an older signature.
+never reads: a parameter left over from an older signature. Last, it
+lists every default of a private (``_``-prefixed) function that every
+call in the package passes anyway: a default no caller needs. Calls are
+matched to a ``def`` by name.
 """
 
 import ast
@@ -62,3 +65,41 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path) == []
+
+
+def passes(call: ast.Call, name: str, positional: list) -> bool:
+    """Whether ``call`` passes the parameter ``name``: by position, by
+    keyword, or perhaps through ``*args`` or ``**kwargs``."""
+    if name in positional and len(call.args) > positional.index(name):
+        return True
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def defaults_every_call_passes() -> list:
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    nodes = [n for tree in trees for n in ast.walk(tree)]
+    calls = {}
+    for call in (n for n in nodes if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        calls.setdefault(name, []).append(call)
+    listed = []
+    for node in nodes:
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name.startswith("_") and not node.name.startswith("__")
+                and node.name in calls):
+            continue
+        args = node.args
+        positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+        if positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        listed += [f"line {node.lineno}: {node.name}({name})" for name in defaulted
+                   if all(passes(call, name, positional) for call in calls[node.name])]
+    return listed
+
+
+def test_no_private_default_is_passed_by_every_call():
+    assert defaults_every_call_passes() == []

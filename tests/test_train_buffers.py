@@ -1,9 +1,9 @@
 """The training kernels' work set (``nn.train_buffers``).
 
-``train`` makes one set per call and runs every batch on prefixes of it;
-``_batch_loss`` without a set makes one for its batch alone. The oracle
-is that fresh set: one set reused over any sequence of batches must give
-the same losses and gradients, byte for byte.
+``train`` makes one set per call and runs every batch on prefixes of it.
+The oracle is a fresh set sized for each batch alone: one set reused
+over any sequence of batches must give the same losses and gradients,
+byte for byte.
 """
 
 import mmap
@@ -25,7 +25,7 @@ from uprop.nn import (train_buffers, window_batch_backward, window_batch_forward
                       zero_grad)
 
 
-def loss_and_grads(model, X, anchors, k, masks, work=None):
+def loss_and_grads(model, X, anchors, k, masks, work):
     params = model.parameters()
     zero_grad(params)
     loss, losses = _batch_loss(model, X, anchors, k, masks, work)
@@ -54,7 +54,8 @@ def test_one_set_over_many_batches_equals_a_fresh_set_per_batch(
             anchors[-1] = L - k
         X, masks = batch(model, B, L, k, anchors, seed + i)
         got = loss_and_grads(model, X, anchors, k, masks, work)
-        want = loss_and_grads(model, X, anchors, k, masks)
+        want = loss_and_grads(model, X, anchors, k, masks,
+                              train_buffers(model.stack.layers, B, L - 1))
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
