@@ -209,11 +209,8 @@ def cmd_forecast(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = RunConfig.load(args.config)
-    models = {}
-    for k in config.lookaheads:
-        path = Path(args.models_dir) / f"lookahead_{k}.json"
-        model, _ = load_checkpoint(path)
-        models[k] = model
+    models = {k: load_checkpoint(Path(args.models_dir) / f"lookahead_{k}.json")[0]
+              for k in config.lookaheads}
     dataset = _dataset(config, args.data)
     grid = evaluate_grid(models, dataset.test, rates=config.missing_rates,
                          methods=config.methods, seed=config.seed)

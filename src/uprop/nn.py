@@ -8,24 +8,26 @@ arrays. A model holds ``Var`` leaves; :func:`fuse_stack` and
 in-place weight edit is seen everywhere. The dropout rate is a training
 setting (``forecaster.TrainConfig.dropout``): inference never drops out.
 
-Inference steps the cell (:func:`fused_stack_step`) on one row or on a
-batch of rows, on the work buffers its caller makes once per scan
-(:func:`gate_buffers`): the gate products land there, and the gate
-views, the ones arrays and the cell's weight arrays are bound there
-once per scan, not once per step. Only the new hidden state is a fresh
-array, so a state a caller keeps is never written again, and the
+Inference steps the whole stack in one frame (:func:`fused_stack_step`,
+every layer's cell inline) on one row or on a batch of rows, on the work
+buffers its caller makes once per scan (:func:`gate_buffers`): the gate
+products land there, and the gate views, the ones arrays, the cell's
+bias arrays and its two products, bound to its weight arrays, are bound
+there once per scan, not once per step. Only the new hidden state is a
+fresh array, so a state a caller keeps is never written again, and the
 buffers are never kept on the model, so concurrent scans of one model
 share nothing they write. A batch's gate blocks would be column slices
 of (B, 3h) products, on which numpy runs its inner loop once per row, so
 one copy per product lays the rows out gate-major, (3, B, h), and every
 gate op runs on contiguous blocks. At batch of one, numpy's per-call
-dispatch outweighs a step's arithmetic, so the step passes every ``out``
-positionally and every operand as an array, and reads no attribute.
-Every product goes through :func:`matvec`: one gemv per row, through
-``ndarray.dot`` (``np.dot``'s C function without its Python-level
-dispatch) for one row and a stacked matmul for a batch, so each row of a
-batch is bitwise the row stepped alone. A gemm (``X @ W.T``) is not: on
-the scipy-openblas of numpy 2.4 its rows differ from the gemv at every
+dispatch outweighs a step's arithmetic, so the step runs no Python frame
+per layer, passes every ``out`` positionally and every operand as an
+array, and reads no attribute. Every product is one gemv per row
+(:func:`bound_matvec`): the bound method ``w.dot`` for one row (the C
+function of ``np.dot`` without its Python-level dispatch) and
+:func:`matvec`'s stacked matmul for a batch, so each row of a batch is
+bitwise the row stepped alone. A gemm (``X @ W.T``) is not: on the
+scipy-openblas of numpy 2.4 its rows differ from the gemv at every
 B >= 2, and even depend on B. One series stays 1-D, because a (1, n)
 batch costs more per product.
 
@@ -56,6 +58,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -138,11 +141,8 @@ def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -
 
 def init_gru_stack(input_size: int, hidden_size: int, n_layers: int,
                    rng: np.random.Generator) -> GruStackParams:
-    layers = []
-    for i in range(n_layers):
-        in_size = input_size if i == 0 else hidden_size
-        layers.append(init_gru_cell(in_size, hidden_size, rng))
-    return GruStackParams(layers=layers)
+    return GruStackParams(layers=[init_gru_cell(hidden_size if i else input_size, hidden_size, rng)
+                                  for i in range(n_layers)])
 
 
 def init_linear(in_size: int, out_size: int, rng: np.random.Generator) -> LinearParams:
@@ -164,12 +164,14 @@ def fuse_stack(stack: GruStackParams) -> GruStackParams:
 
 
 def _sigmoid(x, one=1.0):
-    """1 / (1 + exp(-x)) in place on ``x``, the one sigmoid of the package.
+    """1 / (1 + exp(-x)) in place on ``x``: the sigmoid of training, whose
+    three ops :func:`fused_stack_step` runs inline, in the same order.
 
     ``one`` is the 1 that is added: the scalar, or a ones array of ``x``'s
-    shape, which rounds the same and dispatches faster (the scan's
-    :func:`gate_buffers` hold one). Below x = -709, exp(-x) overflows to
-    inf and the result is exactly 0; callers silence that overflow with
+    shape, which rounds the same and dispatches faster (each cell's entry
+    of :func:`gate_buffers` holds one). Below x = -709, exp(-x) overflows
+    to inf and the result is exactly 0; callers, and those of
+    :func:`fused_stack_step`, silence that overflow with
     ``np.errstate(over="ignore")``.
     """
     np.exp(np.negative(x, x), x)
@@ -178,19 +180,24 @@ def _sigmoid(x, one=1.0):
 
 
 def matvec(w, x, out=None):
-    """``w @ x`` for one vector ``x`` (n,), or for each row of a batch
-    (B, n), where numpy runs one gemv per stacked row: each row of the
-    batch is bitwise the product of that row alone. ``out`` (the shape of
-    the result) receives the product instead of a fresh array. One row
-    goes through the array method ``w.dot``: the same C function and gemv
-    as ``np.dot``, without ``np.dot``'s Python-level
-    ``__array_function__`` dispatch."""
-    if x.ndim == 1:
-        return w.dot(x, out)
+    """``w @ x`` for each row of ``x``, (n,) or a batch (B, n), where numpy
+    runs one gemv per stacked row: each row of a batch is bitwise the
+    product of that row alone, and of ``w.dot`` on it. ``out`` (the shape
+    of the result) receives the product instead of a fresh array."""
     if out is None:
         return np.matmul(w, x[..., None])[..., 0]
     np.matmul(w, x[..., None], out=out[..., None])
     return out
+
+
+def bound_matvec(w, shape: tuple):
+    """:func:`matvec` with ``w`` bound, for rows of leading ``shape``: for
+    a batch, ``(B,)``, ``matvec`` itself; for one row, ``()``, the bound
+    method ``w.dot``, the same C function and gemv as ``np.dot`` without
+    ``np.dot``'s Python-level ``__array_function__`` dispatch, so a
+    one-row product runs no Python frame. Either holds ``w`` itself, so
+    an in-place edit of ``w`` is seen."""
+    return partial(matvec, w) if shape else w.dot
 
 
 def gate_buffers(cells: list, shape: tuple) -> list:
@@ -205,11 +212,12 @@ def gate_buffers(cells: list, shape: tuple) -> list:
     ``rz``, ``r``, ``z`` and ``n`` blocks, then ``b``'s ``rz`` and ``n``
     blocks, each contiguous (slices of one row's products, blocks of a
     batch's copies); a ones array shaped like ``rz`` and its ``z``-shaped
-    half, the 1 of the sigmoid and of ``1 - z``; and the cell's weight
-    arrays ``w``, ``u``, ``b_w`` and ``b_hn`` themselves, not copies, so
-    an in-place weight edit is seen. A step overwrites the products, the
-    copies and their blocks and reads the rest, so one set serves one
-    scan at a time; they are never kept on the model.
+    half, the 1 of the sigmoid and of ``1 - z``; the cell's two products
+    ``W x`` and ``U h`` (:func:`bound_matvec`) and its bias arrays
+    ``b_w`` and ``b_hn``, each bound to the cell's own arrays, not
+    copies, so an in-place weight edit is seen. A step overwrites the
+    products, the copies and their blocks and reads the rest, so one set
+    serves one scan at a time; they are never kept on the model.
     :func:`window_batch_forward` lays its products out on one set per
     batch too.
     """
@@ -218,67 +226,62 @@ def gate_buffers(cells: list, shape: tuple) -> list:
         h = cell.hidden_size
         a, b = np.empty(shape + (3 * h,)), np.empty(shape + (3 * h,))
         # (3, ..., h) views: one row's are contiguous, a batch's are copied
-        ga, gb = (np.moveaxis(p.reshape(shape + (3, h)), -2, 0) for p in (a, b))
+        ga, gb = (p.reshape(shape + (3, h)).swapaxes(0, -2) for p in (a, b))
         lay = None
         if shape:
             lay = (np.empty(ga.shape), ga, np.empty(gb.shape), gb)
             ga, gb = lay[0], lay[2]
         one = np.ones((2,) + shape + (h,))
-        bufs.append((a, b, lay, ga[:2], ga[0], ga[1], ga[2], gb[:2], gb[2],
-                     one, one[1], *cell.weights()))
+        bufs.append((a, b, lay, ga[:2], ga[0], ga[1], ga[2], gb[:2], gb[2], one, one[1],
+                     bound_matvec(cell.w, shape), bound_matvec(cell.u, shape),
+                     cell.b_w, cell.b_hn))
     return bufs
 
 
-def fused_cell_forward(x, h_prev, buf):
-    """One GRU step, two matvecs on numpy arrays: returns the next hidden
-    state, a fresh array. ``x`` and ``h_prev`` are one row, (in,) and
-    (h,), or a batch, (B, in) and (B, h); ``buf`` is one cell's entry of
-    :func:`gate_buffers` for that shape, and the step reads the cell's
-    weights from it.
+def fused_stack_step(stack: GruStackParams, x, h_prev, bufs):
+    """Advance every fused layer one step (inference: no dropout), for one
+    row or a batch of rows; returns (top output, new hidden), each state a
+    fresh array. ``h_prev`` holds one state per layer of ``stack``, else
+    ``ShapeError``; ``bufs`` is :func:`gate_buffers` over the stack's
+    layers for the rows' shape, and each layer reads its weights there.
 
     r = sig(W_r x + U_r h + b_r)
     z = sig(W_z x + U_z h + b_z)
     n = tanh(W_n x + b_in + r * (U_n h + b_hn))
     h' = (1 - z) * n + z * h
     """
-    # in place on the scan's buffers, with positional outputs and array
-    # operands: at batch of one, a temporary, a slice, an attribute read,
-    # a keyword or a scalar operand each costs a fair share of the
-    # arithmetic
-    a, b, lay, rz, r, z, a_n, b_rz, n, one, one_h, w, u, b_w, b_hn = buf
-    matvec(w, x, a)
-    np.add(a, b_w, a)
-    matvec(u, h_prev, b)
-    if lay is not None:
-        # a batch: one copy per product lays its rows out gate-major, so
-        # every op below runs on contiguous blocks, not once per row
-        ga, a_rows, gb, b_rows = lay
-        np.copyto(ga, a_rows)
-        np.copyto(gb, b_rows)
-    np.add(rz, b_rz, rz)
-    _sigmoid(rz, one)
-    np.add(n, b_hn, n)
-    np.multiply(n, r, n)
-    np.add(n, a_n, n)
-    np.tanh(n, n)
-    zh = np.multiply(z, h_prev, a_n)
-    out = np.subtract(one_h, z)
-    np.multiply(out, n, out)
-    np.add(out, zh, out)
-    return out
-
-
-def fused_stack_step(stack: GruStackParams, x, h_prev, bufs):
-    """Advance every fused layer one step (inference: no dropout), for one
-    row or a batch of rows; returns (top output, new hidden). ``h_prev``
-    holds one state per layer of ``stack``, else ``ShapeError``; ``bufs``
-    is :func:`gate_buffers` over the stack's layers for the rows' shape."""
     if len(h_prev) != len(stack.layers):
         raise ShapeError(f"need one hidden state per layer ({len(stack.layers)}), "
                          f"got {len(h_prev)}")
     h_next = []
-    for h, buf in zip(h_prev, bufs):
-        x = fused_cell_forward(x, h, buf)
+    # every cell inline, in place on the scan's buffers, with positional
+    # outputs, array operands and the ufuncs read once per call: at batch
+    # of one, a Python frame, a temporary, an attribute read, a keyword
+    # or a scalar operand each costs a fair share of the arithmetic
+    add, multiply, subtract, tanh = np.add, np.multiply, np.subtract, np.tanh
+    exp, negative, reciprocal = np.exp, np.negative, np.reciprocal
+    for h, (a, b, lay, rz, r, z, a_n, b_rz, n, one, one_h, w_x, u_h, b_w, b_hn) in zip(h_prev, bufs):
+        w_x(x, a)
+        add(a, b_w, a)
+        u_h(h, b)
+        if lay is not None:
+            # a batch: one copy per product lays its rows out gate-major,
+            # so every op below runs on contiguous blocks, not once per row
+            np.copyto(lay[0], lay[1])
+            np.copyto(lay[2], lay[3])
+        add(rz, b_rz, rz)
+        # _sigmoid's three ops
+        exp(negative(rz, rz), rz)
+        add(rz, one, rz)
+        reciprocal(rz, rz)
+        add(n, b_hn, n)
+        multiply(n, r, n)
+        add(n, a_n, n)
+        tanh(n, n)
+        zh = multiply(z, h, a_n)
+        x = subtract(one_h, z)
+        multiply(x, n, x)
+        add(x, zh, x)
         h_next.append(x)
     return x, h_next
 
@@ -443,7 +446,7 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     loss is its mean per-point Gaussian NLL. ``masks`` is None (no
     dropout) or one (anchor_b, gaps, h) array per row. The stack and
     readout may hold ``Var``s or numpy arrays; only their values are
-    read. Each step is :func:`fused_cell_forward`'s arithmetic, in the
+    read. Each step is :func:`fused_stack_step`'s arithmetic, in the
     same order, with a batch dimension, on buffers the backward reads: a
     copy, because sharing one cell slowed batch-of-one inference. The
     readouts before step min(anchor_b) - 1 are neither scored nor fed

@@ -1,8 +1,9 @@
-"""Unfused GRU: the reference oracle for ``uprop.nn.fused_cell_forward``.
+"""Unfused GRU: the reference oracle for ``uprop.nn.fused_stack_step``.
 
 One matvec per gate, written straight from the cell equations in plain
 numpy, with shape checks. The package stores and runs only the fused
-cell; this module reads each cell through its per-gate blocks
+cell, inline in ``fused_stack_step`` (tests step one cell as a one-layer
+stack); this module reads each cell through its per-gate blocks
 (``nn.gate_blocks``, the blocks a checkpoint names), so tests can check
 the fused kernels against an independent formulation. Cells may hold
 ``Var`` leaves or numpy arrays.

@@ -6,6 +6,8 @@ normalization of other dims than the training windows, and one seed rule
 each seed error names the function. A value that is not finite written
 into a series' ``values`` after the series is made is refused by every
 path that reads it, before any step, so no ``RuntimeWarning`` is raised.
+Last, ``step`` called on its own refuses, with a ``ShapeError``, a row or
+hidden states that do not fit each other.
 """
 
 import warnings
@@ -14,7 +16,8 @@ import numpy as np
 import pytest
 
 import uprop as U
-from uprop.errors import DataError
+from uprop.errors import DataError, ShapeError
+from uprop.forecaster import build_model, step
 
 
 def tiny_model(dims=2):
@@ -114,3 +117,26 @@ def test_every_seed_follows_one_rule(name, seed):
 @pytest.mark.parametrize("name", SEEDED)
 def test_a_valid_seed_is_taken(name):
     SEEDED[name](np.int64(3))
+
+
+def two_layer_model():
+    config = U.TrainConfig(lookahead=1, epochs=1, window_length=4, n_layers=2,
+                           hidden_size=8, dropout=0.0)
+    return build_model(2, config, U.NormStats(mean=np.zeros(2), std=np.ones(2)),
+                       np.random.default_rng(0))
+
+
+# step called without buffers checks its row and states once; numpy's own
+# errors escaped before
+STEP_REFUSED = {
+    "state-of-wrong-width": (lambda: np.zeros(4), lambda: [np.zeros(8), np.zeros(5)]),
+    "batch-rows-one-row-states": (lambda: np.zeros((3, 4)), lambda: [np.zeros(8)] * 2),
+    "one-row-batch-states": (lambda: np.zeros(4), lambda: [np.zeros((3, 8))] * 2),
+    "list-row": (lambda: [0.0] * 4, lambda: [np.zeros(8)] * 2),
+}
+
+
+@pytest.mark.parametrize("row, states", STEP_REFUSED.values(), ids=STEP_REFUSED.keys())
+def test_step_without_buffers_refuses_rows_and_states_that_do_not_fit(row, states):
+    with pytest.raises(ShapeError):
+        step(two_layer_model(), row(), states())

@@ -19,6 +19,13 @@ def make_cell(input_size, hidden_size, rng=None):
     return nn.fuse_stack(nn.init_gru_stack(input_size, hidden_size, 1, rng)).layers[0]
 
 
+def fused_cell_step(cell, x, h):
+    """``fused_stack_step`` over the one-layer stack of ``cell``: the new
+    hidden state, on fresh buffers."""
+    stack = nn.GruStackParams([cell])
+    return nn.fused_stack_step(stack, x, [h], nn.gate_buffers(stack.layers, ()))[1][0]
+
+
 def scalar_cell_oracle(cell, x, h):
     """Step-by-step scalar re-implementation of the cell equations."""
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))
@@ -61,7 +68,7 @@ def test_cell_matches_scalar_oracle():
         got = ref.gru_cell_forward(cell, x, h)
         want = scalar_cell_oracle(cell, x, h)
         np.testing.assert_allclose(got, want, atol=1e-12)
-        fused = nn.fused_cell_forward(x, h, nn.gate_buffers([cell], ())[0])
+        fused = fused_cell_step(cell, x, h)
         np.testing.assert_allclose(fused, want, atol=1e-12)
 
 
@@ -69,7 +76,7 @@ def test_fused_cell_matches_plain_cell():
     rng = np.random.default_rng(12)
     cell = make_cell(3, 5, rng)
     x, h = rng.normal(size=3), rng.normal(size=5) * 0.3
-    np.testing.assert_allclose(nn.fused_cell_forward(x, h, nn.gate_buffers([cell], ())[0]),
+    np.testing.assert_allclose(fused_cell_step(cell, x, h),
                                ref.gru_cell_forward(cell, x, h), atol=1e-12)
 
 

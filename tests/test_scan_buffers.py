@@ -10,6 +10,7 @@ thread alone gets.
 
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from uprop.baselines import mc_rollout
 from uprop.data import TimeSeries
 from uprop.forecaster import encode_input, filter_series
-from uprop.nn import GruCell, fused_cell_forward, gate_buffers, zero_hidden
+from uprop.nn import GruCell, GruStackParams, fused_stack_step, gate_buffers, zero_hidden
 from uprop.novelty import forecast_from_origin, score_series
 from uprop.prob import DistVector, kl
 
@@ -41,6 +42,15 @@ def reference_kl(model, series, near, far):
     return [kl(reference_forecast(model, series, t - near, near)[-1],
                reference_forecast(model, series, t - far, far)[-1])
             for t in range(far, series.steps)]
+
+
+def bound_arrays(entry):
+    """The arrays a gate-buffer entry holds: the entry itself, or the
+    weight its bound product reads (``w.dot`` for one row, a ``partial``
+    of ``matvec`` for a batch)."""
+    if isinstance(entry, partial):
+        return entry.args
+    return (getattr(entry, "__self__", entry),)
 
 
 def scribble(*arrays):
@@ -87,6 +97,35 @@ def test_writing_into_returned_beliefs_changes_nothing_else(ms, data):
         scribble(mean, std)
 
 
+def test_fully_observed_rows_among_gappy_ones_keep_their_own_inputs():
+    # a row with no missing cell enters as the policy's own row, not a copy
+    model = small_model(dims=3, hidden=5, layers=2, seed=4)
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(12, 3))
+    mask = rng.random((12, 3)) >= 0.4
+    mask[[0, 3, 4, 9]] = True
+    mask[[1, 5, 10], 1] = False
+    values[~mask] = np.nan
+    series = TimeSeries(values=values, mask=mask)
+    kept = series.values.copy()
+    records = filter_series(model, series)
+    pending = None
+    for t, record in enumerate(records):
+        want = encode_input(series.values[t], pending, mask=series.mask[t])
+        assert same_bits(record.input.mu, want.mu)
+        assert same_bits(record.input.sigma, want.sigma)
+        pending = record.forecast.steps[0]
+    complete = np.flatnonzero(mask.all(axis=1))
+    assert complete.size >= 4 and not mask.all()
+    for t in complete:
+        before = [(r.input.flat(), r.forecast.steps[0].flat()) for r in records]
+        scribble(records[t].input.mu, records[t].input.sigma)
+        after = [(r.input.flat(), r.forecast.steps[0].flat()) for r in records]
+        assert all(same_bits(b[0], a[0]) and same_bits(b[1], a[1])
+                   for i, (b, a) in enumerate(zip(before, after)) if i != t)
+        assert same_bits(series.values, kept)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 6), st.sampled_from([(), (1,), (3,), (17,)]),
        st.integers(0, 1000))
@@ -96,9 +135,17 @@ def test_a_cell_step_writes_only_its_products_and_returns_a_fresh_state(
     cell = GruCell(*(rng.normal(size=size) for size in
                       [(3 * hidden, n_in), (3 * hidden, hidden),
                        3 * hidden, hidden]))
-    buf = gate_buffers([cell], shape)[0]
+    stack = GruStackParams([cell])
+
+    def cell_step(x, h, bufs):
+        """The one-layer stack's step: its new hidden state."""
+        return fused_stack_step(stack, x, [h], bufs)[1][0]
+
+    bufs = gate_buffers(stack.layers, shape)
+    buf = bufs[0]
+    held = [a for entry in buf for a in bound_arrays(entry)]
     # the buffers hold the cell's own weight arrays, not copies
-    assert all(any(entry is w for entry in buf) for w in cell.weights())
+    assert all(any(a is w for a in held) for w in cell.weights())
     # the products, and for a batch their gate-major copies; one row
     # steps on its products' own contiguous blocks and copies nothing
     a, b, lay = buf[:3]
@@ -106,7 +153,7 @@ def test_a_cell_step_writes_only_its_products_and_returns_a_fresh_state(
     written = [a, b] if lay is None else [a, b, lay[0], lay[2]]
     if lay is not None:
         assert np.shares_memory(lay[1], a) and np.shares_memory(lay[3], b)
-    arrays = [entry for entry in buf if isinstance(entry, np.ndarray)] + list(lay or ())
+    arrays = [a for a in held if isinstance(a, np.ndarray)] + list(lay or ())
     # every gate view a step reads is one contiguous block
     assert all(view.flags.c_contiguous for view in buf[3:11])
     read_only = [entry for entry in arrays
@@ -116,16 +163,15 @@ def test_a_cell_step_writes_only_its_products_and_returns_a_fresh_state(
     h = rng.normal(size=shape + (hidden,))
     for _ in range(3):
         inputs = (x.copy(), h.copy())
-        h_next = fused_cell_forward(x, h, buf)
-        assert same_bits(h_next, fused_cell_forward(x, h, gate_buffers([cell], shape)[0]))
+        h_next = cell_step(x, h, bufs)
+        assert same_bits(h_next, cell_step(x, h, gate_buffers(stack.layers, shape)))
         assert same_bits(x, inputs[0]) and same_bits(h, inputs[1])
         assert all(same_bits(a, b) for a, b in zip(read_only, kept))
         assert not any(np.shares_memory(h_next, a) for a in (*arrays, x, h))
         x, h = rng.normal(size=x.shape), h_next
     # an in-place weight edit is seen by the next step on the same buffers
     cell.u *= 0.5
-    assert same_bits(fused_cell_forward(x, h, buf),
-                     fused_cell_forward(x, h, gate_buffers([cell], shape)[0]))
+    assert same_bits(cell_step(x, h, bufs), cell_step(x, h, gate_buffers(stack.layers, shape)))
 
 
 def test_threads_scanning_one_model_get_the_single_thread_output():
