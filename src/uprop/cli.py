@@ -209,8 +209,11 @@ def cmd_forecast(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = RunConfig.load(args.config)
-    models = {k: load_checkpoint(Path(args.models_dir) / f"lookahead_{k}.json")[0]
-              for k in config.lookaheads}
+    models = {}
+    for k in config.lookaheads:
+        path = Path(args.models_dir) / f"lookahead_{k}.json"
+        model, _ = load_checkpoint(path)
+        models[k] = model
     dataset = _dataset(config, args.data)
     grid = evaluate_grid(models, dataset.test, rates=config.missing_rates,
                          methods=config.methods, seed=config.seed)

@@ -277,9 +277,14 @@ def window(series: TimeSeries, length: int, stride: int | None = None) -> list:
         raise DataError(f"window length and stride must be >= 1, got {length}, {stride}")
     if length > series.steps:
         raise DataError(f"window length {length} exceeds series length {series.steps}")
-    return [TimeSeries(values=series.values[start:start + length].copy(),
-                       mask=series.mask[start:start + length].copy(), t0=series.t0 + start)
-            for start in range(0, series.steps - length + 1, stride)]
+    out = []
+    for start in range(0, series.steps - length + 1, stride):
+        out.append(TimeSeries(
+            values=series.values[start:start + length].copy(),
+            mask=series.mask[start:start + length].copy(),
+            t0=series.t0 + start,
+        ))
+    return out
 
 
 def split(windows: list, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> DatasetSplit:

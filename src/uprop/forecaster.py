@@ -79,11 +79,13 @@ class TrainConfig:
                 f"lookahead must satisfy 1 <= k < window_length, got "
                 f"k={self.lookahead}, L={self.window_length}"
             )
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.learning_rate <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-        for name in ("epochs", "batch_size", "n_layers", "hidden_size"):
+        for name in ("batch_size", "n_layers", "hidden_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.sigma_floor > 0.0:
@@ -201,14 +203,9 @@ def encode_input(obs: np.ndarray, pending: DistVector | None = None,
     return DistVector(mu=mu, sigma=sigma)
 
 
-def _step_buffers(model: UPropModel, shape: tuple, h: list):
+def _step_buffers(model: UPropModel, shape: tuple):
     """Work buffers of one scan for :func:`step` on rows of leading
-    ``shape`` from the hidden state ``h``, checked here, once per scan:
-    ``shape`` must be one row, ``()``, or a batch, ``(B,)``, and each
-    layer's state of shape ``shape + (hidden,)``, else ``ShapeError``
-    (the number of states is :func:`nn.fused_stack_step`'s check).
-
-    The buffers are the stack's gate buffers (:func:`nn.gate_buffers`), the
+    ``shape``: the stack's gate buffers (:func:`nn.gate_buffers`), the
     readout's product (:func:`nn.bound_matvec`) and bias array, bound to
     the readout's own arrays (not copies, as the gate buffers bind each
     cell's), then a zeros array and a floor array, each the shape of the
@@ -216,10 +213,6 @@ def _step_buffers(model: UPropModel, shape: tuple, h: list):
     ``model.train_config``'s. Arrays rather than Python scalars round the
     same and dispatch faster.
     """
-    for i, (state, cell) in enumerate(zip(h, model._fstack.layers)):
-        if len(shape) > 1 or np.shape(state) != shape + (cell.hidden_size,):
-            raise ShapeError(f"layer {i} hidden state of shape {np.shape(state)} does "
-                             f"not fit rows of leading shape {shape}")
     sigma = shape + (model.dims,)
     return (gate_buffers(model._fstack.layers, shape),
             bound_matvec(tn.value_of(model.readout.weight), shape),
@@ -235,9 +228,10 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: tuple | None = None):
     and (B, hidden) states; a wrong width or number of states is a
     ``ShapeError``. ``bufs`` is :func:`_step_buffers` for that shape; a
     call without it makes a set for this step alone, and then refuses
-    (``ShapeError``) a row that is not an array and states whose shapes do
-    not fit the row's (:func:`_step_buffers`). The step is bare numpy on
-    the frozen arrays. It returns a fresh row in the same layout,
+    (``ShapeError``) a row that is not a (2N,) or (B, 2N) array and states
+    whose shapes do not fit the row's; the scans, which make the states
+    they pass, are not checked per step. The step is bare numpy on the
+    frozen arrays. It returns a fresh row in the same layout,
     the readout with its sigma half squashed in place:
     ``sigma = softplus(raw) + floor``, with the floor of
     ``model.train_config``, is at least the floor (or NaN).
@@ -245,9 +239,14 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: tuple | None = None):
     checks.
     """
     if bufs is None:
-        if not isinstance(x, np.ndarray) or x.ndim == 0:
-            raise ShapeError(f"input row must be an array, got {type(x).__name__}")
-        bufs = _step_buffers(model, x.shape[:-1], h)
+        if not isinstance(x, np.ndarray) or x.ndim not in (1, 2):
+            raise ShapeError(f"input row must be a (2N,) or (B, 2N) array, got "
+                             f"{type(x).__name__} of shape {np.shape(x)}")
+        for i, (state, cell) in enumerate(zip(h, model._fstack.layers)):
+            if np.shape(state) != x.shape[:-1] + (cell.hidden_size,):
+                raise ShapeError(f"layer {i} hidden state of shape {np.shape(state)} does "
+                                 f"not fit input rows of shape {x.shape}")
+        bufs = _step_buffers(model, x.shape[:-1])
     if x.shape[-1] != 2 * model.dims:
         raise ShapeError(f"input width {x.shape[-1]} != 2 * model dims {model.dims}")
     gates, readout, bias, zero, floor = bufs
@@ -271,19 +270,17 @@ def _scan(model: UPropModel, n: int, policy, pending=None, h=None,
     one row). Returns the per-step input rows and emitted rows, and the
     final hidden state. It calls :func:`step` once per step, batch or
     not, on work buffers made once per call for the shape of ``h``
-    (:func:`_step_buffers`, which checks ``h`` once): per call, not per
-    model, so concurrent scans of one model never share them. Each
-    emitted row and each hidden state is a fresh array that no later step
-    writes. An input row is the policy's row as it returns it, which may
-    be a view of the policy's own rows (:func:`_feed`); no step writes
-    it. The hidden state after each step is appended to ``snapshots``
-    when one is given; only callers that resume from every row ask, since
-    keeping them all slows the loop.
+    (:func:`_step_buffers`): per call, not per model, so concurrent scans
+    of one model never share them. Each emitted row and each hidden state
+    is a fresh array that no later step writes. The hidden state after
+    each step is appended to ``snapshots`` when one is given; only
+    callers that resume from every row ask, since keeping them all slows
+    the loop.
     """
     if h is None:
         h = zero_hidden(model.stack)
     inputs, preds = [], []
-    bufs = _step_buffers(model, h[0].shape[:-1], h)
+    bufs = _step_buffers(model, h[0].shape[:-1])
     with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
         for t in range(n):
             x = policy(t, pending)
@@ -309,13 +306,10 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     where ``noise`` holds standard normals drawn ahead (``noise[t]`` is
     read on steps with a missing cell only). Imputed values are clamped
     to +-IMPUTE_CLAMP. The prior is checked here, once, and the observed
-    halves, ``[mask, mask]`` and ``[values, 0]``, are laid out here. A
-    step with no missing cell returns its row of ``[values, 0]`` itself,
-    a view of the policy's own array (never of ``values``) that only that
-    step's input shares; a step with one is, under "uprop", one copy and
-    one ``np.copyto``. An observed value that is not finite is a
-    ``DataError``, checked here too: a series' values are checked when it
-    is made, but its array can be written after.
+    halves, ``[mask, mask]`` and ``[values, 0]``, are laid out here, so a
+    "uprop" step is one copy and one ``np.copyto``. An observed value that
+    is not finite is a ``DataError``, checked here too: a series' values
+    are checked when it is made, but its array can be written after.
     """
     observed = values[mask]
     if not np.all(np.isfinite(observed)):
@@ -329,14 +323,11 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     prior = prior.flat()
     missing = ~np.concatenate([mask, mask], axis=-1)
     given = np.concatenate([values, np.zeros(values.shape)], axis=-1)
-    complete = mask.all(axis=tuple(range(1, mask.ndim))).tolist()
     kind = np.asarray(kind)[..., None]
     imputed, sampled = kind != "uprop", kind == "sample"
     impute, sample = imputed.any(), sampled.any()
 
     def policy(t, pending):
-        if complete[t]:
-            return given[t]
         fallback = prior if pending is None else pending
         if impute:
             mu, sigma = fallback[..., :dims], fallback[..., dims:]

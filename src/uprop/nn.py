@@ -141,8 +141,11 @@ def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -
 
 def init_gru_stack(input_size: int, hidden_size: int, n_layers: int,
                    rng: np.random.Generator) -> GruStackParams:
-    return GruStackParams(layers=[init_gru_cell(hidden_size if i else input_size, hidden_size, rng)
-                                  for i in range(n_layers)])
+    layers = []
+    for i in range(n_layers):
+        in_size = input_size if i == 0 else hidden_size
+        layers.append(init_gru_cell(in_size, hidden_size, rng))
+    return GruStackParams(layers=layers)
 
 
 def init_linear(in_size: int, out_size: int, rng: np.random.Generator) -> LinearParams:

@@ -98,7 +98,7 @@ def test_writing_into_returned_beliefs_changes_nothing_else(ms, data):
 
 
 def test_fully_observed_rows_among_gappy_ones_keep_their_own_inputs():
-    # a row with no missing cell enters as the policy's own row, not a copy
+    # fully observed rows between gappy ones: each input is its own array
     model = small_model(dims=3, hidden=5, layers=2, seed=4)
     rng = np.random.default_rng(4)
     values = rng.normal(size=(12, 3))
