@@ -41,10 +41,11 @@ scan's gate-major layout, take each step's views from one ``zip`` per
 layer, set up once per batch, and pass every ufunc its output
 positionally; the readouts before step min(anchor) - 1 are neither
 scored nor fed back, so they are not run. Both run on a work set
-(:func:`train_buffers`) that holds every (T, B, ·) array they use,
-made once per ``train`` call as one anonymous memory mapping: its pages
-are faulted in once, not once per batch, and they leave the process
-when ``train`` returns. The backward consumes its cache, and the set
+(:func:`train_buffers`) that holds every (T, B, ·) array they keep,
+and nothing the backward can rebuild once per batch, made once per
+``train`` call as one anonymous memory mapping: its pages are faulted
+in once, not once per batch, and they leave the process when ``train``
+returns. The backward consumes its cache, and the set
 counts its passes, so a backward whose cache a later forward
 overwrote, or a second backward on one cache, raises ``ShapeError``.
 CHANGES.md records the benchmark runs behind these choices.
@@ -304,14 +305,16 @@ def _work_shapes(sizes: list, B: int, T: int) -> dict:
     """The shapes of every (T, B, ·) array of :func:`window_batch_forward`
     and :func:`window_batch_backward` on layers of ``sizes``
     ``(input_size, hidden_size)``, by region name: one shape per layer,
-    per gap between layers, or just one."""
+    per gap between layers, or just one. What the backward can rebuild
+    once per batch has no region: a dropped layer output and a step's
+    gradient of ``c = U h + [0, 0, b_hn]`` pass through a (B, ·) scratch
+    per step, and the update-gate factor shares ``d_a``'s region."""
     h = [hidden for _, hidden in sizes]
     last = len(sizes) - 1
     return {"xin": [(T, B, sizes[0][0])], "masks": [(T, last, B, h[0])],
-            "hs": [(T + 1, B, n) for n in h], "dropped": [(T, B, n) for n in h[:last]],
-            "rz": [(T, 2, B, n) for n in h], "n": [(T, B, n) for n in h],
-            "hn": [(T, B, n) for n in h], "k_z": [(T, B, n) for n in h],
-            "d_a": [(T, B, 3 * n) for n in h], "d_c": [(T, B, 3 * n) for n in h]}
+            "hs": [(T + 1, B, n) for n in h], "rz": [(T, 2, B, n) for n in h],
+            "n": [(T, B, n) for n in h], "hn": [(T, B, n) for n in h],
+            "d_a": [(T, B, 3 * n) for n in h]}
 
 
 @dataclass
@@ -324,11 +327,16 @@ class TrainBuffers:
     :func:`_work_shapes`:
 
     - ``xin``, layer 0's input; ``hs``, each layer's hidden states;
-    - ``masks``, the dropout masks; ``dropped``, each lower layer's
-      masked output;
+    - ``masks``, the dropout masks;
     - ``rz``, ``n`` and ``hn``, each layer's gates;
-    - ``k_z``, each layer's update-gate derivative factor;
-    - ``d_a`` and ``d_c``, each layer's pre-activation gradients.
+    - ``d_a``, each layer's step gradients of ``a = W x + b_w``.
+
+    No region holds a copy: the forward passes a dropped output to the
+    layer above through a (B, h) scratch and the backward rebuilds it in
+    the lower layer's ``n`` for the weight gradient; the update-gate
+    factor and a temporary take the first 2·T·B·h floats of ``d_a``,
+    and ``c``'s step gradients are ``d_a``'s, whose ``n`` block the
+    backward multiplies by ``r`` in place once ``W``'s gradient is formed.
 
     A batch takes a prefix of each region, reshaped to its own (T, B, ·),
     so it is contiguous whatever the batch's size. ``passes`` counts the
@@ -407,9 +415,11 @@ class WindowBatchCache:
 
     ``stack`` and ``readout`` are numpy views of the weights. Time-major
     arrays over T steps and B windows: per layer, ``xin`` is
-    the input (T, B, in; a view of the layer below's ``hs`` when there is
-    no dropout), ``hs`` the hidden states (T + 1, B, h) after the zero
-    start state, ``rz`` the reset and update gates, gate-major
+    the input (T, B, in): for layer 0 its rows; above it a view of the
+    layer below's ``hs``, or, above a dropout gap, the layer below's
+    ``n`` region, into which the backward recomputes the masked input,
+    which is not stored. ``hs`` is the hidden states (T + 1, B, h) after
+    the zero start state, ``rz`` the reset and update gates, gate-major
     (T, 2, B, h), ``n`` the candidate and ``hn`` the term
     ``U_n h + b_hn`` (T, B, h), which the backward overwrites. ``raw``
     is the readout (T, B, 2N), ``d_belief`` the gradient of the
@@ -492,9 +502,11 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     x0 = view["xin"][0]
     np.copyto(x0[:, :, :N], rows[:T])
     x0[:, :, N:].fill(0.0)
-    xin = [x0] + (view["dropped"] if dense_masks is not None
-                  else [hs[i][1:] for i in range(last)])
     rz, ns, hns = view["rz"], view["n"], view["hn"]
+    # a layer above a dropout gap reads its input from a (B, h) scratch
+    # per step; the backward rebuilds it in the layer below's n region
+    xin = [x0] + (ns[:last] if dense_masks is not None
+                  else [hs[i][1:] for i in range(last)])
     # the skipped readouts keep constants (raw 0, mu = sigma = 1), so the
     # masked loss below stays finite and warning-free
     raw = np.zeros((T, B, 2 * N))
@@ -510,7 +522,7 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
         a, b, lay, a_rz, _, _, a_n, b_rz, b_n, one, one_h = gate_buffers([c], (B,))[0][:11]
         drop = (repeat(None),) * 2
         if dense_masks is not None and i < last:
-            drop = (dense_masks[:, i], xin[i + 1])
+            drop = (dense_masks[:, i], repeat(np.empty((B, h))))
         layers.append((c.w.T.copy(), c.u.T.copy(), np.tile(c.b_w, (B, 1)),
                        np.tile(c.b_hn, (B, 1)), a, b, *lay, a_rz, a_n, b_rz, b_n, one,
                        one_h, np.empty((B, h)), np.empty((B, h)),
@@ -585,12 +597,20 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     formed for all steps before the loop and the weight gradients summed
     over all steps after it, one matrix product per weight. A step's gate
     ops run on one gate-major (3, B, h) block, copied once into the
-    (B, 3h) rows of ``a`` and once into those of ``c``, which the
-    products read. The step gradients and the update-gate factor are
-    laid out in ``cache.work``, the forward's set, and the candidate and
-    reset factors overwrite the cache's ``n`` and ``hn``: the backward
-    consumes its cache, so a cache serves one backward, and only while no
-    later forward has run on its set (else ``ShapeError``).
+    step's (B, 3h) rows of ``a`` and once, with its n block times r,
+    into a (B, 3h) scratch for ``c``, which the products read. The step
+    gradients of ``a`` are laid out in ``cache.work``, the forward's set;
+    the update-gate factor takes their region's first T·B·h floats, which
+    is safe in reverse order: step t's factor is read before step t's
+    gradients are written at 3·t·B·h, and each earlier step's factor
+    ends at or before t·B·h. The candidate and reset factors overwrite
+    the cache's ``n`` and ``hn``. After the loop each layer forms ``W``'s
+    and ``b_w``'s gradients from ``d_a``, multiplies its n block by r in
+    place, over all steps, for ``U``'s and ``b_hn``'s, and a layer above
+    a dropout gap first rebuilds its masked input in the layer below's
+    ``n``. So the backward consumes its cache: a cache serves one
+    backward, and only while no later forward has run on its set (else
+    ``ShapeError``).
     """
     T, B, two_n = cache.raw.shape
     view = cache.work.consume(cache.begun, B, T)
@@ -602,20 +622,21 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     d_raw = cache.d_belief * d_squash
     # per layer, top-down: one iterator, last step first, over the gate
     # derivative factors (T, B, h), the step gradients of the
-    # pre-activations a = W x + b_w and c = U h + [0, 0, b_hn] (T, B, 3h)
-    # with their gate-major views, and the dropout masks on the layer's
-    # input; and the step's work buffers
-    layers, d_a, d_c = [], [], []
+    # pre-activation a = W x + b_w (T, B, 3h) with its gate-major view,
+    # and the dropout masks on the layer's input; and the step's work
+    # buffers, among them the (B, 3h) gradient of c = U h + [0, 0, b_hn]
+    layers, d_a = [], []
     for i, c in enumerate(cache.stack.layers):
         h = c.hidden_size
         r, z = cache.rz[i][:, 0], cache.rz[i][:, 1]
         n, hn, h_prev = cache.n[i], cache.hn[i], cache.hs[i][:T]
         # ((h_prev - n) * z) * (1 - z), (1 - z) * (1 - n * n) and
-        # (hn * r) * (1 - r), op for op; k_z first, while n is intact. The
-        # step loop below writes d_a before it reads it, so until then
-        # d_a's region holds the temporary 1 - z, then 1 - r
-        k_z, da, dc = view["k_z"][i], view["d_a"][i], view["d_c"][i]
-        one_minus = _prefix(da.reshape(-1), k_z.shape)
+        # (hn * r) * (1 - r), op for op; k_z first, while n is intact. k_z
+        # takes d_a's first T*B*h floats and the temporary 1 - z, then
+        # 1 - r, the next T*B*h: the step loop, last step first, reads
+        # k_z[t] before it writes d_a[t] at 3*t*B*h, past every k_z[s<t]
+        da = view["d_a"][i]
+        k_z, one_minus = da.reshape(-1)[:2 * T * B * h].reshape(2, T, B, h)
         np.subtract(h_prev, n, k_z)
         np.multiply(k_z, z, k_z)
         np.subtract(1.0, z, one_minus)
@@ -627,17 +648,15 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
         np.subtract(1.0, r, one_minus)
         np.multiply(k_r, one_minus, k_r)
         d_a.append(da)
-        d_c.append(dc)
-        per_step = (k_n, k_r, k_z, r, z, da, da.reshape(T, B, 3, h).transpose(0, 2, 1, 3),
-                    dc, dc.reshape(T, B, 3, h).transpose(0, 2, 1, 3))
+        per_step = (k_n, k_r, k_z, r, z, da, da.reshape(T, B, 3, h).transpose(0, 2, 1, 3))
         masks = repeat(None)
         if i > 0 and cache.masks is not None:
             masks = cache.masks[::-1, i - 1]
-        g = np.empty((3, B, h))
+        g, dc = np.empty((3, B, h)), np.empty((B, 3 * h))
         d_in = np.empty((B, c.input_size)) if i > 0 else None
         layers.insert(0, (c.w, c.u, zip(*(v[::-1] for v in per_step), masks), g, g[0],
-                          g[1], g[2], np.empty((B, h)), np.empty((B, h)),
-                          np.zeros((B, h)), d_in))
+                          g[1], g[2], dc, dc.reshape(B, 3, h).transpose(1, 0, 2),
+                          np.empty((B, h)), np.empty((B, h)), np.zeros((B, h)), d_in))
     w_out = cache.readout.weight
     d_top, d_feed = np.empty((B, w_out.shape[1])), np.empty((B, two_n))
     fed_next = False   # whether step t + 1 fed back step t's belief
@@ -649,8 +668,8 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
             np.multiply(d_feed, squash, d_feed)
             np.add(d_raw_t, d_feed, d_raw_t)
         d_out = d_raw_t.dot(w_out, d_top) if t >= cache.first_read else None
-        for (w, u, views, g, g_r, g_z, g_n, dh_sum, dh_z, d_h, d_in) in layers:
-            k_n, k_r, k_z, r, z, da, da_g, dc, dc_g, mask = next(views)
+        for (w, u, views, g, g_r, g_z, g_n, dc, dc_g, dh_sum, dh_z, d_h, d_in) in layers:
+            k_n, k_r, k_z, r, z, da, da_g, mask = next(views)
             dh = d_h if d_out is None else np.add(d_h, d_out, dh_sum)
             np.multiply(dh, k_n, g_n)
             np.multiply(g_n, k_r, g_r)
@@ -675,12 +694,18 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
 
     grads = []
     for i, c in enumerate(cache.stack.layers):
-        h = c.hidden_size
+        h, xin = c.hidden_size, cache.xin[i]
+        if i > 0 and cache.masks is not None:
+            # the masked input, rebuilt op for op in the region of the
+            # layer below's n, which the step loop has read for the last time
+            np.multiply(cache.hs[i - 1][1:], cache.masks[:, i - 1], xin)
         da = d_a[i].reshape(T * B, 3 * h)
-        dc = d_c[i].reshape(T * B, 3 * h)
-        grads += [da.T @ cache.xin[i].reshape(T * B, -1),
-                  dc.T @ cache.hs[i][:T].reshape(T * B, h),
-                  da.sum(axis=0), dc[:, 2 * h:].sum(axis=0)]
+        d_w, d_b_w = da.T @ xin.reshape(T * B, -1), da.sum(axis=0)
+        # d_a becomes c's gradient: its r and z blocks are a's, its n block a's times r
+        d_n = d_a[i][:, :, 2 * h:]
+        np.multiply(d_n, cache.rz[i][:, 0], d_n)
+        grads += [d_w, da.T @ cache.hs[i][:T].reshape(T * B, h), d_b_w,
+                  da[:, 2 * h:].sum(axis=0)]
     d_raw = d_raw.reshape(T * B, two_n)
     return grads + [d_raw.T @ cache.hs[-1][1:].reshape(T * B, -1),
                     d_raw.sum(axis=0)]

@@ -6,9 +6,10 @@ and without a prior and with its state, both imputed policies,
 a step back and in-place edits, ``rollout``, ``mc_rollout`` and the
 three ``score_series`` kinds) for a 1x16 and a 3x12 model on a series
 with 30% of its cells missing, then ``evaluate_grid``, the bytes of both
-models' checkpoints, and every file written by the ``synth``, ``train``,
-``forecast``, ``detect`` and ``evaluate`` CLI commands. A change that
-claims bit-identical outputs prints the same digest as its parent.
+models' checkpoints and of a model trained at the default 3x64 shape,
+and every file written by the ``synth``, ``train``, ``forecast``,
+``detect`` and ``evaluate`` CLI commands. A change that claims
+bit-identical outputs prints the same digest as its parent.
 
 Run from a checkout (a few seconds on one core):
 
@@ -89,6 +90,10 @@ def entries():
                              n_layers=layers, hidden_size=hidden, dropout=0.2,
                              seed=5, learning_rate=0.003, batch_size=8)
         models[name] = train(ds.train, config)[0]
+    # the default shape (3x64, dropout 0.2) for one epoch over the 25
+    # training windows: one full batch of 16 and a short one of 9
+    deep = train(ds.train, TrainConfig(lookahead=4, epochs=1, window_length=60,
+                                       seed=5, batch_size=16))[0]
 
     out = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,6 +125,8 @@ def entries():
             path = tmp / f"{name}.json"
             save_checkpoint(model, path, final_loss=0.25)
             out.append((f"{name}.checkpoint", path.read_bytes()))
+        save_checkpoint(deep, tmp / "3x64.json", final_loss=0.25)
+        out.append(("3x64.checkpoint", (tmp / "3x64.json").read_bytes()))
         grid = evaluate_grid({2: models["1x16"], 4: models["3x12"]}, ds.test,
                              rates=[0.0, 0.3], seed=4)
         out.append(("evaluate_grid", grid.cells))

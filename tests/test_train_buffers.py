@@ -21,8 +21,8 @@ from uprop import tensor as tn
 from uprop.data import TimeSeries
 from uprop.errors import ShapeError
 from uprop.forecaster import TrainConfig, _batch_loss
-from uprop.nn import (train_buffers, window_batch_backward, window_batch_forward,
-                      zero_grad)
+from uprop.nn import (init_gru_stack, train_buffers, window_batch_backward,
+                      window_batch_forward, zero_grad)
 
 
 def loss_and_grads(model, X, anchors, k, masks, work):
@@ -123,6 +123,18 @@ def test_a_warm_set_allocates_no_step_array():
     finally:
         tracemalloc.stop()
     assert peak < (L - 1) * B * hidden * 8, peak
+
+
+def test_the_set_holds_only_what_the_step_loops_read():
+    # one batch of 16 windows over 119 steps at the default 3x64 shape on
+    # (x, 0) rows of 3 series: 1 670 floats per step and window, 2 566
+    # with regions for the c-gradients (rebuilt from d_a after the step
+    # loop), the update-gate factor (kept in d_a's region) and the masked
+    # outputs (a (B, h) scratch per step, rebuilt in a region no longer read)
+    cells = init_gru_stack(6, 64, 3, np.random.default_rng(0)).layers
+    work = train_buffers(cells, 16, 119)
+    assert set(work.regions) == {"xin", "masks", "hs", "rz", "n", "hn", "d_a"}
+    assert work.flat.nbytes < 26_000_000, work.flat.nbytes
 
 
 def test_gradients_are_fresh_arrays_not_views_of_the_set():
