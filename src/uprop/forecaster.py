@@ -7,19 +7,23 @@ belief directly into the next step, with no sampling anywhere, so every
 inference path is deterministic.
 
 Every inference path runs on one scan (``_scan``) and differs only in the
-input policy its caller passes: ``_feed`` turns the previous step's
-belief and the observed cells into the next input, and a self-fed
-forecast (``_self_feed``) feeds the belief back. The scan steps one
-series, or a batch of B independent rows at once ((B, N) beliefs,
-(B, hidden) states), each row bitwise the row stepped alone (``nn`` says
-why). Inside the scan a belief is one row in the wire layout
-``[mu..., sigma...]`` (``prob``). Each scan call makes its own work
-buffers (``_step_buffers``), never the model, so two scans of one model
-share no array they write: the stack's gate buffers, the readout's
-product and bias, bound per scan to its own arrays as each cell's are,
-and the squash's zeros and floor rows. Beliefs the API returns are
-``DistVector._of_row`` views of the step's own rows, which no later step
-writes.
+inputs its caller passes. In a closed loop they come from an input
+policy: ``_feed`` turns the previous step's belief and the observed cells
+into the next input, and a self-fed forecast (``_self_feed``) feeds the
+belief back. When every input is known before the scan starts (a fully
+observed series, a given context), the caller passes the rows
+themselves, and the open loop steps only the stack and reads every
+belief out at once after it (``_read_out``), bitwise the rows ``step``
+emits. The scan steps one series, or a batch of B independent rows at
+once ((B, N) beliefs, (B, hidden) states), each row bitwise the row
+stepped alone (``nn`` says why). Inside the scan a belief is one row in
+the wire layout ``[mu..., sigma...]`` (``prob``). Each scan call makes
+its own work buffers (``_step_buffers``), never the model, so two scans
+of one model share no array they write: the stack's gate buffers, the
+readout's product and bias, bound per scan to its own arrays as each
+cell's are, and the squash's zeros and floor rows. Beliefs the API
+returns are ``DistVector._of_row`` views of the scan's own rows, which
+no later step writes.
 
 Training runs on complete data only: a window's prefix is fed as observed
 context (dropout on, at ``TrainConfig.dropout``), then the model rolls
@@ -43,7 +47,7 @@ from .data import _KINDS, NormStats, TimeSeries, _is_a
 from .errors import ConfigError, DataError, ShapeError
 from .nn import (GruStackParams, LinearParams, TrainBuffers, adam_init, adam_step,
                  bound_matvec, dropout_mask, fuse_stack, fused_stack_step, gate_buffers,
-                 init_gru_stack, init_linear, train_buffers,
+                 init_gru_stack, init_linear, matvec, train_buffers,
                  window_batch_backward, window_batch_forward, zero_grad,
                  zero_hidden)
 from .prob import DistVector
@@ -203,6 +207,11 @@ def encode_input(obs: np.ndarray, pending: DistVector | None = None,
     return DistVector(mu=mu, sigma=sigma)
 
 
+def _check_width(model: UPropModel, width: int) -> None:
+    if width != 2 * model.dims:
+        raise ShapeError(f"input width {width} != 2 * model dims {model.dims}")
+
+
 def _step_buffers(model: UPropModel, shape: tuple):
     """Work buffers of one scan for :func:`step` on rows of leading
     ``shape``: the stack's gate buffers (:func:`nn.gate_buffers`), the
@@ -247,8 +256,8 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: tuple | None = None):
                 raise ShapeError(f"layer {i} hidden state of shape {np.shape(state)} does "
                                  f"not fit input rows of shape {x.shape}")
         bufs = _step_buffers(model, x.shape[:-1])
-    if x.shape[-1] != 2 * model.dims:
-        raise ShapeError(f"input width {x.shape[-1]} != 2 * model dims {model.dims}")
+    if x.shape[-1] != 2 * model.dims:   # compared inline: one frame less per step
+        _check_width(model, x.shape[-1])
     gates, readout, bias, zero, floor = bufs
     top, h_next = fused_stack_step(model._fstack, x, h, gates)
     row = readout(top)
@@ -259,29 +268,70 @@ def step(model: UPropModel, x: np.ndarray, h: list, bufs: tuple | None = None):
     return row, h_next
 
 
+def _read_out(model: UPropModel, tops: np.ndarray) -> np.ndarray:
+    """The rows :func:`step` would emit for the stacked top outputs
+    ``tops``, (n, hidden) or (n, B, hidden), read out at once: one
+    :func:`nn.matvec` (a gemv per row, each row bitwise ``w.dot`` on it),
+    then ``step``'s bias add and sigma squash, the same ufuncs, with the
+    0 and the floor as scalars, which round as ``step``'s arrays do.
+    Returns a fresh (n, 2N) or (n, B, 2N) array."""
+    rows = matvec(tn.value_of(model.readout.weight), tops)
+    np.add(rows, tn.value_of(model.readout.bias), rows)
+    sigma = rows[..., model.dims:]
+    np.logaddexp(0.0, sigma, sigma)
+    np.add(sigma, model.train_config.sigma_floor, sigma)
+    return rows
+
+
 def _scan(model: UPropModel, n: int, policy, pending=None, h=None,
           snapshots: list | None = None):
     """The recurrence loop of inference: ``n`` steps from ``(pending, h)``.
 
     Every input and output is a row in the wire layout ``[mu..., sigma...]``.
-    Step t's input is ``policy(t, pending)``, where ``pending`` is the row
-    the previous step emitted (None before the first step). ``pending``
-    and ``h`` hold one row or a batch (``h=None`` is the zero state of
-    one row). Returns the per-step input rows and emitted rows, and the
-    final hidden state. It calls :func:`step` once per step, batch or
-    not, on work buffers made once per call for the shape of ``h``
-    (:func:`_step_buffers`): per call, not per model, so concurrent scans
-    of one model never share them. Each emitted row and each hidden state
-    is a fresh array that no later step writes. The hidden state after
-    each step is appended to ``snapshots`` when one is given; only
-    callers that resume from every row ask, since keeping them all slows
-    the loop.
+    ``pending`` and ``h`` hold one row or a batch (``h=None`` is the zero
+    state of one row). Returns the per-step input rows and emitted rows,
+    and the final hidden state. ``policy`` gives the inputs in one of two
+    ways:
+
+    - closed loop, a function: step t's input is ``policy(t, pending)``,
+      where ``pending`` is the row the previous step emitted (None before
+      the first step). The scan calls :func:`step` once per step, on work
+      buffers made once per call for the shape of ``h``
+      (:func:`_step_buffers`), and each emitted row is a fresh array.
+    - open loop, the ``n`` input rows themselves, an (n, 2N) or
+      (n, B, 2N) array known before the scan starts, so no input depends
+      on an output. The scan steps only the stack
+      (:func:`nn.fused_stack_step`, on :func:`nn.gate_buffers` made once
+      per call) and reads every row out after the loop
+      (:func:`_read_out`), bitwise the rows ``step`` would emit. Their
+      width is checked once, as ``step`` checks each row's. The inputs
+      are row views of ``policy`` and the emitted rows row views of the
+      readout; no later step writes either.
+
+    Buffers are made per call, not per model, so concurrent scans of one
+    model never share them. Each hidden state is a fresh array that no
+    later step writes. The hidden state after each step is appended to
+    ``snapshots`` when one is given; only callers that resume from every
+    row ask, since keeping them all slows the loop.
     """
     if h is None:
         h = zero_hidden(model.stack)
+    shape = h[0].shape[:-1]
+    if isinstance(policy, np.ndarray):
+        _check_width(model, policy.shape[-1])
+        if not n:
+            return [], [], h
+        gates, tops = gate_buffers(model._fstack.layers, shape), []
+        with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
+            for x in policy:
+                top, h = fused_stack_step(model._fstack, x, h, gates)
+                tops.append(top)
+                if snapshots is not None:
+                    snapshots.append(h)
+        return list(policy), list(_read_out(model, np.stack(tops))), h
     inputs, preds = [], []
-    bufs = _step_buffers(model, h[0].shape[:-1])
-    with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
+    bufs = _step_buffers(model, shape)
+    with np.errstate(over="ignore"):   # as above
         for t in range(n):
             x = policy(t, pending)
             pending, h = step(model, x, h, bufs)
@@ -292,8 +342,34 @@ def _scan(model: UPropModel, n: int, policy, pending=None, h=None,
     return inputs, preds, h
 
 
-def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
-          kind="uprop", noise: np.ndarray | None = None):
+def _observed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None):
+    """The rows ``[values, 0]`` and the prior's wire-layout row (default:
+    standard), after :func:`_feed`'s checks of both."""
+    observed = values[mask]
+    if not np.all(np.isfinite(observed)):
+        raise DataError(f"observed value {float(observed[~np.isfinite(observed)][0])!r} "
+                        "is not finite (mark the cell missing instead)")
+    dims = values.shape[-1]
+    if prior is None:
+        prior = DistVector.standard(dims)
+    elif prior.dims != dims:
+        raise ShapeError(f"prior dims {prior.dims} != model dims {dims}")
+    return np.concatenate([values, np.zeros(values.shape)], axis=-1), prior.flat()
+
+
+def _inputs(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
+            kind="uprop", noise: np.ndarray | None = None):
+    """What :func:`_scan` is given for the rows ``values[t]``, ``mask[t]``:
+    when no cell is missing, every input is known before the scan starts,
+    so the rows ``[values, 0]`` themselves (its open loop), checked as
+    :func:`_feed` checks them; else the :func:`_feed` policy."""
+    if mask.all():
+        return _observed(values, mask, prior)[0]
+    return _feed(values, mask, prior, kind, noise)
+
+
+def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None, kind,
+          noise: np.ndarray | None):
     """The input policy over the rows ``values[t]``, ``mask[t]``: (N,) for
     one series, (B, N) for a batch. It returns wire-layout rows.
 
@@ -308,21 +384,13 @@ def _feed(values: np.ndarray, mask: np.ndarray, prior: DistVector | None = None,
     to +-IMPUTE_CLAMP. The prior is checked here, once, and the observed
     halves, ``[mask, mask]`` and ``[values, 0]``, are laid out here, so a
     "uprop" step is one copy and one ``np.copyto``. An observed value that
-    is not finite is a ``DataError``, checked here too: a series' values
-    are checked when it is made, but its array can be written after.
+    is not finite is a ``DataError``, checked here too (:func:`_observed`):
+    a series' values are checked when it is made, but its array can be
+    written after.
     """
-    observed = values[mask]
-    if not np.all(np.isfinite(observed)):
-        raise DataError(f"observed value {float(observed[~np.isfinite(observed)][0])!r} "
-                        "is not finite (mark the cell missing instead)")
+    given, prior = _observed(values, mask, prior)
     dims = values.shape[-1]
-    if prior is None:
-        prior = DistVector.standard(dims)
-    elif prior.dims != dims:
-        raise ShapeError(f"prior dims {prior.dims} != model dims {dims}")
-    prior = prior.flat()
     missing = ~np.concatenate([mask, mask], axis=-1)
-    given = np.concatenate([values, np.zeros(values.shape)], axis=-1)
     kind = np.asarray(kind)[..., None]
     imputed, sampled = kind != "uprop", kind == "sample"
     impute, sample = imputed.any(), sampled.any()
@@ -351,7 +419,7 @@ def _filter(model: UPropModel, series: TimeSeries, prior: DistVector | None,
     if series.dims != model.dims:
         raise ShapeError(f"series dims {series.dims} != model dims {model.dims}")
     inputs, preds, h = _scan(model, series.steps,
-                             _feed(series.values, series.mask, prior, kind, noise))
+                             _inputs(series.values, series.mask, prior, kind, noise))
     # positional arguments: a record per step, at about 2 us each
     of_row = DistVector._of_row
     records = [FilterStep(t, of_row(x), Forecast(t, [of_row(row)]))
@@ -365,17 +433,20 @@ def _filter_batch(model: UPropModel, values: np.ndarray, mask: np.ndarray, kind,
     ``mask`` and ``noise`` are (T, B, N), ``kind`` one method per row (see
     :func:`_feed`). Returns the one-step forecasts as wire-layout rows,
     (T, B, 2N); row b is bitwise the pass over series b alone."""
-    _, preds, _ = _scan(model, values.shape[0], _feed(values, mask, kind=kind, noise=noise),
+    _, preds, _ = _scan(model, values.shape[0], _inputs(values, mask, kind=kind, noise=noise),
                         h=zero_hidden(model.stack, values.shape[1]))
     return np.stack(preds)
 
 
 def _consume(model: UPropModel, context: list):
-    """Feed a non-empty list of input beliefs; returns (row, hidden)."""
+    """Feed a non-empty list of input beliefs, open loop; returns (row,
+    hidden)."""
     if not context:
         raise ValueError("a non-empty context is required")
     rows = [belief.flat() for belief in context]
-    _, preds, h = _scan(model, len(rows), lambda t, _: rows[t])
+    for row in rows:
+        _check_width(model, row.shape[0])
+    _, preds, h = _scan(model, len(rows), np.stack(rows))
     return preds[-1], h
 
 

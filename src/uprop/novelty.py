@@ -20,7 +20,7 @@ import numpy as np
 from .data import TimeSeries, _is_a
 from .errors import ConfigError, DataError, ShapeError
 from .forecaster import (DistVector, Forecast, UPropModel, _check_horizon,
-                         _feed, _scan, _self_feed)
+                         _inputs, _scan, _self_feed)
 from .prob import kl, nll
 
 SCORE_KINDS = ("volatility", "surprise", "kl")
@@ -136,7 +136,7 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
             start, pending, h = c + 1, c_pending, c_h
     rows = slice(start, origin + 1)
     _, preds, h = _scan(model, origin + 1 - start,
-                        _feed(series.values[rows], series.mask[rows]), pending, h)
+                        _inputs(series.values[rows], series.mask[rows]), pending, h)
     if preds:
         pending = preds[-1]
     _, steps = _self_feed(model, pending, h, k)
@@ -150,17 +150,20 @@ def forecast_from_origin(model: UPropModel, series: TimeSeries, origin: int,
 
 def _kl_values(model: UPropModel, preds: list, hiddens: list, targets: range,
                near_offset: int, far_offset: int) -> list:
-    """KL(p || q) for each row t in ``targets``: p and q are the forecasts
-    of row t from the near and the far origin, resumed from the per-row
-    (belief, hidden) snapshots of one filter pass, each offset's
-    forecasts stepped as one batch."""
+    """KL(p || q) for each row t in ``targets`` (a step-1 range): p and q
+    are the forecasts of row t from the near and the far origin, resumed
+    from the per-row (belief, hidden) snapshots of one filter pass, each
+    offset's forecasts stepped as one batch. The snapshots are stacked
+    once; an offset's origins are one slice of them."""
     if not targets:
         return []
+    beliefs = np.stack(preds)
+    layers = [np.stack(layer) for layer in zip(*hiddens)]
     pq = []
     for o in (near_offset, far_offset):
-        origins = [t - o for t in targets]
-        h = [np.stack(layer) for layer in zip(*(hiddens[i] for i in origins))]
-        row = _self_feed(model, np.stack([preds[i] for i in origins]), h, o)[1][-1]
+        origins = slice(targets.start - o, targets.stop - o)
+        h = [layer[origins] for layer in layers]
+        row = _self_feed(model, beliefs[origins], h, o)[1][-1]
         pq.append(DistVector._of_row(row))
     return kl(*pq).tolist()
 
@@ -190,7 +193,7 @@ def score_series(model: UPropModel, series: TimeSeries, kind: str,
     # one filter pass; its per-row snapshots of (pending forecast, hidden
     # state) let every KL origin be resumed without re-filtering
     hiddens = [] if kind == "kl" else None
-    _, preds, _ = _scan(model, series.steps, _feed(series.values, series.mask),
+    _, preds, _ = _scan(model, series.steps, _inputs(series.values, series.mask),
                         snapshots=hiddens)
     scores = []
     if kind == "kl":

@@ -5,13 +5,17 @@ and without a prior and with its state, both imputed policies,
 ``forecast_from_origin``, a backtest sweep of it with a repeated origin,
 a step back and in-place edits, ``rollout``, ``mc_rollout`` and the
 three ``score_series`` kinds) for a 1x16 and a 3x12 model on a series
-with 30% of its cells missing, then ``evaluate_grid``, the bytes of both
-models' checkpoints and of a model trained at the default 3x64 shape,
-and every file written by the ``synth``, ``train``, ``forecast``,
-``detect`` and ``evaluate`` CLI commands. A change that claims
+with 30% of its cells missing, and ``filter_series`` and the three
+``score_series`` kinds on the same series fully observed, then
+``evaluate_grid``, the bytes of both models' checkpoints and of a model
+trained at the default 3x64 shape, and every file written by the
+``synth``, ``train``, ``forecast``, ``detect`` and ``evaluate`` CLI
+commands. A change that claims
 bit-identical outputs prints the same digest as its parent.
 
-Run from a checkout (a few seconds on one core):
+Run from a checkout (a few seconds on one core). The script pins numpy's
+BLAS to one thread before it imports numpy, because the bytes of the
+3x64 training depend on the thread count:
 
     python3 studies/identity_digest.py              # uprop from ./src
     python3 studies/identity_digest.py --src DIR    # uprop from DIR
@@ -35,11 +39,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402  (after the thread pin)
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDED = Path(__file__).with_suffix(".txt")
@@ -122,6 +130,11 @@ def entries():
             for kind in ("volatility", "surprise", "kl"):
                 out.append((f"{name}.score_series.{kind}",
                             score_series(model, x, kind, 2, 6)))
+            full = normalize(series[3], model.norm)
+            out.append((f"{name}.complete.filter_series", filter_series(model, full)))
+            for kind in ("volatility", "surprise", "kl"):
+                out.append((f"{name}.complete.score_series.{kind}",
+                            score_series(model, full, kind, 2, 6)))
             path = tmp / f"{name}.json"
             save_checkpoint(model, path, final_loss=0.25)
             out.append((f"{name}.checkpoint", path.read_bytes()))

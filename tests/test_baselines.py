@@ -6,7 +6,7 @@ from uprop.baselines import (IMPUTE_CLAMP, ImputePolicy, filter_series_imputed,
                              mc_rollout)
 from uprop.data import TimeSeries
 from uprop.errors import ConfigError, ShapeError
-from uprop.forecaster import DistVector, filter_series, rollout, step
+from uprop.forecaster import DistVector, filter_series, rollout
 
 from test_forecaster import small_model
 
@@ -134,12 +134,14 @@ class TestMcRollout:
         model = small_model(seed=29)
         context = [DistVector.observed(np.zeros(2))] * 5
         calls = []
+        for name in ("step", "fused_stack_step"):
+            original = getattr(forecaster, name)
 
-        def counting(*args):
-            calls.append(args)
-            return step(*args)
+            def counting(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
 
-        monkeypatch.setattr(forecaster, "step", counting)
+            monkeypatch.setattr(forecaster, name, counting)
         with pytest.raises(ConfigError, match="horizon"):
             mc_rollout(model, context, k=0, n_samples=4, seed=0)
         with pytest.raises(ConfigError, match="horizon"):

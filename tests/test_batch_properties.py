@@ -143,7 +143,7 @@ def test_feed_rows_equal_np_where_on_one_row_and_on_a_batch(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
     values = np.where(mask, rng.normal(size=mask.shape), np.nan)
     prior = DistVector(mu=rng.normal(size=dims), sigma=rng.uniform(0.0, 2.0, dims))
-    policy = _feed(values, mask, prior)
+    policy = _feed(values, mask, prior, "uprop", None)
     observed = np.concatenate([mask, mask], axis=-1)
     given_rows = np.concatenate([values, np.zeros(values.shape)], axis=-1)
     pending = None

@@ -1,10 +1,10 @@
 """Property tests for the invariants of beliefs that are not re-checked.
 
-``step`` builds its belief without ``DistVector``'s checks, so these
-properties pin what the checks would have enforced: every belief any
-inference entry point emits has float64 1-D ``mu``/``sigma`` of length
-``dims`` and ``sigma >= floor`` (or NaN), for random small models with
-large-magnitude weights and inputs too. Also: ``kl >= 0``, and series
+``step`` and the open-loop readout build their beliefs without
+``DistVector``'s checks, so these properties pin what the checks would
+have enforced: every belief any inference entry point emits has float64
+1-D ``mu``/``sigma`` of length ``dims`` and ``sigma >= floor`` (or NaN),
+for random small models with large-magnitude weights and inputs too. Also: ``kl >= 0``, and series
 survive the CSV plus mask-sidecar round trip bit for bit.
 """
 
@@ -55,9 +55,10 @@ def model_and_series(draw):
 
 @contextlib.contextmanager
 def emitted_beliefs():
-    """Collect every belief ``step`` returns while the block runs; a
-    batched belief ((B, N) arrays) is recorded as its B rows."""
-    beliefs, original = [], forecaster.step
+    """Collect every belief ``step`` returns, and every row the open-loop
+    readout (``_read_out``) returns, while the block runs; a batched belief
+    ((B, N) arrays) is recorded as its B rows."""
+    beliefs, original, original_read_out = [], forecaster.step, forecaster._read_out
 
     def recording(model, x, h, bufs=None):
         row, h_next = original(model, x, h, bufs)
@@ -68,11 +69,16 @@ def emitted_beliefs():
             beliefs.extend(DistVector._of_row(r) for r in row)
         return row, h_next
 
-    forecaster.step = recording
+    def recording_read_out(model, tops):
+        rows = original_read_out(model, tops)
+        beliefs.extend(DistVector._of_row(r) for r in rows.reshape(-1, rows.shape[-1]))
+        return rows
+
+    forecaster.step, forecaster._read_out = recording, recording_read_out
     try:
         yield beliefs
     finally:
-        forecaster.step = original
+        forecaster.step, forecaster._read_out = original, original_read_out
 
 
 def assert_valid_belief(belief, model):

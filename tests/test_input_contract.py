@@ -5,9 +5,10 @@ normalization of other dims than the training windows, and one seed rule
 (an integer >= 0, no bool) for every public function that takes a seed;
 each seed error names the function. A value that is not finite written
 into a series' ``values`` after the series is made is refused by every
-path that reads it, before any step, so no ``RuntimeWarning`` is raised.
-Last, ``step`` called on its own refuses, with a ``ShapeError``, a row or
-hidden states that do not fit each other.
+path that reads it, before any step, so no ``RuntimeWarning`` is raised;
+on a complete series, scanned open loop, too. Last, a context of mixed
+widths, and ``step`` called on its own on a row or hidden states that do
+not fit each other, are refused with a ``ShapeError``.
 """
 
 import warnings
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import uprop as U
+from uprop import forecaster
 from uprop.errors import DataError, ShapeError
 from uprop.forecaster import build_model, step
 
@@ -84,6 +86,43 @@ def test_an_observed_value_written_after_the_series_is_made_is_refused(name, val
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DataError, match=rf"observed value {value} is not finite"):
             call(model, series)
+
+
+COMPLETE_WRITTEN_AFTER = {
+    "filter_series": lambda m, s: U.filter_series(m, s),
+    "score_series-volatility": lambda m, s: U.score_series(m, s, "volatility"),
+    "score_series-surprise": lambda m, s: U.score_series(m, s, "surprise"),
+    "score_series-kl": lambda m, s: U.score_series(m, s, "kl", 1, 2),
+    "forecast_from_origin": lambda m, s: U.forecast_from_origin(m, s, 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", COMPLETE_WRITTEN_AFTER)
+def test_inf_written_into_a_complete_series_is_refused_before_the_open_loop(
+        monkeypatch, name):
+    # a complete series is scanned open loop, on its rows as given: the
+    # refusal still comes first, before the stack steps once
+    model = tiny_model()
+    series = U.TimeSeries.complete(np.linspace(-1.0, 1.0, 12).reshape(6, 2))
+    series.values[3, 1] = np.inf
+    assert series.mask.all()
+    calls = []
+    original = forecaster.fused_stack_step
+    monkeypatch.setattr(forecaster, "fused_stack_step",
+                        lambda *args: calls.append(1) or original(*args))
+    with pytest.raises(DataError, match=r"observed value inf is not finite"):
+        COMPLETE_WRITTEN_AFTER[name](model, series)
+    assert calls == []
+
+
+@pytest.mark.parametrize("call", [lambda m, c: U.rollout(m, c, 2),
+                                  lambda m, c: U.mc_rollout(m, c, 2, 2, seed=0)],
+                         ids=["rollout", "mc_rollout"])
+@pytest.mark.parametrize("widths", [(2, 3), (3, 2)], ids=["fit-first", "misfit-first"])
+def test_a_context_of_mixed_widths_is_a_shape_error(call, widths):
+    context = [U.DistVector.observed(np.zeros(n)) for n in widths]
+    with pytest.raises(ShapeError, match=r"input width 6 != 2 \* model dims 2"):
+        call(tiny_model(), context)
 
 
 def test_a_non_finite_cell_that_is_not_observed_is_accepted():

@@ -134,13 +134,14 @@ class TestForecastFromOrigin:
         series = toy_windows(n_windows=1, seed=42)[0]
         forecast_from_origin(model, series, 5, 2)
         cursor, calls = model._cursor, []
-        original = forecaster.step
+        for name in ("step", "fused_stack_step"):
+            original = getattr(forecaster, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(forecaster, "step", counting)
+            monkeypatch.setattr(forecaster, name, counting)
         with pytest.raises(ConfigError, match="horizon must be >= 1, got 0"):
             forecast_from_origin(model, series, 30, 0)
         assert calls == [] and model._cursor is cursor

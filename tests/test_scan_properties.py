@@ -1,17 +1,22 @@
 """Property tests for the inference scan: every entry point built on it
-agrees bitwise with the others, for random small models and masks."""
+agrees bitwise with the others, for random small models and masks, and
+the open loop (input rows known before the scan starts) is bitwise the
+closed loop fed the same rows."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uprop import forecaster
 from uprop.baselines import ImputePolicy, filter_series_imputed
 from uprop.data import TimeSeries
-from uprop.forecaster import encode_input, filter_series
+from uprop.forecaster import _scan, encode_input, filter_series
 from uprop.nn import zero_hidden
 from uprop.novelty import forecast_from_origin, score_series
 from uprop.prob import kl
 
+from test_batch_properties import same_bits
 from test_forecaster import belief_step, small_model
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -103,3 +108,59 @@ def test_imputed_filter_on_complete_data_is_filter_series(ms, kind, seed):
         assert a.t == b.t
         assert_same_belief(a.input, b.input)
         assert_same_belief(a.forecast.steps[0], b.forecast.steps[0])
+
+
+@st.composite
+def model_and_rows(draw):
+    """A model as in :func:`model_and_series` and 0 to 12 input rows, one
+    series or a batch: a fully observed series (sigma half 0) or a
+    context of beliefs."""
+    model, series = draw(model_and_series(complete=True))
+    rng = np.random.default_rng(draw(st.integers(0, 1000)))
+    batch = draw(st.sampled_from([None, 1, 4]))
+    shape = (draw(st.integers(0, 12)),) + (() if batch is None else (batch,))
+    mu = rng.normal(scale=2.0, size=shape + (model.dims,))
+    sigma = (np.zeros(mu.shape) if draw(st.booleans())
+             else rng.uniform(0.0, 2.0, mu.shape))
+    return model, np.concatenate([mu, sigma], axis=-1), batch
+
+
+@SETTINGS
+@given(model_and_rows())
+def test_the_open_loop_is_the_closed_loop_bit_for_bit(mrb):
+    model, rows, batch = mrb
+    n = rows.shape[0]
+    runs = []
+    for policy in (rows, lambda t, _: rows[t]):
+        snapshots = []
+        runs.append(_scan(model, n, policy, h=zero_hidden(model.stack, batch),
+                          snapshots=snapshots) + (snapshots,))
+    (inputs, preds, h, snaps), (c_inputs, c_preds, c_h, c_snaps) = runs
+    assert len(inputs) == len(preds) == len(snaps) == n
+    for got, want in ((inputs, c_inputs), (preds, c_preds), (h, c_h)):
+        assert len(got) == len(want)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+    for got, want in zip(snaps, c_snaps):
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("complete", [True, False], ids=["complete", "gappy"])
+def test_only_a_gappy_filter_calls_step(monkeypatch, complete):
+    model = small_model(dims=2, hidden=4, layers=2, seed=8)
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(11, 2))
+    mask = np.ones(values.shape, bool) if complete else rng.random(values.shape) >= 0.3
+    assert mask.all() == complete
+    values[~mask] = np.nan
+    series = TimeSeries(values=values, mask=mask)
+    calls = {"step": 0, "fused_stack_step": 0}
+    for name in calls:
+        original = getattr(forecaster, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(forecaster, name, counting)
+    filter_series(model, series)
+    assert calls == {"step": 0 if complete else series.steps,
+                     "fused_stack_step": series.steps}
