@@ -80,13 +80,20 @@ class NormStats:
 
     @classmethod
     def from_windows(cls, windows) -> "NormStats":
+        """Stats of every observed cell of ``windows``, which must share
+        one dims: per dimension, the window columns are concatenated, in
+        window order, and their observed cells taken at once."""
         if not windows:
             raise DataError("no windows to take normalization stats from")
         dims = windows[0].dims
+        for i, w in enumerate(windows):
+            if w.dims != dims:
+                raise DataError(f"window {i} has {w.dims} dims, window 0 has {dims}")
         mean = np.empty(dims)
         std = np.empty(dims)
         for d in range(dims):
-            cells = np.concatenate([w.values[w.mask[:, d], d] for w in windows])
+            cells = np.concatenate([w.values[:, d] for w in windows])[
+                np.concatenate([w.mask[:, d] for w in windows])]
             if cells.size == 0:
                 raise DataError(f"dimension {d} has no observed cells")
             mean[d] = cells.mean()

@@ -570,7 +570,10 @@ def train(windows: list, config: TrainConfig, norm: NormStats | None = None):
     elif norm.mean.shape[0] != dims:
         raise DataError(f"normalization stats of {norm.mean.shape[0]} dims do not fit "
                         f"training windows of {dims} dims")
-    xs = np.stack([(w.values - norm.mean) / norm.std for w in windows])
+    # (values - mean) / std, op for op, on one stack of the windows
+    xs = np.stack([w.values for w in windows])
+    np.subtract(xs, norm.mean, xs)
+    np.divide(xs, norm.std, xs)
 
     rng = np.random.default_rng(config.seed)
     model = build_model(dims, config, norm, rng)

@@ -36,11 +36,13 @@ Training runs :func:`window_batch_forward` and
 over the gates the forward caches (``forecaster._batch_loss`` hangs its
 gradients on the one loss node). The training forward repeats the cell's
 arithmetic, in the same order, on buffers it owns, because one cell
-shared by both callers slowed inference. Both kernels take the batched
-scan's gate-major layout, take each step's views from one ``zip`` per
-layer, set up once per batch, and pass every ufunc its output
-positionally; the readouts before step min(anchor) - 1 are neither
-scored nor fed back, so they are not run. Both run on a work set
+shared by both callers slowed inference; only its sigmoid's negation is
+gone, because the forward's copies of the weights hold the reset and
+update columns negated. Both kernels take the batched scan's gate-major
+layout, read each step's views from lists laid out once per work set
+and batch width (:class:`StepViews`), not once per batch, and pass every
+ufunc its output positionally; the readouts before step min(anchor) - 1
+are neither scored nor fed back, so they are not run. Both run on a work set
 (:func:`train_buffers`) that holds every (T, B, ·) array they keep,
 and nothing the backward can rebuild once per batch, made once per
 ``train`` call as one anonymous memory mapping: its pages are faulted
@@ -58,9 +60,8 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -167,19 +168,19 @@ def fuse_stack(stack: GruStackParams) -> GruStackParams:
     return GruStackParams(layers=[GruCell(*map(value_of, c.weights())) for c in stack.layers])
 
 
-def _sigmoid(x, one=1.0):
-    """1 / (1 + exp(-x)) in place on ``x``: the sigmoid of training, whose
-    three ops :func:`fused_stack_step` runs inline, in the same order.
-
-    ``one`` is the 1 that is added: the scalar, or a ones array of ``x``'s
-    shape, which rounds the same and dispatches faster (each cell's entry
-    of :func:`gate_buffers` holds one). Below x = -709, exp(-x) overflows
-    to inf and the result is exactly 0; callers, and those of
-    :func:`fused_stack_step`, silence that overflow with
+def _sigmoid(x):
+    """1 / (1 + exp(-x)) in place on ``x``, by four ops: negate, ``exp``,
+    add 1, reciprocal. The backward's σ-squash derivative calls it;
+    :func:`fused_stack_step` runs the four ops inline, adding a ones array
+    of ``x``'s shape, which rounds the same as the scalar and dispatches
+    faster, and :func:`window_batch_forward` the last three, because its
+    reset and update pre-activations are formed negated. Below x = -709,
+    exp(-x) overflows to inf and the result is exactly 0; callers, and
+    those of both kernels, silence that overflow with
     ``np.errstate(over="ignore")``.
     """
     np.exp(np.negative(x, x), x)
-    np.add(x, one, x)
+    np.add(x, 1.0, x)
     return np.reciprocal(x, x)
 
 
@@ -223,7 +224,7 @@ def gate_buffers(cells: list, shape: tuple) -> list:
     products, the copies and their blocks and reads the rest, so one set
     serves one scan at a time; they are never kept on the model.
     :func:`window_batch_forward` lays its products out on one set per
-    batch too.
+    batch width too, kept in its :class:`StepViews`.
     """
     bufs = []
     for cell in cells:
@@ -339,8 +340,15 @@ class TrainBuffers:
     backward multiplies by ``r`` in place once ``W``'s gradient is formed.
 
     A batch takes a prefix of each region, reshaped to its own (T, B, ·),
-    so it is contiguous whatever the batch's size. ``passes`` counts the
-    forwards run on the set and the backwards that consumed them.
+    so it is contiguous whatever the batch's size, and step t's block
+    starts at the same offset whatever T is. So ``width`` keeps one
+    :class:`StepViews` over all ``steps`` steps, made by the first batch
+    of its width and read by every later one until a batch of another
+    width replaces it (:meth:`step_views`): a short last batch makes its
+    own, and the next full one remakes the full width's. ``transposed``
+    holds each layer's ``W^T`` and ``U^T`` and the readout's weight
+    transposed, which every forward refreshes in place. ``passes`` counts
+    the forwards run on the set and the backwards that consumed them.
     """
 
     rows: int
@@ -348,7 +356,9 @@ class TrainBuffers:
     sizes: list
     flat: np.ndarray
     regions: dict
+    transposed: list = field(repr=False)
     passes: int = 0
+    width: "StepViews | None" = field(default=None, repr=False)
 
     def views(self, B: int, T: int) -> dict:
         """Each region's prefix as its array for a batch of ``B`` windows
@@ -377,6 +387,98 @@ class TrainBuffers:
         self.passes += 1
         return self.views(B, T)
 
+    def step_views(self, cells: list, B: int) -> "StepViews":
+        """The :class:`StepViews` of batches of ``B`` windows on this set,
+        made when the latest batch had another width; ``cells`` are
+        layers of the set's sizes, whose values are not kept."""
+        if self.width is None or self.width.rows != B:
+            self.width = _step_views(self, cells, B)
+        return self.width
+
+
+@dataclass
+class StepViews:
+    """What the training kernels read per step, for batches of one width
+    on one :class:`TrainBuffers` set, laid out over all its steps once;
+    a batch of T steps reads the first T of each list.
+
+    Per layer (``forward`` and ``backward``): the step tuples of the set's
+    regions (the forward's hidden states, gates and dropout masks; the
+    backward's factors, gates, step gradients of ``a`` with their
+    gate-major view, and masks), each view shared by both kernels, and the
+    step's (B, ·) work buffers. The forward's also holds the layer's
+    row-tiled biases, which each batch refreshes in place from the stack,
+    with the reset and update columns negated, as it does the set's
+    ``transposed`` weights.
+    ``inputs`` holds layer 0's input rows and the fed-back masks ``fed``
+    (steps, B, 1); ``reads`` the readout rows ``raw`` and the beliefs
+    ``belief`` (steps, B, 2N), with their sigma halves; ``back_reads`` the
+    rows of ``d_raw``, where the forward writes the loss gradient of the
+    beliefs and the backward turns it into the readout's, and of the
+    factors ``d_squash[t] * fed[t + 1]``, (steps, B, 2N) each. ``b_out``,
+    ``zero`` and ``floors`` serve the readout; ``d_top`` and ``d_feed``
+    the backward. ``rows`` is the width B.
+    """
+
+    rows: int
+    forward: list
+    backward: list
+    inputs: list
+    fed: np.ndarray
+    raw: np.ndarray
+    belief: np.ndarray
+    reads: list
+    b_out: np.ndarray
+    zero: np.ndarray
+    floors: np.ndarray
+    d_raw: np.ndarray
+    factor: np.ndarray
+    back_reads: list
+    d_top: np.ndarray
+    d_feed: np.ndarray
+
+
+def _step_views(work: TrainBuffers, cells: list, B: int) -> StepViews:
+    """The :class:`StepViews` of ``B``-wide batches on ``work``."""
+    steps, sizes = work.steps, work.sizes
+    view = work.views(B, steps)
+    two_n, N, last = sizes[0][0], sizes[0][0] // 2, len(sizes) - 1
+    masks = view["masks"][0]
+    forward, backward, below = [], [], None
+    for i, ((in_size, h), cell) in enumerate(zip(sizes, cells)):
+        hs, rz, ns, hns = view["hs"][i], view["rz"][i], view["n"][i], view["hn"][i]
+        da = view["d_a"][i]
+        k_z = da.reshape(-1)[:steps * B * h].reshape(steps, B, h)
+        states = list(hs)
+        fwd, back = [], []
+        for t in range(steps):
+            r, z, n, hn = rz[t, 0], rz[t, 1], ns[t], hns[t]
+            # the mask on this layer's output; the one on its input is the
+            # layer below's, so each mask view serves both kernels
+            fwd.append((states[t], states[t + 1], rz[t], r, z, n, hn,
+                        masks[t, i] if i < last else None))
+            back.append((n, hn, k_z[t], r, z, da[t], da[t].reshape(B, 3, h).transpose(1, 0, 2),
+                         below[t][-1] if i > 0 else None))
+        a, b, lay, a_rz, _, _, a_n, b_rz, b_n, one, one_h = gate_buffers([cell], (B,))[0][:11]
+        forward.append((np.empty((B, 3 * h)), np.empty((B, h)), a, b, *lay, a_rz, a_n, b_rz,
+                        b_n, one, one_h, np.empty((B, h)), np.empty((B, h)), np.empty((B, h)),
+                        fwd))
+        below = fwd
+        g, dc = np.empty((3, B, h)), np.empty((B, 3 * h))
+        backward.append((back, g, g[0], g[1], g[2], dc, dc.reshape(B, 3, h).transpose(1, 0, 2),
+                         np.empty((B, h)), np.empty((B, h)), np.empty((B, h)),
+                         np.empty((B, in_size)) if i > 0 else None))
+    fed = np.empty((steps, B, 1), dtype=bool)
+    raw, belief, d_raw, factor = (np.empty((steps, B, two_n)) for _ in range(4))
+    top = sizes[-1][1]
+    return StepViews(
+        rows=B, forward=forward, backward=backward, inputs=list(zip(view["xin"][0], fed)), fed=fed,
+        raw=raw, belief=belief, reads=list(zip(raw, raw[:, :, N:], belief, belief[:, :, N:])),
+        b_out=np.empty((B, two_n)), zero=np.zeros((B, N)),
+        floors=np.empty((B, N)), d_raw=d_raw, factor=factor,
+        back_reads=list(zip(d_raw, factor)), d_top=np.empty((B, top)),
+        d_feed=np.empty((B, two_n)))
+
 
 def train_buffers(cells: list, rows: int, steps: int) -> TrainBuffers:
     """One :class:`TrainBuffers` set for batches of up to ``rows`` windows
@@ -399,9 +501,11 @@ def train_buffers(cells: list, rows: int, steps: int) -> TrainBuffers:
             spans[name].append((total, total + size))
             total += -(-size // 8) * 8
     flat = np.frombuffer(mmap.mmap(-1, 8 * total), np.float64)
+    transposed = [(np.empty((n_in, 3 * h)), np.empty((h, 3 * h))) for n_in, h in sizes]
     return TrainBuffers(rows=rows, steps=steps, sizes=sizes, flat=flat,
                         regions={name: [flat[a:b] for a, b in s]
-                                 for name, s in spans.items()})
+                                 for name, s in spans.items()},
+                        transposed=transposed + [np.empty((sizes[-1][1], sizes[0][0]))])
 
 
 def _prefix(region: np.ndarray, shape: tuple) -> np.ndarray:
@@ -428,8 +532,10 @@ class WindowBatchCache:
     the dropout masks (T, gaps, B, h) or None, and ``first_read`` the
     first step whose readout is scored or fed back: earlier readouts are
     not computed (their ``raw`` rows are zero) and their ``d_belief`` is
-    zero. ``work`` is the set the (T, B, ·) arrays are views of, and
-    ``begun`` the forward's pass on it (:meth:`TrainBuffers.begin`).
+    zero; the backward turns ``d_belief`` into the readout's gradient in
+    place. ``work`` is the set the (T, B, ·) arrays are views of, of its
+    regions or of its :class:`StepViews` for width B, and ``begun`` the
+    forward's pass on it (:meth:`TrainBuffers.begin`).
     """
 
     stack: GruStackParams
@@ -461,11 +567,18 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     readout may hold ``Var``s or numpy arrays; only their values are
     read. Each step is :func:`fused_stack_step`'s arithmetic, in the
     same order, with a batch dimension, on buffers the backward reads: a
-    copy, because sharing one cell slowed batch-of-one inference. The
-    readouts before step min(anchor_b) - 1 are neither scored nor fed
-    back, so they are skipped. Every (T, B, ·) array of the cache is a
-    view of ``work`` (:func:`train_buffers`), which the batch must fit
-    (else ``ShapeError``) and which the next forward on it overwrites.
+    copy, because sharing one cell slowed batch-of-one inference. One
+    op is gone: the batch's copies of ``W^T``, ``U^T`` and ``b_w`` hold
+    the reset and update columns negated, so their sum is exactly minus
+    the pre-activation and the sigmoid starts at its ``exp`` (IEEE
+    negation is exact, and only the sign of a zero can differ, which
+    ``exp`` maps to 1 either way). The readouts before step
+    min(anchor_b) - 1 are neither scored nor fed back, so they are
+    skipped. Every (T, B, ·) array of the cache is a view of ``work``
+    (:func:`train_buffers`) or of its :class:`StepViews` for width B,
+    which the batch must fit (else ``ShapeError``) and which the next
+    forward on it overwrites; each step's views are made once per set and
+    width, not once per batch.
     """
     stack, readout = fuse_stack(stack), freeze_linear(readout)
     X = np.asarray(X, dtype=np.float64)
@@ -476,7 +589,6 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
                          f"window, got anchors {anchors.tolist()}, k={k}")
     T = int(anchors.max()) + k - 1
     steps = np.arange(T)[:, None]
-    fed = (steps >= anchors)[:, :, None]
     scored = (steps >= anchors - 1) & (steps < anchors + k - 1)
     first_fed = int(anchors.min())
     first_read = first_fed - 1
@@ -485,6 +597,9 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
         raise ShapeError(f"the stack takes {stack.layers[0].input_size} inputs, "
                          f"not the (x, 0) rows of {N} series")
     view = work.begin(stack.layers, B, T)
+    sv = work.step_views(stack.layers, B)
+    fed = sv.fed[:T]
+    np.greater_equal(steps, anchors, fed[:, :, 0])
 
     # the set's prefixes, with what a fresh array held written afresh:
     # the masks' ones, the zero start states and the zero sigma half
@@ -509,47 +624,48 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
                   else [hs[i][1:] for i in range(last)])
     # the skipped readouts keep constants (raw 0, mu = sigma = 1), so the
     # masked loss below stays finite and warning-free
-    raw = np.zeros((T, B, 2 * N))
-    belief = np.ones((T, B, 2 * N))   # (mu, sigma) per step
-    # laid out once per batch, per layer: transposed weights and
-    # row-broadcast biases, so each step is a plain product and a
-    # same-shape add; the products' work buffers and gate-major copies
-    # (gate_buffers); and one iterator over the per-step views, which
-    # makes each step's views only when the step reaches them
+    raw, belief = sv.raw[:T], sv.belief[:T]   # belief: (mu, sigma) per step
+    raw[:first_read].fill(0.0)
+    belief[:first_read].fill(1.0)
+    # the weights, refreshed in place: transposed, so each step is a
+    # plain product, and the biases row-broadcast, so the add is of one
+    # shape; the reset and update columns negated
     layers = []
-    for i, c in enumerate(stack.layers):
-        h = c.hidden_size
-        a, b, lay, a_rz, _, _, a_n, b_rz, b_n, one, one_h = gate_buffers([c], (B,))[0][:11]
-        drop = (repeat(None),) * 2
-        if dense_masks is not None and i < last:
-            drop = (dense_masks[:, i], repeat(np.empty((B, h))))
-        layers.append((c.w.T.copy(), c.u.T.copy(), np.tile(c.b_w, (B, 1)),
-                       np.tile(c.b_hn, (B, 1)), a, b, *lay, a_rz, a_n, b_rz, b_n, one,
-                       one_h, np.empty((B, h)), np.empty((B, h)),
-                       zip(hs[i][:-1], hs[i][1:], rz[i], rz[i][:, 0], rz[i][:, 1], ns[i],
-                           hns[i], *drop)))
-    w_out = readout.weight.T.copy()
-    b_out = np.tile(readout.bias, (B, 1))
-    zero, floors = np.zeros((B, N)), np.full((B, N), floor)
-    reads = zip(*(v[first_read:] for v in (raw, raw[:, :, :N], raw[:, :, N:],
-                                            belief, belief[:, :, :N], belief[:, :, N:])))
+    *transposed, w_out = work.transposed
+    for i, (c, (w_t, u_t), (b_w, b_hn, *bufs, steps_t)) in enumerate(
+            zip(stack.layers, transposed, sv.forward)):
+        rz_cols = 2 * c.hidden_size
+        for dst, src in ((w_t, c.w.T), (u_t, c.u.T), (b_w, c.b_w)):
+            np.negative(src[..., :rz_cols], dst[:, :rz_cols])
+            dst[:, rz_cols:] = src[..., rz_cols:]
+        b_hn[...] = c.b_hn
+        layers.append((w_t, u_t, b_w, b_hn, *bufs, dense_masks is not None and i < last,
+                       iter(steps_t)))
+    b_out, zero, floors = sv.b_out, sv.zero, sv.floors
+    w_out[...] = readout.weight.T
+    b_out[...] = readout.bias
+    floors.fill(floor)
+    reads = iter(sv.reads[first_read:])
 
     with np.errstate(over="ignore"):   # exp(-x) in the gates may overflow to inf
-        for t, x, fed_t in zip(range(T), xin[0], fed):
+        for t, (x, fed_t) in zip(range(T), sv.inputs):
             if t >= first_fed:
                 np.copyto(x, belief_t, "same_kind", fed_t)
             for (w_t, u_t, b_w, b_hn, a, b, ga, a_rows, gb, b_rows, a_rz, a_n, b_rz, b_n,
-                 one, one_h, keep, zh, views) in layers:
-                h_prev, h_next, rz_t, r, z, n, hn, mask, dropped = next(views)
+                 one, one_h, keep, zh, dropped, drop, views) in layers:
+                h_prev, h_next, rz_t, r, z, n, hn, mask = next(views)
                 x.dot(w_t, a)
                 np.add(a, b_w, a)
                 h_prev.dot(u_t, b)
                 # one copy per product lays its rows out gate-major, so
                 # every gate op below runs on contiguous blocks
-                np.copyto(ga, a_rows)
-                np.copyto(gb, b_rows)
+                ga[...] = a_rows
+                gb[...] = b_rows
+                # minus the pre-activation, so _sigmoid's ops from its exp
                 np.add(a_rz, b_rz, rz_t)
-                _sigmoid(rz_t, one)
+                np.exp(rz_t, rz_t)
+                np.add(rz_t, one, rz_t)
+                np.reciprocal(rz_t, rz_t)
                 np.add(b_n, b_hn, hn)
                 np.multiply(r, hn, n)
                 np.add(n, a_n, n)
@@ -558,13 +674,13 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
                 np.multiply(keep, n, keep)
                 np.multiply(z, h_prev, zh)
                 np.add(keep, zh, h_next)
-                x = h_next if mask is None else np.multiply(h_next, mask, dropped)
+                x = np.multiply(h_next, mask, dropped) if drop else h_next
             if t >= first_read:
                 # step t + 1 feeds back this step's belief_t
-                raw_t, raw_mu, raw_sigma, belief_t, mu, sigma = next(reads)
+                raw_t, raw_sigma, belief_t, sigma = next(reads)
                 x.dot(w_out, raw_t)
                 np.add(raw_t, b_out, raw_t)
-                np.copyto(mu, raw_mu)
+                belief_t[...] = raw_t   # mu; sigma is written next
                 np.logaddexp(zero, raw_sigma, sigma)
                 np.add(sigma, floors, sigma)
 
@@ -575,7 +691,8 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     losses = np.where(scored, terms, 0.0).sum(axis=0) * (1.0 / (k * N))
     # d(batch-mean loss)/d(mu, sigma) at each scored readout
     weight = scored[:, :, None] * (1.0 / (B * k * N))
-    d_belief = np.concatenate([-z / sigma, (1.0 - z * z) / sigma], axis=2) * weight
+    d_belief = np.multiply(np.concatenate([-z / sigma, (1.0 - z * z) / sigma], axis=2),
+                           weight, sv.d_raw[:T])
     cache = WindowBatchCache(stack=stack, readout=readout, xin=xin, hs=hs, rz=rz,
                              n=ns, hn=hns, raw=raw, d_belief=d_belief, fed=fed,
                              masks=dense_masks, first_read=first_read, work=work,
@@ -590,43 +707,53 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     ``w``, ``u``, ``b_w`` and ``b_hn`` of each layer, then the readout
     weight and bias; each a fresh array, never a view of the work set.
     Steps run in reverse. At each step the gradient enters at the
-    readout (from the loss and from the next step's input
-    on fed rows; not before ``cache.first_read``, where it is zero),
-    falls through the layers top-down, and leaves layer 0's input towards
-    the previous step's (mu, sigma) on fed rows. The gate derivatives are
-    formed for all steps before the loop and the weight gradients summed
-    over all steps after it, one matrix product per weight. A step's gate
-    ops run on one gate-major (3, B, h) block, copied once into the
-    step's (B, 3h) rows of ``a`` and once, with its n block times r,
-    into a (B, 3h) scratch for ``c``, which the products read. The step
-    gradients of ``a`` are laid out in ``cache.work``, the forward's set;
-    the update-gate factor takes their region's first T·B·h floats, which
-    is safe in reverse order: step t's factor is read before step t's
-    gradients are written at 3·t·B·h, and each earlier step's factor
-    ends at or before t·B·h. The candidate and reset factors overwrite
-    the cache's ``n`` and ``hn``. After the loop each layer forms ``W``'s
-    and ``b_w``'s gradients from ``d_a``, multiplies its n block by r in
-    place, over all steps, for ``U``'s and ``b_hn``'s, and a layer above
-    a dropout gap first rebuilds its masked input in the layer below's
-    ``n``. So the backward consumes its cache: a cache serves one
-    backward, and only while no later forward has run on its set (else
-    ``ShapeError``).
+    readout (from the loss and from the next step's input on fed rows;
+    not before ``cache.first_read``, where it is zero), falls through the
+    layers top-down, and leaves layer 0's input towards the previous
+    step's (mu, sigma) on fed rows. The gate derivatives, and the factor
+    ``d_squash[t] * fed[t + 1]`` by which that input gradient reaches
+    step t's readout, are formed for all steps before the loop (``fed``
+    is exactly 0 or 1, so one factor is bitwise the two products it
+    replaces), and the weight gradients are summed over all steps after
+    it, one matrix product per weight. The products read the model's own
+    ``w`` and ``u``, not the forward's negated copies. A step's gate ops
+    run on one gate-major (3, B, h) block, copied once into the step's
+    (B, 3h) rows of ``a`` and once, with its n block times r, into a
+    (B, 3h) scratch for ``c``, which the products read; each step's views
+    and scratch are the :class:`StepViews` of the forward's set and
+    width. The step gradients of ``a`` are laid out in ``cache.work``,
+    the forward's set; the update-gate factor takes their region's first
+    T·B·h floats, which is safe in reverse order: step t's factor is read
+    before step t's gradients are written at 3·t·B·h, and each earlier
+    step's factor ends at or before t·B·h. The candidate and reset
+    factors overwrite the cache's ``n`` and ``hn``. After the loop each
+    layer forms ``W``'s and ``b_w``'s gradients from ``d_a``, multiplies
+    its n block by r in place, over all steps, for ``U``'s and ``b_hn``'s,
+    and a layer above a dropout gap first rebuilds its masked input in
+    the layer below's ``n``. So the backward consumes its cache: a cache
+    serves one backward, and only while no later forward has run on its
+    set (else ``ShapeError``).
     """
     T, B, two_n = cache.raw.shape
     view = cache.work.consume(cache.begun, B, T)
+    sv = cache.work.width
     N = two_n // 2
-    # d(mu, sigma)/d(raw) is (1, sigmoid(raw_sigma)) by the softplus squash
+    # d(mu, sigma)/d(raw) is (1, sigmoid(raw_sigma)) by the softplus squash:
+    # d_raw is d_belief, in place, with its sigma half times the sigmoid,
+    # and the factor is fed[t + 1] with its sigma half times it too
     with np.errstate(over="ignore"):
         d_sigma = _sigmoid(cache.raw[:, :, N:].copy())
-    d_squash = np.concatenate([np.ones((T, B, N)), d_sigma], axis=2)
-    d_raw = cache.d_belief * d_squash
+    d_raw, factor = cache.d_belief, sv.factor[:T - 1]
+    np.multiply(d_raw[:, :, N:], d_sigma, d_raw[:, :, N:])
+    factor[:, :, :N] = cache.fed[1:]
+    np.multiply(d_sigma[:-1], cache.fed[1:], factor[:, :, N:])
     # per layer, top-down: one iterator, last step first, over the gate
     # derivative factors (T, B, h), the step gradients of the
     # pre-activation a = W x + b_w (T, B, 3h) with its gate-major view,
     # and the dropout masks on the layer's input; and the step's work
     # buffers, among them the (B, 3h) gradient of c = U h + [0, 0, b_hn]
     layers, d_a = [], []
-    for i, c in enumerate(cache.stack.layers):
+    for i, (c, (steps_t, *bufs, d_h, d_in)) in enumerate(zip(cache.stack.layers, sv.backward)):
         h = c.hidden_size
         r, z = cache.rz[i][:, 0], cache.rz[i][:, 1]
         n, hn, h_prev = cache.n[i], cache.hn[i], cache.hs[i][:T]
@@ -648,49 +775,43 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
         np.subtract(1.0, r, one_minus)
         np.multiply(k_r, one_minus, k_r)
         d_a.append(da)
-        per_step = (k_n, k_r, k_z, r, z, da, da.reshape(T, B, 3, h).transpose(0, 2, 1, 3))
-        masks = repeat(None)
-        if i > 0 and cache.masks is not None:
-            masks = cache.masks[::-1, i - 1]
-        g, dc = np.empty((3, B, h)), np.empty((B, 3 * h))
-        d_in = np.empty((B, c.input_size)) if i > 0 else None
-        layers.insert(0, (c.w, c.u, zip(*(v[::-1] for v in per_step), masks), g, g[0],
-                          g[1], g[2], dc, dc.reshape(B, 3, h).transpose(1, 0, 2),
-                          np.empty((B, h)), np.empty((B, h)), np.zeros((B, h)), d_in))
+        d_h.fill(0.0)
+        layers.insert(0, (c.w, c.u, iter(steps_t[T - 1::-1]),
+                          i > 0 and cache.masks is not None, *bufs, d_h, d_in))
     w_out = cache.readout.weight
-    d_top, d_feed = np.empty((B, w_out.shape[1])), np.empty((B, two_n))
+    d_top, d_feed = sv.d_top, sv.d_feed
     fed_next = False   # whether step t + 1 fed back step t's belief
 
-    for t, d_raw_t, squash, fed_t, fed_step in zip(
-            range(T - 1, -1, -1), d_raw[::-1], d_squash[::-1], cache.fed[::-1],
+    for t, (d_raw_t, factor_t), fed_step in zip(
+            range(T - 1, -1, -1), sv.back_reads[T - 1::-1],
             cache.fed.any(axis=(1, 2))[::-1].tolist()):
         if fed_next:
-            np.multiply(d_feed, squash, d_feed)
+            np.multiply(d_feed, factor_t, d_feed)
             np.add(d_raw_t, d_feed, d_raw_t)
         d_out = d_raw_t.dot(w_out, d_top) if t >= cache.first_read else None
-        for (w, u, views, g, g_r, g_z, g_n, dc, dc_g, dh_sum, dh_z, d_h, d_in) in layers:
+        for (w, u, views, drop, g, g_r, g_z, g_n, dc, dc_g, dh_sum, dh_z, d_h,
+             d_in) in layers:
             k_n, k_r, k_z, r, z, da, da_g, mask = next(views)
             dh = d_h if d_out is None else np.add(d_h, d_out, dh_sum)
             np.multiply(dh, k_n, g_n)
             np.multiply(g_n, k_r, g_r)
             np.multiply(dh, k_z, g_z)
-            np.copyto(da_g, g)
+            da_g[...] = g
             # c's r and z blocks are a's; its n block is d_pre_n * r
             np.multiply(g_n, r, g_n)
-            np.copyto(dc_g, g)
+            dc_g[...] = g
             np.multiply(dh, z, dh_z)
             dc.dot(u, d_h)
             np.add(d_h, dh_z, d_h)
             if d_in is not None:
                 d_out = da.dot(w, d_in)
-                if mask is not None:
+                if drop:
                     np.multiply(d_out, mask, d_out)
         # layer 0's input gradient (``da`` and ``w`` are layer 0's here)
         # only matters on fed rows
         fed_next = fed_step
         if fed_next:
             da.dot(w, d_feed)
-            np.multiply(d_feed, fed_t, d_feed)
 
     grads = []
     for i, c in enumerate(cache.stack.layers):

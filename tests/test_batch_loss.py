@@ -9,6 +9,7 @@ dropout masks) that scores each window on its own.
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -184,3 +185,22 @@ def test_no_per_op_tape():
     # the loss, the 4 fused weights of each layer, and the readout's
     # weight and bias
     assert len(seen) == 1 + 2 * 4 + 2
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_a_pass_leaves_every_weight_unchanged(layers, dropout):
+    # the forward reads the weights through copies it negates in part,
+    # and the backward reads the model's own arrays: a negated view
+    # would write the model's weights, and the second batch would then
+    # read them changed
+    model = make_model(dims=2, hidden=4, layers=layers, dropout=dropout, k=2, L=10, seed=3)
+    params = model.parameters()
+    before = [p.value.tobytes() for p in params]
+    work = train_buffers(model.stack.layers, 3, 9)
+    for i, anchors in enumerate([[8, 3, 5], [2, 6]]):
+        X, masks = batch(model, len(anchors), 10, 2, anchors, seed=3 + i)
+        zero_grad(params)
+        loss, _ = _batch_loss(model, X, anchors, 2, masks, work)
+        tn.backward(loss)
+        assert [p.value.tobytes() for p in params] == before

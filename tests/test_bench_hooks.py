@@ -67,3 +67,24 @@ def test_a_traced_filter_pass_records_one_span_per_step():
     assert names.count("forecaster.step") == series.steps
     assert names.count("nn.fused_stack_step.frozen") == series.steps
     assert "nn.fused_stack_step.tape" not in names
+
+
+def test_a_traced_train_records_one_backward_and_adam_span_per_batch():
+    # the per-batch backward, Adam and forward self times of the
+    # train_desk workload are read from these spans
+    tracer_mod = load_tracer()
+    rng = np.random.default_rng(5)
+    windows = [U.TimeSeries.complete(rng.normal(size=(6, 2))) for _ in range(5)]
+    config = U.TrainConfig(lookahead=1, epochs=2, window_length=6, batch_size=2,
+                           n_layers=2, hidden_size=3)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        U.train(windows, config)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    batches = 2 * 3   # two epochs of batches of 2, 2 and 1 windows
+    assert names.count("forecaster.train") == 1
+    assert names.count("tensor.backward") == batches
+    assert names.count("nn.adam_step") == batches

@@ -121,9 +121,16 @@ class TestCsv:
     (lambda: NormStats.from_windows([
         TimeSeries(values=[[0.0, np.nan], [1.0, np.nan]], mask=[[1, 0], [1, 0]]),
         TimeSeries(values=[[2.0, np.nan]], mask=[[1, 0]])]), "dimension 1 has no observed"),
+    (lambda: NormStats.from_windows([TimeSeries.complete(np.zeros((2, 3))),
+                                     TimeSeries.complete(np.zeros((2, 2)))]),
+     "window 1 has 2 dims, window 0 has 3"),
+    (lambda: NormStats.from_windows([TimeSeries.complete(np.zeros((2, 2))),
+                                     TimeSeries.complete(np.zeros((2, 3)))]),
+     "window 1 has 3 dims, window 0 has 2"),
 ], ids=["series-unequal", "series-1-D", "t0-float", "t0-bool", "stats-unequal",
         "std-below-floor", "std-nan", "std-inf", "mean-nan", "mean-inf", "mean-minus-inf", "stats-of-no-windows",
-        "stats-of-an-unobserved-dimension"])
+        "stats-of-an-unobserved-dimension", "stats-of-fewer-dims-after-more",
+        "stats-of-more-dims-after-fewer"])
 def test_malformed_series_and_stats_rejected(make, says):
     with pytest.raises(DataError, match=says):
         make()
