@@ -169,8 +169,9 @@ def load_checkpoint(path):
     weights = require(doc, "weights")
     values = [array(weights, key, "weights.", shape)
               for key, shape in _weight_shapes(dims, config)]
-    # shapes come from the config; weight values are overwritten below
-    model = build_model(dims, config, norm, np.random.default_rng(0))
+    # shapes come from the config; every weight is written below, so none
+    # is drawn
+    model = build_model(dims, config, norm, None)
     for array, value in zip(_weight_arrays(model), values):
         array[...] = value
     model.refresh_frozen()

@@ -167,7 +167,9 @@ class UPropModel:
 
 
 def build_model(dims: int, config: TrainConfig, norm: NormStats,
-                rng: np.random.Generator) -> UPropModel:
+                rng: np.random.Generator | None) -> UPropModel:
+    """A model of ``config``'s shape with weights drawn from ``rng``, or
+    left unfilled with ``rng`` None, for a caller that writes them all."""
     stack = init_gru_stack(2 * dims, config.hidden_size, config.n_layers, rng)
     # the scale half of the input starts with zero weight: an untrained
     # model treats a belief input exactly like an observation, and the

@@ -129,20 +129,30 @@ def gate_blocks(cell: GruCell) -> dict:
     return dict(zip(GATE_NAMES, [*w, *u, *b_w, value_of(cell.b_hn)]))
 
 
-def init_gru_cell(input_size: int, hidden_size: int, rng: np.random.Generator) -> GruCell:
-    """Uniform(-1/sqrt(hidden), 1/sqrt(hidden)) matrices, zero biases."""
+def _uniform(rng: np.random.Generator | None, bound: float, shape: tuple) -> np.ndarray:
+    """Uniform(-bound, bound) draws of ``shape`` from ``rng``; with
+    ``rng`` None, an unfilled array, for a caller that writes every
+    weight itself (``load_checkpoint``), so it neither draws nor imports
+    ``numpy.random``."""
+    return np.empty(shape) if rng is None else rng.uniform(-bound, bound, size=shape)
+
+
+def init_gru_cell(input_size: int, hidden_size: int,
+                  rng: np.random.Generator | None) -> GruCell:
+    """Uniform(-1/sqrt(hidden), 1/sqrt(hidden)) matrices, zero biases;
+    unfilled matrices with ``rng`` None (:func:`_uniform`)."""
     bound = 1.0 / math.sqrt(hidden_size)
     rows = 3 * hidden_size
     return GruCell(
-        w=Var(rng.uniform(-bound, bound, size=(rows, input_size))),
-        u=Var(rng.uniform(-bound, bound, size=(rows, hidden_size))),
+        w=Var(_uniform(rng, bound, (rows, input_size))),
+        u=Var(_uniform(rng, bound, (rows, hidden_size))),
         b_w=Var(np.zeros(rows)),
         b_hn=Var(np.zeros(hidden_size)),
     )
 
 
 def init_gru_stack(input_size: int, hidden_size: int, n_layers: int,
-                   rng: np.random.Generator) -> GruStackParams:
+                   rng: np.random.Generator | None) -> GruStackParams:
     layers = []
     for i in range(n_layers):
         in_size = input_size if i == 0 else hidden_size
@@ -150,10 +160,11 @@ def init_gru_stack(input_size: int, hidden_size: int, n_layers: int,
     return GruStackParams(layers=layers)
 
 
-def init_linear(in_size: int, out_size: int, rng: np.random.Generator) -> LinearParams:
+def init_linear(in_size: int, out_size: int,
+                rng: np.random.Generator | None) -> LinearParams:
     bound = 1.0 / math.sqrt(in_size)
     return LinearParams(
-        weight=Var(rng.uniform(-bound, bound, size=(out_size, in_size))),
+        weight=Var(_uniform(rng, bound, (out_size, in_size))),
         bias=Var(np.zeros(out_size)),
     )
 
@@ -309,13 +320,26 @@ def _work_shapes(sizes: list, B: int, T: int) -> dict:
     per gap between layers, or just one. What the backward can rebuild
     once per batch has no region: a dropped layer output and a step's
     gradient of ``c = U h + [0, 0, b_hn]`` pass through a (B, ·) scratch
-    per step, and the update-gate factor shares ``d_a``'s region."""
+    per step. Each layer's ``d_a`` is one slot of 3·B·h floats per step,
+    which holds what the forward leaves for the step's gate factors, then
+    the factors, until the step's gradients overwrite it (:func:`_slots`);
+    ``temp``, one for all layers, holds the factors' temporaries and,
+    after the step loop, one rebuilt masked input at a time."""
     h = [hidden for _, hidden in sizes]
     last = len(sizes) - 1
     return {"xin": [(T, B, sizes[0][0])], "masks": [(T, last, B, h[0])],
             "hs": [(T + 1, B, n) for n in h], "rz": [(T, 2, B, n) for n in h],
-            "n": [(T, B, n) for n in h], "hn": [(T, B, n) for n in h],
-            "d_a": [(T, B, 3 * n) for n in h]}
+            "d_a": [(T, B, 3 * n) for n in h], "temp": [(T, B, max(h))]}
+
+
+def _slots(d_a: np.ndarray) -> np.ndarray:
+    """A (T, B, 3h) ``d_a`` as its per-step slots (T, 3, B, h). After the
+    forward, blocks 0, 1 and 2 of slot t hold step t's
+    ``r * (U_n h + b_hn)``, ``1 - z`` and candidate ``n``, products the
+    forward forms anyway; the backward forms the reset, update and
+    candidate factors over them, in that order of blocks."""
+    T, B, three_h = d_a.shape
+    return d_a.reshape(T, 3, B, three_h // 3)
 
 
 @dataclass
@@ -328,16 +352,22 @@ class TrainBuffers:
     :func:`_work_shapes`:
 
     - ``xin``, layer 0's input; ``hs``, each layer's hidden states;
-    - ``masks``, the dropout masks;
-    - ``rz``, ``n`` and ``hn``, each layer's gates;
-    - ``d_a``, each layer's step gradients of ``a = W x + b_w``.
+    - ``masks``, the dropout masks; ``rz``, each layer's reset and
+      update gates;
+    - ``d_a``, each layer's step gradients of ``a = W x + b_w``, one
+      slot of 3·B·h floats per step (:func:`_slots`);
+    - ``temp``, one (T, B, max h) region shared by the layers.
 
-    No region holds a copy: the forward passes a dropped output to the
-    layer above through a (B, h) scratch and the backward rebuilds it in
-    the lower layer's ``n`` for the weight gradient; the update-gate
-    factor and a temporary take the first 2·T·B·h floats of ``d_a``,
-    and ``c``'s step gradients are ``d_a``'s, whose ``n`` block the
-    backward multiplies by ``r`` in place once ``W``'s gradient is formed.
+    No region holds a copy, and no value outlives its last reader: the
+    forward writes step t's ``r * (U_n h + b_hn)``, ``1 - z`` and
+    candidate ``n`` into ``d_a``'s slot t, the backward forms step t's
+    three gate factors there, and its step loop reads them before it
+    writes step t's gradients over them. The factors' temporaries take
+    ``temp``, and so, after the step loop, does the masked input of each
+    layer above a dropout gap, which the forward passes up through a
+    (B, h) scratch and the backward rebuilds for the weight gradient.
+    ``c``'s step gradients are ``d_a``'s, whose ``n`` block the backward
+    multiplies by ``r`` in place once ``W``'s gradient is formed.
 
     A batch takes a prefix of each region, reshaped to its own (T, B, ·),
     so it is contiguous whatever the batch's size, and step t's block
@@ -406,10 +436,12 @@ class StepViews:
     regions (the forward's hidden states, gates and dropout masks; the
     backward's factors, gates, step gradients of ``a`` with their
     gate-major view, and masks), each view shared by both kernels, and the
-    step's (B, ·) work buffers. The forward's also holds the layer's
-    row-tiled biases, which each batch refreshes in place from the stack,
-    with the reset and update columns negated, as it does the set's
-    ``transposed`` weights.
+    step's (B, ·) work buffers. Step t's blocks of ``d_a``'s slot t
+    (:func:`_slots`) are the forward's ``r * (U_n h + b_hn)``, ``1 - z``
+    and candidate, and the backward's factors. The forward's also holds
+    the layer's row-tiled biases, which each batch refreshes in place
+    from the stack, with the reset and update columns negated, as it does
+    the set's ``transposed`` weights.
     ``inputs`` holds layer 0's input rows and the fed-back masks ``fed``
     (steps, B, 1); ``reads`` the readout rows ``raw`` and the beliefs
     ``belief`` (steps, B, 2N), with their sigma halves; ``back_reads`` the
@@ -446,18 +478,18 @@ def _step_views(work: TrainBuffers, cells: list, B: int) -> StepViews:
     masks = view["masks"][0]
     forward, backward, below = [], [], None
     for i, ((in_size, h), cell) in enumerate(zip(sizes, cells)):
-        hs, rz, ns, hns = view["hs"][i], view["rz"][i], view["n"][i], view["hn"][i]
-        da = view["d_a"][i]
-        k_z = da.reshape(-1)[:steps * B * h].reshape(steps, B, h)
-        states = list(hs)
+        hs, rz, da = view["hs"][i], view["rz"][i], view["d_a"][i]
+        states, slots = list(hs), _slots(da)
         fwd, back = [], []
         for t in range(steps):
-            r, z, n, hn = rz[t, 0], rz[t, 1], ns[t], hns[t]
+            r, z = rz[t, 0], rz[t, 1]
+            # the forward's r * hn, 1 - z and n; the backward's k_r, k_z, k_n
+            k_r, k_z, k_n = slots[t]
             # the mask on this layer's output; the one on its input is the
             # layer below's, so each mask view serves both kernels
-            fwd.append((states[t], states[t + 1], rz[t], r, z, n, hn,
+            fwd.append((states[t], states[t + 1], rz[t], r, z, k_r, k_z, k_n,
                         masks[t, i] if i < last else None))
-            back.append((n, hn, k_z[t], r, z, da[t], da[t].reshape(B, 3, h).transpose(1, 0, 2),
+            back.append((k_n, k_r, k_z, r, z, da[t], da[t].reshape(B, 3, h).transpose(1, 0, 2),
                          below[t][-1] if i > 0 else None))
         a, b, lay, a_rz, _, _, a_n, b_rz, b_n, one, one_h = gate_buffers([cell], (B,))[0][:11]
         forward.append((np.empty((B, 3 * h)), np.empty((B, h)), a, b, *lay, a_rz, a_n, b_rz,
@@ -520,12 +552,13 @@ class WindowBatchCache:
     ``stack`` and ``readout`` are numpy views of the weights. Time-major
     arrays over T steps and B windows: per layer, ``xin`` is
     the input (T, B, in): for layer 0 its rows; above it a view of the
-    layer below's ``hs``, or, above a dropout gap, the layer below's
-    ``n`` region, into which the backward recomputes the masked input,
+    layer below's ``hs``, or, above a dropout gap, a prefix of the set's
+    shared ``temp``, into which the backward recomputes the masked input,
     which is not stored. ``hs`` is the hidden states (T + 1, B, h) after
     the zero start state, ``rz`` the reset and update gates, gate-major
-    (T, 2, B, h), ``n`` the candidate and ``hn`` the term
-    ``U_n h + b_hn`` (T, B, h), which the backward overwrites. ``raw``
+    (T, 2, B, h); the candidate ``n``, ``1 - z`` and
+    ``r * (U_n h + b_hn)`` are in the per-step slots of the set's ``d_a``
+    (:func:`_slots`), where the backward overwrites them. ``raw``
     is the readout (T, B, 2N), ``d_belief`` the gradient of the
     batch-mean loss with respect to each step's (mu, sigma), ``fed`` the
     (T, B, 1) rows whose input was the previous step's belief, ``masks``
@@ -543,8 +576,6 @@ class WindowBatchCache:
     xin: list
     hs: list
     rz: list
-    n: list
-    hn: list
     raw: np.ndarray
     d_belief: np.ndarray
     fed: np.ndarray
@@ -617,11 +648,11 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     x0 = view["xin"][0]
     np.copyto(x0[:, :, :N], rows[:T])
     x0[:, :, N:].fill(0.0)
-    rz, ns, hns = view["rz"], view["n"], view["hn"]
     # a layer above a dropout gap reads its input from a (B, h) scratch
-    # per step; the backward rebuilds it in the layer below's n region
-    xin = [x0] + (ns[:last] if dense_masks is not None
-                  else [hs[i][1:] for i in range(last)])
+    # per step; the backward rebuilds it in the shared temp region
+    temp = work.regions["temp"][0]
+    xin = [x0] + [hs[i][1:] if dense_masks is None else _prefix(temp, hs[i][1:].shape)
+                  for i in range(last)]
     # the skipped readouts keep constants (raw 0, mu = sigma = 1), so the
     # masked loss below stays finite and warning-free
     raw, belief = sv.raw[:T], sv.belief[:T]   # belief: (mu, sigma) per step
@@ -653,7 +684,7 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
                 np.copyto(x, belief_t, "same_kind", fed_t)
             for (w_t, u_t, b_w, b_hn, a, b, ga, a_rows, gb, b_rows, a_rz, a_n, b_rz, b_n,
                  one, one_h, keep, zh, dropped, drop, views) in layers:
-                h_prev, h_next, rz_t, r, z, n, hn, mask = next(views)
+                h_prev, h_next, rz_t, r, z, r_hn, one_minus_z, n, mask = next(views)
                 x.dot(w_t, a)
                 np.add(a, b_w, a)
                 h_prev.dot(u_t, b)
@@ -666,12 +697,14 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
                 np.exp(rz_t, rz_t)
                 np.add(rz_t, one, rz_t)
                 np.reciprocal(rz_t, rz_t)
-                np.add(b_n, b_hn, hn)
-                np.multiply(r, hn, n)
-                np.add(n, a_n, n)
+                # r * (U_n h + b_hn), 1 - z and n land in the step's slot
+                # of d_a, where the backward forms its factors from them
+                np.add(b_n, b_hn, keep)
+                np.multiply(r, keep, r_hn)
+                np.add(r_hn, a_n, n)
                 np.tanh(n, n)
-                np.subtract(one_h, z, keep)
-                np.multiply(keep, n, keep)
+                np.subtract(one_h, z, one_minus_z)
+                np.multiply(one_minus_z, n, keep)
                 np.multiply(z, h_prev, zh)
                 np.add(keep, zh, h_next)
                 x = np.multiply(h_next, mask, dropped) if drop else h_next
@@ -693,8 +726,8 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     weight = scored[:, :, None] * (1.0 / (B * k * N))
     d_belief = np.multiply(np.concatenate([-z / sigma, (1.0 - z * z) / sigma], axis=2),
                            weight, sv.d_raw[:T])
-    cache = WindowBatchCache(stack=stack, readout=readout, xin=xin, hs=hs, rz=rz,
-                             n=ns, hn=hns, raw=raw, d_belief=d_belief, fed=fed,
+    cache = WindowBatchCache(stack=stack, readout=readout, xin=xin, hs=hs, rz=view["rz"],
+                             raw=raw, d_belief=d_belief, fed=fed,
                              masks=dense_masks, first_read=first_read, work=work,
                              begun=work.passes)
     return losses, cache
@@ -722,17 +755,19 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     (B, 3h) scratch for ``c``, which the products read; each step's views
     and scratch are the :class:`StepViews` of the forward's set and
     width. The step gradients of ``a`` are laid out in ``cache.work``,
-    the forward's set; the update-gate factor takes their region's first
-    T·B·h floats, which is safe in reverse order: step t's factor is read
-    before step t's gradients are written at 3·t·B·h, and each earlier
-    step's factor ends at or before t·B·h. The candidate and reset
-    factors overwrite the cache's ``n`` and ``hn``. After the loop each
-    layer forms ``W``'s and ``b_w``'s gradients from ``d_a``, multiplies
-    its n block by r in place, over all steps, for ``U``'s and ``b_hn``'s,
-    and a layer above a dropout gap first rebuilds its masked input in
-    the layer below's ``n``. So the backward consumes its cache: a cache
-    serves one backward, and only while no later forward has run on its
-    set (else ``ShapeError``).
+    the forward's set, one slot of 3·B·h floats per step (:func:`_slots`),
+    where the forward left the step's ``r * (U_n h + b_hn)``, ``1 - z``
+    and candidate: the three factors of step t are formed in place in
+    slot t, and step t reads them before it writes its gradients over
+    them. Their temporaries take the set's shared ``temp``: a contiguous
+    copy of the candidate, in which the candidate factor is formed off
+    the strided blocks, then ``1 - r``.
+    After the loop each layer forms ``W``'s and ``b_w``'s gradients from
+    ``d_a``, multiplies its n block by r in place, over all steps, for
+    ``U``'s and ``b_hn``'s, and a layer above a dropout gap first
+    rebuilds its masked input in ``temp``. So the backward consumes its
+    cache: a cache serves one backward, and only while no later forward
+    has run on its set (else ``ShapeError``).
     """
     T, B, two_n = cache.raw.shape
     view = cache.work.consume(cache.begun, B, T)
@@ -752,29 +787,29 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     # pre-activation a = W x + b_w (T, B, 3h) with its gate-major view,
     # and the dropout masks on the layer's input; and the step's work
     # buffers, among them the (B, 3h) gradient of c = U h + [0, 0, b_hn]
-    layers, d_a = [], []
+    d_a, temp = view["d_a"], cache.work.regions["temp"][0]
+    layers = []
     for i, (c, (steps_t, *bufs, d_h, d_in)) in enumerate(zip(cache.stack.layers, sv.backward)):
         h = c.hidden_size
         r, z = cache.rz[i][:, 0], cache.rz[i][:, 1]
-        n, hn, h_prev = cache.n[i], cache.hn[i], cache.hs[i][:T]
-        # ((h_prev - n) * z) * (1 - z), (1 - z) * (1 - n * n) and
-        # (hn * r) * (1 - r), op for op; k_z first, while n is intact. k_z
-        # takes d_a's first T*B*h floats and the temporary 1 - z, then
-        # 1 - r, the next T*B*h: the step loop, last step first, reads
-        # k_z[t] before it writes d_a[t] at 3*t*B*h, past every k_z[s<t]
-        da = view["d_a"][i]
-        k_z, one_minus = da.reshape(-1)[:2 * T * B * h].reshape(2, T, B, h)
-        np.subtract(h_prev, n, k_z)
-        np.multiply(k_z, z, k_z)
-        np.subtract(1.0, z, one_minus)
-        np.multiply(k_z, one_minus, k_z)
-        k_n = np.multiply(n, n, n)
-        np.subtract(1.0, k_n, k_n)
-        np.multiply(one_minus, k_n, k_n)
-        k_r = np.multiply(hn, r, hn)
-        np.subtract(1.0, r, one_minus)
-        np.multiply(k_r, one_minus, k_r)
-        d_a.append(da)
+        h_prev, tmp = cache.hs[i][:T], _prefix(temp, (T, B, h))
+        # k_z = ((h_prev - n) * z) * (1 - z), k_n = (1 - z) * (1 - n * n)
+        # and k_r = (r * hn) * (1 - r), op for op, each formed in the
+        # block of the slots where the forward left 1 - z, n and r * hn.
+        # A ufunc on strided blocks runs buffered, at two to five times
+        # the cost of one on contiguous arrays, and a strided copy does
+        # not, so n goes to the contiguous tmp and k_n is formed there
+        k_r, k_z, k_n = _slots(d_a[i]).swapaxes(0, 1)
+        np.copyto(tmp, k_n)                # n
+        np.subtract(h_prev, tmp, k_n)      # h_prev - n, in n's block
+        np.multiply(tmp, tmp, tmp)
+        np.subtract(1.0, tmp, tmp)
+        np.multiply(k_z, tmp, tmp)         # k_n, by k_z's block's 1 - z
+        np.multiply(k_n, z, k_n)
+        np.multiply(k_n, k_z, k_z)         # k_z
+        np.copyto(k_n, tmp)
+        np.subtract(1.0, r, tmp)
+        np.multiply(k_r, tmp, k_r)
         d_h.fill(0.0)
         layers.insert(0, (c.w, c.u, iter(steps_t[T - 1::-1]),
                           i > 0 and cache.masks is not None, *bufs, d_h, d_in))
@@ -817,8 +852,8 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     for i, c in enumerate(cache.stack.layers):
         h, xin = c.hidden_size, cache.xin[i]
         if i > 0 and cache.masks is not None:
-            # the masked input, rebuilt op for op in the region of the
-            # layer below's n, which the step loop has read for the last time
+            # the masked input, rebuilt op for op in the shared temp,
+            # which the factors no longer need
             np.multiply(cache.hs[i - 1][1:], cache.masks[:, i - 1], xin)
         da = d_a[i].reshape(T * B, 3 * h)
         d_w, d_b_w = da.T @ xin.reshape(T * B, -1), da.sum(axis=0)

@@ -510,3 +510,14 @@ def test_runtime_does_not_import_scipy():
     # scipy is a test dependency only
     proc = run_python("-c", "import sys, uprop.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_forecast_does_not_import_numpy_random(workdir, tmp_path):
+    # loading a checkpoint writes every weight from the file, so it draws
+    # none; importing numpy.random alone pulls in secrets, hmac and OpenSSL
+    argv = ["forecast", "--model", str(workdir / "models" / "lookahead_2.json"),
+            "--data", str(workdir / "data" / "node_000.csv"), "--at", "5",
+            "--out", str(tmp_path / "f.csv")]
+    proc = run_python("-c", "import sys; from uprop.cli import main; "
+                      f"print(main({argv!r}), 'numpy.random' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "0 False\n", proc.stderr

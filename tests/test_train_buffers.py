@@ -94,7 +94,8 @@ def test_a_loss_whose_set_a_later_forward_overwrote_is_refused():
 
 
 def test_a_cache_serves_one_backward():
-    # the backward forms two factors in place over the cache's n and hn
+    # the backward forms the factors in place over the candidate and
+    # U_n h + b_hn that the forward left in the step gradients' slots
     model = make_model(dims=2, hidden=3, layers=1, dropout=0.0, k=2, L=10, seed=9)
     work = train_buffers(model.stack.layers, 3, 9)
     X, _ = batch(model, 3, 10, 2, [8, 3, 5], seed=9)
@@ -127,14 +128,16 @@ def test_a_warm_set_allocates_no_step_array():
 
 def test_the_set_holds_only_what_the_step_loops_read():
     # one batch of 16 windows over 119 steps at the default 3x64 shape on
-    # (x, 0) rows of 3 series: 1 670 floats per step and window, 2 566
+    # (x, 0) rows of 3 series: 1 350 floats per step and window, 2 566
     # with regions for the c-gradients (rebuilt from d_a after the step
-    # loop), the update-gate factor (kept in d_a's region) and the masked
-    # outputs (a (B, h) scratch per step, rebuilt in a region no longer read)
+    # loop), the update-gate factor, the candidate and U_n h + b_hn (all
+    # three in d_a's slot of their step, until its gradients overwrite
+    # them) and the masked outputs (a (B, h) scratch per step, rebuilt in
+    # the one temp region of all layers)
     cells = init_gru_stack(6, 64, 3, np.random.default_rng(0)).layers
     work = train_buffers(cells, 16, 119)
-    assert set(work.regions) == {"xin", "masks", "hs", "rz", "n", "hn", "d_a"}
-    assert work.flat.nbytes < 26_000_000, work.flat.nbytes
+    assert set(work.regions) == {"xin", "masks", "hs", "rz", "d_a", "temp"}
+    assert work.flat.nbytes < 21_000_000, work.flat.nbytes
 
 
 def test_gradients_are_fresh_arrays_not_views_of_the_set():
