@@ -26,7 +26,12 @@ from .prob import interval95
 
 @dataclass
 class RunConfig:
-    """Validated JSON run configuration; unknown keys are rejected."""
+    """Validated JSON run configuration; unknown keys are rejected.
+
+    Each field is of its annotated type under the JSON rule
+    (``data._is_a``), whether the config is built directly or by
+    :meth:`load`, whose type errors start with the file's path.
+    """
 
     dims: int = 3
     layers: int = TrainConfig.n_layers
@@ -44,6 +49,8 @@ class RunConfig:
     methods: list[str] = field(default_factory=lambda: list(METHODS))
 
     def __post_init__(self):
+        # types first: the checks below compare the values
+        self._check_types(vars(self))
         if self.dims < 1:
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
         # TrainConfig validates every training field
@@ -63,6 +70,22 @@ class RunConfig:
             raise ConfigError(f"methods must include 'uprop', the method the "
                               f"others are compared with, got {self.methods}")
 
+    @staticmethod
+    def _check_types(fields: dict) -> None:
+        """``ConfigError`` unless each of ``fields``, by name, is of its
+        field's type under the JSON rule (``data._is_a``)."""
+        hints = typing.get_type_hints(RunConfig)
+        for name, value in fields.items():
+            kind = hints[name]
+            if typing.get_origin(kind) is list:
+                (item,) = typing.get_args(kind)
+                ok = isinstance(value, list) and all(_is_a(v, item) for v in value)
+                want = f"a list, each entry {_KINDS[item]}"
+            else:
+                ok, want = _is_a(value, kind), _KINDS[kind]
+            if not ok:
+                raise ConfigError(f"{name} must be {want}, got {value!r}")
+
     @classmethod
     def load(cls, path) -> "RunConfig":
         try:
@@ -74,20 +97,13 @@ class RunConfig:
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object, "
                               f"got {type(doc).__name__}")
-        hints = typing.get_type_hints(cls)
-        unknown = set(doc) - set(hints)
+        unknown = set(doc) - set(typing.get_type_hints(cls))
         if unknown:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in doc.items():
-            kind = hints[key]
-            if typing.get_origin(kind) is list:
-                (item,) = typing.get_args(kind)
-                ok = isinstance(value, list) and all(_is_a(v, item) for v in value)
-                want = f"a list, each entry {_KINDS[item]}"
-            else:
-                ok, want = _is_a(value, kind), _KINDS[kind]
-            if not ok:
-                raise ConfigError(f"{path}: {key} must be {want}, got {value!r}")
+        try:
+            cls._check_types(doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         return cls(**doc)
 
     def train_config(self, lookahead: int | None = None) -> TrainConfig:

@@ -85,9 +85,12 @@ def evaluate_grid(models: dict, test_windows: list, rates: list,
     run seed, identically across lookaheads and methods, so cells in a row
     see the same degraded data. A ``DataError`` is raised, before any
     work, when the seed is not an integer >= 0, a rate is outside [0, 1)
-    or no test window has the two rows a one-step forecast needs.
+    or no test window has the two rows a one-step forecast needs, and a
+    ``ConfigError`` when ``methods`` is empty or names an unknown method.
     """
     _check_seed(seed, "evaluate_grid")
+    if not methods:
+        raise ConfigError("evaluate_grid needs at least one method")
     for method in methods:
         if method not in METHODS:
             raise ConfigError(f"unknown evaluation method {method!r}")

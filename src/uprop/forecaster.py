@@ -510,11 +510,12 @@ def _batch_loss(model: UPropModel, X: np.ndarray, anchors, k: int, masks,
     steps self-fed and is scored against rows anchor_b..anchor_b+k-1 by
     mean per-point NLL. Returns the batch-mean loss as a ``Var`` whose
     parents are the model's weights, and the per-window losses as numpy.
-    The forward is :func:`window_batch_forward`; the gradients come from
-    one :func:`window_batch_backward` pass, run when ``backward`` first
-    asks for them. Both run on ``work`` (:func:`nn.train_buffers`), which
-    the next forward on it overwrites, so ``backward`` must run on this
-    loss before the next call on the set (else ``ShapeError``).
+    The forward is :func:`window_batch_forward`, which leaves the batch on
+    ``work`` (:func:`nn.train_buffers`); the gradients come from one
+    :func:`window_batch_backward` pass over it, run when ``backward``
+    first asks for them. The next forward on the set overwrites the
+    batch, so ``backward`` must run on this loss before the next call on
+    the set (else ``ShapeError``).
     """
     losses, cache = window_batch_forward(model.stack, model.readout,
                                          model.train_config.sigma_floor, X,

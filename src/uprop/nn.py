@@ -33,7 +33,7 @@ batch costs more per product.
 
 Training runs :func:`window_batch_forward` and
 :func:`window_batch_backward`, a hand-written backward pass through time
-over the gates the forward caches (``forecaster._batch_loss`` hangs its
+over the gates the forward leaves (``forecaster._batch_loss`` hangs its
 gradients on the one loss node). The training forward repeats the cell's
 arithmetic, in the same order, on buffers it owns, because one cell
 shared by both callers slowed inference; only its sigmoid's negation is
@@ -43,13 +43,14 @@ layout, read each step's views from lists laid out once per work set
 and batch width (:class:`StepViews`), not once per batch, and pass every
 ufunc its output positionally; the readouts before step min(anchor) - 1
 are neither scored nor fed back, so they are not run. Both run on a work set
-(:func:`train_buffers`) that holds every (T, B, ·) array they keep,
-and nothing the backward can rebuild once per batch, made once per
-``train`` call as one anonymous memory mapping: its pages are faulted
-in once, not once per batch, and they leave the process when ``train``
-returns. The backward consumes its cache, and the set
-counts its passes, so a backward whose cache a later forward
-overwrote, or a second backward on one cache, raises ``ShapeError``.
+(:func:`train_buffers`), the one owner of a batch's state: it holds every
+(T, B, ·) array they keep, and nothing the backward can rebuild, and
+the few facts of the latest forward that no array holds. It is made
+once per ``train`` call as one anonymous memory mapping: its pages are
+faulted in once, not once per batch, and they leave the process when
+``train`` returns. The set counts its passes, and a forward hands its
+backward only the set and its pass, so a backward that a later forward
+overwrote, or a second backward of one forward, raises ``ShapeError``.
 CHANGES.md records the benchmark runs behind these choices.
 
 This module is the one place that knows the gate order;
@@ -369,16 +370,21 @@ class TrainBuffers:
     ``c``'s step gradients are ``d_a``'s, whose ``n`` block the backward
     multiplies by ``r`` in place once ``W``'s gradient is formed.
 
-    A batch takes a prefix of each region, reshaped to its own (T, B, ·),
-    so it is contiguous whatever the batch's size, and step t's block
-    starts at the same offset whatever T is. So ``width`` keeps one
+    A batch of width B takes a prefix of each region, reshaped to
+    (steps, B, ·), and a batch of T steps its first T steps, so it is
+    contiguous whatever the batch's size, and step t's block starts at
+    the same offset whatever T is. So ``width`` keeps one
     :class:`StepViews` over all ``steps`` steps, made by the first batch
     of its width and read by every later one until a batch of another
-    width replaces it (:meth:`step_views`): a short last batch makes its
-    own, and the next full one remakes the full width's. ``transposed``
-    holds each layer's ``W^T`` and ``U^T`` and the readout's weight
-    transposed, which every forward refreshes in place. ``passes`` counts
-    the forwards run on the set and the backwards that consumed them.
+    width replaces it (:meth:`begin`): a short last batch makes its own,
+    and the next full one remakes the full width's. ``transposed`` holds
+    each layer's ``W^T`` and ``U^T`` and the readout's weight transposed,
+    which every forward refreshes in place. ``passes`` counts the
+    forwards run on the set and the backwards that consumed them.
+    ``batch`` holds what the latest forward leaves its backward that no
+    array of the set holds: the stack's and readout's numpy views, each
+    layer's input ``xin`` (T, B, in), T, the first step whose readout is
+    run, and whether the layer outputs were dropped out.
     """
 
     rows: int
@@ -389,40 +395,31 @@ class TrainBuffers:
     transposed: list = field(repr=False)
     passes: int = 0
     width: "StepViews | None" = field(default=None, repr=False)
+    batch: tuple = field(default=(), repr=False)
 
-    def views(self, B: int, T: int) -> dict:
-        """Each region's prefix as its array for a batch of ``B`` windows
-        over ``T`` steps, by name as :func:`_work_shapes`."""
-        return {name: [_prefix(r, shape) for r, shape in zip(self.regions[name], shapes)]
-                for name, shapes in _work_shapes(self.sizes, B, T).items()}
-
-    def begin(self, cells: list, B: int, T: int) -> dict:
+    def begin(self, cells: list, B: int, T: int) -> "StepViews":
         """Start a forward of ``B`` windows over ``T`` steps on ``cells``:
-        its :meth:`views`, or ``ShapeError`` unless the batch fits."""
+        the :class:`StepViews` of width ``B``, made when the latest batch
+        had another width, or ``ShapeError`` unless the batch fits.
+        ``cells`` are layers of the set's sizes, whose values are not kept."""
         sizes = [(c.input_size, c.hidden_size) for c in cells]
         if B > self.rows or T > self.steps or sizes != self.sizes:
             raise ShapeError(f"a batch of {B} windows over {T} steps on layers "
                              f"{sizes} does not fit a work set of {self.rows} x "
                              f"{self.steps} on layers {self.sizes}")
         self.passes += 1
-        return self.views(B, T)
+        if self.width is None or self.width.rows != B:
+            self.width = _step_views(self, cells, B)
+        return self.width
 
-    def consume(self, begun: int, B: int, T: int) -> dict:
-        """The :meth:`views` of the forward that was pass ``begun``, for
-        its backward, which ends it; ``ShapeError`` if another forward
+    def consume(self, begun: int) -> "StepViews":
+        """The :class:`StepViews` of the forward that was pass ``begun``,
+        for its backward, which ends it; ``ShapeError`` if another forward
         has overwritten the set since, or a backward has consumed it."""
         if begun != self.passes:
             raise ShapeError("a work set serves one backward of its latest forward; "
-                             "this cache's was overwritten or already consumed")
+                             "this forward's was overwritten or already consumed")
         self.passes += 1
-        return self.views(B, T)
-
-    def step_views(self, cells: list, B: int) -> "StepViews":
-        """The :class:`StepViews` of batches of ``B`` windows on this set,
-        made when the latest batch had another width; ``cells`` are
-        layers of the set's sizes, whose values are not kept."""
-        if self.width is None or self.width.rows != B:
-            self.width = _step_views(self, cells, B)
         return self.width
 
 
@@ -430,9 +427,13 @@ class TrainBuffers:
 class StepViews:
     """What the training kernels read per step, for batches of one width
     on one :class:`TrainBuffers` set, laid out over all its steps once;
-    a batch of T steps reads the first T of each list.
+    a batch of T steps reads the first T of each list and array.
 
-    Per layer (``forward`` and ``backward``): the step tuples of the set's
+    ``regions`` holds the set's regions by name, as
+    :func:`_work_shapes` gives them over all the set's steps: a batch of
+    T steps slices each to ``[:T]`` (``hs`` to ``[:T + 1]``), the same
+    contiguous memory as the region's prefix of that batch's shape. Per
+    layer (``forward`` and ``backward``): the step tuples of the set's
     regions (the forward's hidden states, gates and dropout masks; the
     backward's factors, gates, step gradients of ``a`` with their
     gate-major view, and masks), each view shared by both kernels, and the
@@ -453,6 +454,7 @@ class StepViews:
     """
 
     rows: int
+    regions: dict
     forward: list
     backward: list
     inputs: list
@@ -473,7 +475,8 @@ class StepViews:
 def _step_views(work: TrainBuffers, cells: list, B: int) -> StepViews:
     """The :class:`StepViews` of ``B``-wide batches on ``work``."""
     steps, sizes = work.steps, work.sizes
-    view = work.views(B, steps)
+    view = {name: [r[:math.prod(s)].reshape(s) for r, s in zip(work.regions[name], shapes)]
+            for name, shapes in _work_shapes(sizes, B, steps).items()}
     two_n, N, last = sizes[0][0], sizes[0][0] // 2, len(sizes) - 1
     masks = view["masks"][0]
     forward, backward, below = [], [], None
@@ -502,13 +505,12 @@ def _step_views(work: TrainBuffers, cells: list, B: int) -> StepViews:
                          np.empty((B, in_size)) if i > 0 else None))
     fed = np.empty((steps, B, 1), dtype=bool)
     raw, belief, d_raw, factor = (np.empty((steps, B, two_n)) for _ in range(4))
-    top = sizes[-1][1]
     return StepViews(
-        rows=B, forward=forward, backward=backward, inputs=list(zip(view["xin"][0], fed)), fed=fed,
-        raw=raw, belief=belief, reads=list(zip(raw, raw[:, :, N:], belief, belief[:, :, N:])),
-        b_out=np.empty((B, two_n)), zero=np.zeros((B, N)),
-        floors=np.empty((B, N)), d_raw=d_raw, factor=factor,
-        back_reads=list(zip(d_raw, factor)), d_top=np.empty((B, top)),
+        rows=B, regions=view, forward=forward, backward=backward, fed=fed, raw=raw,
+        inputs=list(zip(view["xin"][0], fed)), belief=belief, d_raw=d_raw, factor=factor,
+        reads=list(zip(raw, raw[:, :, N:], belief, belief[:, :, N:])),
+        b_out=np.empty((B, two_n)), zero=np.zeros((B, N)), floors=np.empty((B, N)),
+        back_reads=list(zip(d_raw, factor)), d_top=np.empty((B, sizes[-1][1])),
         d_feed=np.empty((B, two_n)))
 
 
@@ -540,54 +542,11 @@ def train_buffers(cells: list, rows: int, steps: int) -> TrainBuffers:
                         transposed=transposed + [np.empty((sizes[-1][1], sizes[0][0]))])
 
 
-def _prefix(region: np.ndarray, shape: tuple) -> np.ndarray:
-    """The leading entries of a flat region as ``shape``: a contiguous view."""
-    return region[:math.prod(shape)].reshape(shape)
-
-
-@dataclass
-class WindowBatchCache:
-    """What :func:`window_batch_backward` needs from the forward pass.
-
-    ``stack`` and ``readout`` are numpy views of the weights. Time-major
-    arrays over T steps and B windows: per layer, ``xin`` is
-    the input (T, B, in): for layer 0 its rows; above it a view of the
-    layer below's ``hs``, or, above a dropout gap, a prefix of the set's
-    shared ``temp``, into which the backward recomputes the masked input,
-    which is not stored. ``hs`` is the hidden states (T + 1, B, h) after
-    the zero start state, ``rz`` the reset and update gates, gate-major
-    (T, 2, B, h); the candidate ``n``, ``1 - z`` and
-    ``r * (U_n h + b_hn)`` are in the per-step slots of the set's ``d_a``
-    (:func:`_slots`), where the backward overwrites them. ``raw``
-    is the readout (T, B, 2N), ``d_belief`` the gradient of the
-    batch-mean loss with respect to each step's (mu, sigma), ``fed`` the
-    (T, B, 1) rows whose input was the previous step's belief, ``masks``
-    the dropout masks (T, gaps, B, h) or None, and ``first_read`` the
-    first step whose readout is scored or fed back: earlier readouts are
-    not computed (their ``raw`` rows are zero) and their ``d_belief`` is
-    zero; the backward turns ``d_belief`` into the readout's gradient in
-    place. ``work`` is the set the (T, B, ·) arrays are views of, of its
-    regions or of its :class:`StepViews` for width B, and ``begun`` the
-    forward's pass on it (:meth:`TrainBuffers.begin`).
-    """
-
-    stack: GruStackParams
-    readout: LinearParams
-    xin: list
-    hs: list
-    rz: list
-    raw: np.ndarray
-    d_belief: np.ndarray
-    fed: np.ndarray
-    masks: np.ndarray | None
-    first_read: int
-    work: TrainBuffers
-    begun: int
-
-
 def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: float,
                          X: np.ndarray, anchors, k: int, masks, work: TrainBuffers):
-    """Training forward over a batch of windows; returns (losses, cache).
+    """Training forward over a batch of windows; returns (losses, (work,
+    pass)), the pass being the forward's count on ``work``
+    (:meth:`TrainBuffers.begin`), for :func:`window_batch_backward`.
 
     ``X`` is (B, L, N). Row b is left-aligned: steps 0..anchor_b-1 take
     the observation (x_t, 0) with that row's dropout masks, later steps
@@ -605,11 +564,19 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     negation is exact, and only the sign of a zero can differ, which
     ``exp`` maps to 1 either way). The readouts before step
     min(anchor_b) - 1 are neither scored nor fed back, so they are
-    skipped. Every (T, B, ·) array of the cache is a view of ``work``
-    (:func:`train_buffers`) or of its :class:`StepViews` for width B,
-    which the batch must fit (else ``ShapeError``) and which the next
-    forward on it overwrites; each step's views are made once per set and
-    width, not once per batch.
+    skipped: their ``raw`` rows are zero.
+
+    The batch must fit ``work`` (:func:`train_buffers`; else
+    ``ShapeError``), and the forward leaves it there for its backward,
+    until the next forward overwrites it: every (T, B, ·) array on the
+    set's :class:`StepViews` of width B, whose step views are made once
+    per set and width, not once per batch, and the rest in
+    ``work.batch``. Layer 0's input ``xin`` is its rows; a layer above
+    it reads a view of the hidden states below or, above a dropout gap,
+    of the set's shared ``temp``, where the backward rebuilds the masked
+    input, which is not stored. ``d_raw`` holds the gradient of the
+    batch-mean loss with respect to each step's (mu, sigma), zero where
+    no readout is scored.
     """
     stack, readout = fuse_stack(stack), freeze_linear(readout)
     X = np.asarray(X, dtype=np.float64)
@@ -627,31 +594,30 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     if stack.layers[0].input_size != 2 * N:
         raise ShapeError(f"the stack takes {stack.layers[0].input_size} inputs, "
                          f"not the (x, 0) rows of {N} series")
-    view = work.begin(stack.layers, B, T)
-    sv = work.step_views(stack.layers, B)
-    fed = sv.fed[:T]
+    sv = work.begin(stack.layers, B, T)
+    view, fed = sv.regions, sv.fed[:T]
     np.greater_equal(steps, anchors, fed[:, :, 0])
 
     # the set's prefixes, with what a fresh array held written afresh:
     # the masks' ones, the zero start states and the zero sigma half
     dense_masks = None
     if masks is not None and last > 0:
-        dense_masks = view["masks"][0]
+        dense_masks = view["masks"][0][:T]
         dense_masks.fill(1.0)
         for b, m in enumerate(masks):
             dense_masks[:m.shape[0], :, b] = m
     rows = X.transpose(1, 0, 2)
     targets = rows[1:T + 1]
-    hs = view["hs"]
+    hs = [states[:T + 1] for states in view["hs"]]
     for states in hs:
         states[0].fill(0.0)
-    x0 = view["xin"][0]
+    x0 = view["xin"][0][:T]
     np.copyto(x0[:, :, :N], rows[:T])
     x0[:, :, N:].fill(0.0)
     # a layer above a dropout gap reads its input from a (B, h) scratch
     # per step; the backward rebuilds it in the shared temp region
-    temp = work.regions["temp"][0]
-    xin = [x0] + [hs[i][1:] if dense_masks is None else _prefix(temp, hs[i][1:].shape)
+    temp = view["temp"][0]
+    xin = [x0] + [hs[i][1:] if dense_masks is None else temp[:T, :, :hs[i].shape[2]]
                   for i in range(last)]
     # the skipped readouts keep constants (raw 0, mu = sigma = 1), so the
     # masked loss below stays finite and warning-free
@@ -724,24 +690,23 @@ def window_batch_forward(stack: GruStackParams, readout: LinearParams, floor: fl
     losses = np.where(scored, terms, 0.0).sum(axis=0) * (1.0 / (k * N))
     # d(batch-mean loss)/d(mu, sigma) at each scored readout
     weight = scored[:, :, None] * (1.0 / (B * k * N))
-    d_belief = np.multiply(np.concatenate([-z / sigma, (1.0 - z * z) / sigma], axis=2),
-                           weight, sv.d_raw[:T])
-    cache = WindowBatchCache(stack=stack, readout=readout, xin=xin, hs=hs, rz=view["rz"],
-                             raw=raw, d_belief=d_belief, fed=fed,
-                             masks=dense_masks, first_read=first_read, work=work,
-                             begun=work.passes)
-    return losses, cache
+    np.multiply(np.concatenate([-z / sigma, (1.0 - z * z) / sigma], axis=2), weight,
+                sv.d_raw[:T])
+    work.batch = (stack, readout, xin, T, first_read, dense_masks is not None)
+    return losses, (work, work.passes)
 
 
-def window_batch_backward(cache: WindowBatchCache) -> list:
-    """Gradients of the batch-mean loss: hand-written BPTT over the cache.
+def window_batch_backward(cache: tuple) -> list:
+    """Gradients of the batch-mean loss: hand-written BPTT over the batch
+    that :func:`window_batch_forward` left on its work set; ``cache`` is
+    that forward's ``(work, pass)``.
 
     Returns one array per weight, in ``UPropModel.parameters()`` order:
     ``w``, ``u``, ``b_w`` and ``b_hn`` of each layer, then the readout
     weight and bias; each a fresh array, never a view of the work set.
     Steps run in reverse. At each step the gradient enters at the
     readout (from the loss and from the next step's input on fed rows;
-    not before ``cache.first_read``, where it is zero), falls through the
+    not before the first read step, where it is zero), falls through the
     layers top-down, and leaves layer 0's input towards the previous
     step's (mu, sigma) on fed rows. The gate derivatives, and the factor
     ``d_squash[t] * fed[t + 1]`` by which that input gradient reaches
@@ -754,8 +719,8 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     (B, 3h) rows of ``a`` and once, with its n block times r, into a
     (B, 3h) scratch for ``c``, which the products read; each step's views
     and scratch are the :class:`StepViews` of the forward's set and
-    width. The step gradients of ``a`` are laid out in ``cache.work``,
-    the forward's set, one slot of 3·B·h floats per step (:func:`_slots`),
+    width. The step gradients of ``a`` are laid out in the forward's
+    set, one slot of 3·B·h floats per step (:func:`_slots`),
     where the forward left the step's ``r * (U_n h + b_hn)``, ``1 - z``
     and candidate: the three factors of step t are formed in place in
     slot t, and step t reads them before it writes its gradients over
@@ -765,34 +730,38 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
     After the loop each layer forms ``W``'s and ``b_w``'s gradients from
     ``d_a``, multiplies its n block by r in place, over all steps, for
     ``U``'s and ``b_hn``'s, and a layer above a dropout gap first
-    rebuilds its masked input in ``temp``. So the backward consumes its
-    cache: a cache serves one backward, and only while no later forward
-    has run on its set (else ``ShapeError``).
+    rebuilds its masked input in ``temp``. So the backward consumes the
+    forward's batch: a forward serves one backward, and only while no
+    later forward has run on its set (else ``ShapeError``).
     """
-    T, B, two_n = cache.raw.shape
-    view = cache.work.consume(cache.begun, B, T)
-    sv = cache.work.width
-    N = two_n // 2
+    work, begun = cache
+    sv = work.consume(begun)
+    stack, readout, xin, T, first_read, dropped = work.batch
+    view, B, raw, fed = sv.regions, sv.rows, sv.raw[:T], sv.fed[:T]
+    hs = [states[:T + 1] for states in view["hs"]]
+    rz, d_a = ([a[:T] for a in view[name]] for name in ("rz", "d_a"))
+    two_n, N = raw.shape[2], raw.shape[2] // 2
     # d(mu, sigma)/d(raw) is (1, sigmoid(raw_sigma)) by the softplus squash:
-    # d_raw is d_belief, in place, with its sigma half times the sigmoid,
-    # and the factor is fed[t + 1] with its sigma half times it too
+    # d_raw, the beliefs' loss gradient, becomes the readout's in place,
+    # its sigma half times the sigmoid, and the factor is fed[t + 1] with
+    # its sigma half times it too
     with np.errstate(over="ignore"):
-        d_sigma = _sigmoid(cache.raw[:, :, N:].copy())
-    d_raw, factor = cache.d_belief, sv.factor[:T - 1]
+        d_sigma = _sigmoid(raw[:, :, N:].copy())
+    d_raw, factor = sv.d_raw[:T], sv.factor[:T - 1]
     np.multiply(d_raw[:, :, N:], d_sigma, d_raw[:, :, N:])
-    factor[:, :, :N] = cache.fed[1:]
-    np.multiply(d_sigma[:-1], cache.fed[1:], factor[:, :, N:])
+    factor[:, :, :N] = fed[1:]
+    np.multiply(d_sigma[:-1], fed[1:], factor[:, :, N:])
     # per layer, top-down: one iterator, last step first, over the gate
     # derivative factors (T, B, h), the step gradients of the
     # pre-activation a = W x + b_w (T, B, 3h) with its gate-major view,
     # and the dropout masks on the layer's input; and the step's work
     # buffers, among them the (B, 3h) gradient of c = U h + [0, 0, b_hn]
-    d_a, temp = view["d_a"], cache.work.regions["temp"][0]
+    temp = view["temp"][0]
     layers = []
-    for i, (c, (steps_t, *bufs, d_h, d_in)) in enumerate(zip(cache.stack.layers, sv.backward)):
+    for i, (c, (steps_t, *bufs, d_h, d_in)) in enumerate(zip(stack.layers, sv.backward)):
         h = c.hidden_size
-        r, z = cache.rz[i][:, 0], cache.rz[i][:, 1]
-        h_prev, tmp = cache.hs[i][:T], _prefix(temp, (T, B, h))
+        r, z = rz[i][:, 0], rz[i][:, 1]
+        h_prev, tmp = hs[i][:T], temp[:T, :, :h]
         # k_z = ((h_prev - n) * z) * (1 - z), k_n = (1 - z) * (1 - n * n)
         # and k_r = (r * hn) * (1 - r), op for op, each formed in the
         # block of the slots where the forward left 1 - z, n and r * hn.
@@ -812,18 +781,18 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
         np.multiply(k_r, tmp, k_r)
         d_h.fill(0.0)
         layers.insert(0, (c.w, c.u, iter(steps_t[T - 1::-1]),
-                          i > 0 and cache.masks is not None, *bufs, d_h, d_in))
-    w_out = cache.readout.weight
+                          i > 0 and dropped, *bufs, d_h, d_in))
+    w_out = readout.weight
     d_top, d_feed = sv.d_top, sv.d_feed
     fed_next = False   # whether step t + 1 fed back step t's belief
 
     for t, (d_raw_t, factor_t), fed_step in zip(
             range(T - 1, -1, -1), sv.back_reads[T - 1::-1],
-            cache.fed.any(axis=(1, 2))[::-1].tolist()):
+            fed.any(axis=(1, 2))[::-1].tolist()):
         if fed_next:
             np.multiply(d_feed, factor_t, d_feed)
             np.add(d_raw_t, d_feed, d_raw_t)
-        d_out = d_raw_t.dot(w_out, d_top) if t >= cache.first_read else None
+        d_out = d_raw_t.dot(w_out, d_top) if t >= first_read else None
         for (w, u, views, drop, g, g_r, g_z, g_n, dc, dc_g, dh_sum, dh_z, d_h,
              d_in) in layers:
             k_n, k_r, k_z, r, z, da, da_g, mask = next(views)
@@ -849,21 +818,21 @@ def window_batch_backward(cache: WindowBatchCache) -> list:
             da.dot(w, d_feed)
 
     grads = []
-    for i, c in enumerate(cache.stack.layers):
-        h, xin = c.hidden_size, cache.xin[i]
-        if i > 0 and cache.masks is not None:
+    for i, c in enumerate(stack.layers):
+        h = c.hidden_size
+        if i > 0 and dropped:
             # the masked input, rebuilt op for op in the shared temp,
             # which the factors no longer need
-            np.multiply(cache.hs[i - 1][1:], cache.masks[:, i - 1], xin)
+            np.multiply(hs[i - 1][1:], view["masks"][0][:T, i - 1], xin[i])
         da = d_a[i].reshape(T * B, 3 * h)
-        d_w, d_b_w = da.T @ xin.reshape(T * B, -1), da.sum(axis=0)
+        d_w, d_b_w = da.T @ xin[i].reshape(T * B, -1), da.sum(axis=0)
         # d_a becomes c's gradient: its r and z blocks are a's, its n block a's times r
         d_n = d_a[i][:, :, 2 * h:]
-        np.multiply(d_n, cache.rz[i][:, 0], d_n)
-        grads += [d_w, da.T @ cache.hs[i][:T].reshape(T * B, h), d_b_w,
+        np.multiply(d_n, rz[i][:, 0], d_n)
+        grads += [d_w, da.T @ hs[i][:T].reshape(T * B, h), d_b_w,
                   da[:, 2 * h:].sum(axis=0)]
     d_raw = d_raw.reshape(T * B, two_n)
-    return grads + [d_raw.T @ cache.hs[-1][1:].reshape(T * B, -1),
+    return grads + [d_raw.T @ hs[-1][1:].reshape(T * B, -1),
                     d_raw.sum(axis=0)]
 
 

@@ -100,6 +100,27 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=says):
             RunConfig(**fields)
 
+    @pytest.mark.parametrize("fields, says", [
+        ({"dims": 2.5}, "dims must be an integer, got 2.5"),
+        ({"dims": "3"}, "dims must be an integer, got '3'"),
+        ({"missing_rates": [0.1, "a"]},
+         r"missing_rates must be a list, each entry a finite number, got \[0.1, 'a'\]"),
+        ({"methods": ["uprop", 2]}, "methods must be a list, each entry a string")])
+    def test_wrongly_typed_field_rejected_when_built_directly(self, fields, says):
+        with pytest.raises(ConfigError, match=says):
+            RunConfig(**fields)
+
+    @pytest.mark.parametrize("doc, says", [
+        ('{"dims": 2.5}', "dims must be an integer, got 2.5"),
+        ('{"missing_rates": [0.1, "a"]}',
+         "missing_rates must be a list, each entry a finite number, got [0.1, 'a']")])
+    def test_type_errors_from_a_file_start_with_its_path(self, tmp_path, doc, says):
+        path = tmp_path / "c.json"
+        path.write_text(doc)
+        with pytest.raises(ConfigError) as info:
+            RunConfig.load(path)
+        assert str(info.value) == f"{path}: {says}"
+
 
 class TestSynth:
     def test_writes_loadable_csvs(self, workdir):

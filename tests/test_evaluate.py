@@ -73,6 +73,15 @@ def test_unknown_method_is_a_config_error_naming_it(methods):
         evaluate_grid({2: small_model()}, windows, rates=[0.0], methods=methods)
 
 
+def test_no_method_is_a_config_error_before_any_work(monkeypatch):
+    windows = [TimeSeries.complete(np.zeros((5, 2)))]
+    calls = []
+    monkeypatch.setattr(evaluate, "normalize", lambda *a: calls.append(a))
+    with pytest.raises(ConfigError, match="at least one method"):
+        evaluate_grid({2: small_model()}, windows, rates=[0.0], methods=[])
+    assert not calls
+
+
 @pytest.mark.parametrize("rates", [[float("nan")], [-0.1], [0.0, 1.0]])
 def test_a_rate_outside_zero_one_is_a_data_error_before_any_work(rates, monkeypatch):
     # NaN and negative rates would otherwise score undegraded windows

@@ -437,14 +437,14 @@ class TestSaturatedGates:
             warnings.simplefilter("error")
             records = filter_series(model, series)
             fc = forecast_from_origin(model, series, 20, 4)
-            _, cache = window_batch_forward(model.stack, model.readout,
-                                            model.train_config.sigma_floor, X, [3, 8, 5], 4,
-                                            None, train_buffers(model.stack.layers, 3, 11))
+            _, (work, _) = window_batch_forward(model.stack, model.readout,
+                                                model.train_config.sigma_floor, X, [3, 8, 5],
+                                                4, None, train_buffers(model.stack.layers, 3, 11))
             params = model.parameters()
             zero_grad(params)
             loss, _ = fresh_batch_loss(model, X, [3, 8, 5], 4, None)
             tn.backward(loss)
-        for rz in cache.rz:
+        for rz in work.width.regions["rz"]:   # 11 steps, as many as the set holds
             assert np.all((rz == 0.0) | (rz == 1.0))
         assert all(np.all(np.isfinite(p.grad)) for p in params)
         np.testing.assert_array_equal(model.readout.bias.grad[2:], 0.0)

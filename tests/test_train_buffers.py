@@ -93,6 +93,44 @@ def test_a_loss_whose_set_a_later_forward_overwrote_is_refused():
     tn.backward(second)
 
 
+def test_a_loss_whose_set_then_ran_a_forward_of_another_width_is_refused():
+    # a batch's state lives on its set, and a batch of another width lays
+    # the set out afresh, so the first loss's backward would read the
+    # second batch's state through the second batch's layout
+    model = make_model(dims=2, hidden=3, layers=2, dropout=0.3, k=2, L=10, seed=10)
+    work = train_buffers(model.stack.layers, 3, 9)
+    X, masks = batch(model, 3, 10, 2, [8, 3, 5], seed=10)
+    X2, masks2 = batch(model, 2, 10, 2, [4, 6], seed=11)
+    first, _ = _batch_loss(model, X, [8, 3, 5], 2, masks, work)
+    second, losses = _batch_loss(model, X2, [4, 6], 2, masks2, work)
+    zero_grad(model.parameters())
+    with pytest.raises(ShapeError, match="one backward of its latest forward"):
+        tn.backward(first)
+    tn.backward(second)
+    got = [losses] + [p.grad for p in model.parameters()]
+    want = loss_and_grads(model, X2, [4, 6], 2, masks2,
+                          train_buffers(model.stack.layers, 2, 9))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_a_refused_forward_leaves_the_latest_loss_intact():
+    # the fit check runs before a forward writes any of its state on the
+    # set, so a batch the set cannot hold changes nothing a loss reads
+    model = make_model(dims=2, hidden=3, layers=2, dropout=0.3, k=2, L=10, seed=12)
+    work = train_buffers(model.stack.layers, 3, 9)
+    X, masks = batch(model, 3, 10, 2, [8, 3, 5], seed=12)
+    wide, wide_masks = batch(model, 4, 10, 2, [2, 2, 2, 2], seed=13)
+    loss, losses = _batch_loss(model, X, [8, 3, 5], 2, masks, work)
+    with pytest.raises(ShapeError, match="does not fit a work set"):
+        _batch_loss(model, wide, [2, 2, 2, 2], 2, wide_masks, work)
+    zero_grad(model.parameters())
+    tn.backward(loss)
+    got = [losses] + [p.grad for p in model.parameters()]
+    want = loss_and_grads(model, X, [8, 3, 5], 2, masks,
+                          train_buffers(model.stack.layers, 3, 9))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_a_cache_serves_one_backward():
     # the backward forms the factors in place over the candidate and
     # U_n h + b_hn that the forward left in the step gradients' slots
